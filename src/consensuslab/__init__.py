@@ -35,13 +35,11 @@ from .graph import (
 )
 from .dynamics import (
     NoiseProcess,
-    ProjectedSystem,
     StateVector,
     Trajectory,
     TransitionMatrix,
     average_drift,
     project,
-    projected_system,
     read_trajectory_csv,
     simulate,
     transition_matrix,

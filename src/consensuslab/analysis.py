@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NegativeLinkError
+from .errors import ConfigurationError
 from .graph import check_joint_connectivity, negative_link_assumption_holds
 from .dynamics import StateVector, simulate
 
@@ -146,14 +146,7 @@ def signed_convergence_check(sched, x0, delta, T, stride=None, t_end=60.0,
     is guaranteed, so a non-positive fitted rate raises instead of being
     flagged: it indicates a run too short to fit.
     """
-    report = negative_link_assumption_holds(sched)
-    if not report.holds:
-        raise NegativeLinkError(
-            f"segment {report.segment_index} has Laplacian eigenvalue "
-            f"{report.worst_eigenvalue:.6e}; Negative-Link Assumption violated",
-            eigenvalue=report.worst_eigenvalue,
-            segment=report.segment_index,
-        )
+    negative_link_assumption_holds(sched).require()
     cert = check_joint_connectivity(sched, delta, T, stride if stride is not None else T / 4.0)
     if not cert.connected:
         raise ConfigurationError(

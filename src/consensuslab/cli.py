@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ OUTPUT_DIR_ENV = "CONSENSUSLAB_OUTPUT_DIR"
 TASKS = {
     "simulate": (
         {"t_end": "end time of the run", "sample_dt": "output sample step"},
-        {"noise_quad_step": ("noise quadrature step", None)},
+        {},
         "integrate the dynamics from the scenario initial state "
         "(with the scenario noise, when declared) and write trajectory.csv",
     ),
@@ -43,7 +44,7 @@ TASKS = {
     ),
     "gramian": (
         {"start": "window start", "delta": "window length"},
-        {"quad_step": ("quadrature step", "delta / 1024")},
+        {},
         "observability Gramian spectrum on one window, gramian.json",
     ),
     "reconstruct": (
@@ -68,6 +69,9 @@ TASKS = {
     ),
 }
 
+# parameters that are lengths of time or steps, wherever they appear
+POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "zeta")
+
 NOISE_KINDS = ("zero", "table", "windowed-random")
 
 
@@ -75,10 +79,12 @@ def _fail(msg):
     raise ScenarioError(msg)
 
 
-def _require_number(params, key, task):
+def _require_number(params, key, where):
     v = params.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _fail(f"task '{task}': parameter '{key}' must be a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        _fail(f"{where}: parameter '{key}' must be a finite number, got {v!r}")
+    if key in POSITIVE_PARAMS and v <= 0:
+        _fail(f"{where}: parameter '{key}' must be positive, got {v!r}")
     return float(v)
 
 
@@ -153,8 +159,7 @@ class Scenario:
                 _fail(f"eigvector initial state: 'segment' must be 1..{len(self.schedule.segments)}")
             if not isinstance(idx, int) or not 1 <= idx <= n:
                 _fail(f"eigvector initial state: 'index' must be 1..{n}")
-            lap = graph.laplacian(self.schedule.segments[seg - 1].weights)
-            _, vecs = np.linalg.eigh(lap)
+            _, vecs = self.schedule.spectrum(seg - 1)
             return float(spec.get("scale", 1.0)) * vecs[:, idx - 1]
         _fail(f"unknown initial_state kind {kind!r}")
 
@@ -166,8 +171,7 @@ class Scenario:
         kind = spec["kind"]
         if kind != "zero":
             for key in ("zeta", "B0"):
-                if not isinstance(spec.get(key), (int, float)):
-                    _fail(f"noise needs numeric '{key}'")
+                _require_number(spec, key, "noise")
         if kind == "table":
             if "breakpoints" not in spec or "values" not in spec:
                 _fail("table noise needs 'breakpoints' and 'values'")
@@ -205,7 +209,8 @@ class Scenario:
             for key in required:
                 if key not in params:
                     _fail(f"task '{name}': missing required parameter '{key}'")
-                _require_number(params, key, name)
+            for key in params:
+                _require_number(params, key, f"task '{name}'")
             if name in ("reconstruct", "rate") and not seen_simulate:
                 _fail(f"task '{name}' needs a preceding simulate task")
             if name == "robustness" and self.noise_spec is None:
@@ -277,7 +282,7 @@ class _Runner:
             "artifacts": sorted(set(self.artifacts)),
         })
 
-    def task_simulate(self, t_end, sample_dt, noise_quad_step=None):
+    def task_simulate(self, t_end, sample_dt):
         sc = self.scenario
         noise = sc.build_noise(t_end) if sc.noise_spec is not None else None
         self.trajectory = dynamics.simulate(
@@ -286,7 +291,6 @@ class _Runner:
             t_end,
             sample_dt,
             noise=noise,
-            noise_quad_step=noise_quad_step,
         )
         self.trajectory.write_csv(self.out_dir / "trajectory.csv")
         self.artifacts.append("trajectory.csv")
@@ -309,8 +313,8 @@ class _Runner:
             "worst_window_start": bounds.worst_window_start,
         })
 
-    def task_gramian(self, start, delta, quad_step=None):
-        gram = observability.gramian(self.scenario.schedule, start, delta, quad_step=quad_step)
+    def task_gramian(self, start, delta):
+        gram = observability.gramian(self.scenario.schedule, start, delta)
         self.emit_json("gramian.json", {
             "start": gram.start,
             "delta": gram.delta,

@@ -1,8 +1,9 @@
 """Consensus dynamics over weight schedules.
 
-Noiseless runs propagate exactly per segment through the symmetric
-eigendecomposition of the Laplacian; noisy runs add the variation-of-
-constants integral with composite Simpson quadrature on the noise term.
+Runs propagate exactly per segment through the cached symmetric
+eigendecomposition of the Laplacian.  The noise is piecewise constant, so
+its variation-of-constants integral is exact as well: the phi_1 term of
+exponential integrators (Hochbruck & Ostermann, Acta Numerica 2010).
 """
 
 from __future__ import annotations
@@ -11,21 +12,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConfigurationError
-from .graph import incidence, laplacian, sqrt_laplacian_factor
 
 __all__ = [
     "StateVector",
     "Trajectory",
     "NoiseProcess",
     "TransitionMatrix",
-    "ProjectedSystem",
     "simulate",
     "transition_matrix",
     "project",
-    "projected_system",
     "average_drift",
     "read_trajectory_csv",
 ]
@@ -239,19 +236,13 @@ def _merge_grid(anchors, base, tol):
     return np.asarray(out)
 
 
-def _segment_eigs(sched):
-    cache = {}
-
-    def get(k):
-        if k not in cache:
-            lam, q = np.linalg.eigh(laplacian(sched.segments[k].weights))
-            cache[k] = (lam, q)
-        return cache[k]
-
-    return get
+def _phi1(z):
+    """phi_1(z) = (e^z - 1) / z elementwise, with phi_1(0) = 1."""
+    safe = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
 
 
-def simulate(sched, x0, t_end, sample_dt, noise=None, noise_quad_step=None):
+def simulate(sched, x0, t_end, sample_dt, noise=None):
     """Integrate dx/dt = -L(t) x + w(t) over [x0.time, t_end].
 
     Parameters
@@ -263,9 +254,10 @@ def simulate(sched, x0, t_end, sample_dt, noise=None, noise_quad_step=None):
         Samples are emitted on the sample_dt grid plus every segment
         boundary (the vector field is discontinuous there).
     noise : NoiseProcess, optional
-        Defaults to zero.  The noise term is integrated by composite
-        Simpson with step <= noise_quad_step (default sample_dt / 4),
-        refined at noise breakpoints; the homogeneous part is exact.
+        Defaults to zero.  Each step is split at the noise breakpoints; on a
+        sub-piece of length h with constant w the eigen-coordinates
+        c = Q'x advance as c <- e^{-lam h} c + h phi_1(-lam h) Q'w, which is
+        exact, so the whole run is exact up to rounding.
 
     Returns
     -------
@@ -306,30 +298,19 @@ def simulate(sched, x0, t_end, sample_dt, noise=None, noise_quad_step=None):
         states = np.tile(x0.values, (grid.size, 1))
         return Trajectory(grid, states, sched.name, float(x0.values.mean()))
 
-    eigs = _segment_eigs(sched)
-    h_max = sample_dt / 4.0 if noise_quad_step is None else float(noise_quad_step)
-    if h_max <= 0.0:
-        raise ValueError("noise quadrature step must be positive")
-
     states = np.empty((grid.size, n))
     states[0] = x0.values
     for step in range(grid.size - 1):
         ta, tb = grid[step], grid[step + 1]
-        lam, q = eigs(sched.segment_index_at((ta + tb) / 2.0))
-        x = q @ (np.exp(-lam * (tb - ta)) * (q.T @ states[step]))
-        if not zero_noise:
-            cuts = [ta] + noise.breakpoints_between(ta, tb) + [tb]
-            for u0, u1 in zip(cuts[:-1], cuts[1:]):
-                if u1 - u0 <= 0.0:
-                    continue
-                w = noise.values_at((u0 + u1) / 2.0)
-                n_sub = 2 * max(1, math.ceil((u1 - u0) / (2.0 * h_max)))
-                tau = np.linspace(u0, u1, n_sub + 1)
-                g = q.T @ w
-                # columns are exp(-L (tb - tau_j)) w, evaluated spectrally
-                f = q @ (np.exp(-lam[:, None] * (tb - tau)[None, :]) * g[:, None])
-                x = x + simpson(f, x=tau, axis=1)
-        states[step + 1] = x
+        lam, q = sched.spectrum(sched.segment_index_at((ta + tb) / 2.0))
+        c = q.T @ states[step]
+        cuts = [ta] + noise.breakpoints_between(ta, tb) + [tb]
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            z = -lam * (u1 - u0)
+            c = np.exp(z) * c
+            if not zero_noise:
+                c += (u1 - u0) * _phi1(z) * (q.T @ noise.values_at((u0 + u1) / 2.0))
+        states[step + 1] = q @ c
     return Trajectory(grid, states, sched.name, float(x0.values.mean()))
 
 
@@ -343,6 +324,18 @@ class TransitionMatrix:
     system: str
 
 
+def _disagreement_flow(lam, q, h):
+    """(I - J) e^{-Lh} (I - J) = e^{-Lh} - J for L = Q diag(lam) Q', J = 11'/N.
+
+    The eigenvectors are projected before the product, which leaves the
+    undamped consensus mode at rounding squared: products of these factors
+    stay accurate relative to their own decaying size.  Adding e^{-h} J
+    gives the projected flow e^{-(L+J)h}.
+    """
+    p = q - q.mean(axis=0)
+    return (p * np.exp(-lam * h)) @ p.T
+
+
 def transition_matrix(system, sched, s, t):
     """Phi(t, s) as an ordered product of per-segment matrix exponentials.
 
@@ -352,26 +345,23 @@ def transition_matrix(system, sched, s, t):
     mean-removing projector, so Phi(t, s) (I - 11'/N) = Phi(t, s) holds
     exactly for all t >= s and Phi(s, s) is the projector itself: the
     consensus direction is not part of the projected state space.  Both
-    flows satisfy the composition law exactly.
+    flows satisfy the composition law exactly.  The segment factors come
+    from the schedule's cached spectrum (see :func:`_disagreement_flow`).
     """
     if system not in ("raw", "projected"):
         raise ValueError(f"system must be 'raw' or 'projected', got {system!r}")
     if t < s:
         raise ValueError("transition matrix requires t >= s")
     n = sched.node_count
-    shift = np.ones((n, n)) / n
     phi = np.eye(n)
-    cache = {}
-    for ta, tb, k in sched.pieces(s, t):
-        if k not in cache:
-            m = laplacian(sched.segments[k].weights)
-            if system == "projected":
-                m = m + shift
-            cache[k] = np.linalg.eigh(m)
-        lam, q = cache[k]
-        phi = (q * np.exp(-lam * (tb - ta))) @ q.T @ phi
     if system == "projected":
-        phi = phi @ (np.eye(n) - shift)
+        phi -= 1.0 / n
+    for ta, tb, k in sched.pieces(s, t):
+        lam, q = sched.spectrum(k)
+        if system == "projected":
+            phi = _disagreement_flow(lam, q, tb - ta) @ phi
+        else:
+            phi = (q * np.exp(-lam * (tb - ta))) @ q.T @ phi
     return TransitionMatrix(float(s), float(t), phi, system)
 
 
@@ -379,46 +369,6 @@ def project(x):
     """Disagreement component y = x - mean(x) (idempotent)."""
     x = np.asarray(x, dtype=float)
     return x - x.mean(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class ProjectedSystem:
-    """Per-segment drift F_k = -(L_k + 11'/N) and output factor D_k.
-
-    D_k satisfies D_k @ D_k.T == L_k + 11'/N: nonnegative segments stack the
-    incidence matrix with the column 1/sqrt(N), signed segments fall back to
-    the symmetric PSD square root (their edge signals are not defined).
-    """
-
-    schedule: object
-    drift: tuple
-    output_factor: tuple
-
-    @property
-    def node_count(self):
-        return self.schedule.node_count
-
-
-def projected_system(sched):
-    n = sched.node_count
-    shift = np.ones((n, n)) / n
-    tol = 1e-10 * max(1.0, n * sched.weight_bound)
-    drift = []
-    factors = []
-    for k, seg in enumerate(sched.segments):
-        target = laplacian(seg.weights) + shift
-        if float(seg.weights.min()) >= 0.0:
-            h = incidence(seg.weights).entries
-            d = np.hstack([h, np.ones((n, 1)) / np.sqrt(n)])
-        else:
-            d = sqrt_laplacian_factor(target, tol=1e-9 * n * sched.weight_bound)
-        if float(np.abs(d @ d.T - target).max()) > tol:
-            raise ConfigurationError(
-                f"segment {k}: output factor does not reproduce L + 11'/N"
-            )
-        drift.append(-target)
-        factors.append(d)
-    return ProjectedSystem(schedule=sched, drift=tuple(drift), output_factor=tuple(factors))
 
 
 def average_drift(traj):

@@ -63,12 +63,13 @@ class GraphSnapshot:
         w = np.array(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidSnapshotError(f"weight matrix must be square, got shape {w.shape}")
+        # finiteness first: NaN != NaN would otherwise read as asymmetry
+        if not np.all(np.isfinite(w)):
+            raise InvalidSnapshotError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise InvalidSnapshotError("weight matrix must be exactly symmetric")
         if np.any(np.diag(w) != 0.0):
             raise InvalidSnapshotError("weight matrix must have a zero diagonal")
-        if not np.all(np.isfinite(w)):
-            raise InvalidSnapshotError("weights must be finite")
         w.setflags(write=False)
         self.weights = w
         self.node_count = w.shape[0]
@@ -209,6 +210,7 @@ class WeightSchedule:
         self.horizon = segs[-1].t_end
         self.period = self.horizon if self.periodic else None
         self._starts = [s.t_start for s in segs]
+        self._spectra = {}
 
     def __len__(self):
         return len(self.segments)
@@ -225,6 +227,21 @@ class WeightSchedule:
             weight_bound=abs(factor) * self.weight_bound,
             name=self.name,
         )
+
+    def spectrum(self, k):
+        """Eigendecomposition L_k = Q diag(lam) Q' of segment k's Laplacian.
+
+        Computed on first use and cached on the schedule; returns the
+        read-only pair (lam, Q) with lam ascending.  Every exact flow,
+        Gramian and noise formula of the package works in this basis.
+        """
+        pair = self._spectra.get(k)
+        if pair is None:
+            lam, q = np.linalg.eigh(laplacian(self.segments[k].weights))
+            lam.setflags(write=False)
+            q.setflags(write=False)
+            pair = self._spectra[k] = (lam, q)
+        return pair
 
     def _local_index(self, tau):
         idx = bisect.bisect_right(self._starts, tau) - 1
@@ -499,6 +516,16 @@ class NegativeLinkReport:
     def __bool__(self):
         return self.holds
 
+    def require(self):
+        """Raise NegativeLinkError naming the worst segment unless the check holds."""
+        if not self.holds:
+            raise NegativeLinkError(
+                f"segment {self.segment_index} has Laplacian eigenvalue "
+                f"{self.worst_eigenvalue:.6e}; Negative-Link Assumption violated",
+                eigenvalue=self.worst_eigenvalue,
+                segment=self.segment_index,
+            )
+
 
 def negative_link_assumption_holds(sched, tol=None):
     """Check lambda_min(L_k) >= -tol for every segment of the schedule."""
@@ -506,8 +533,8 @@ def negative_link_assumption_holds(sched, tol=None):
         tol = 1e-9 * sched.node_count * sched.weight_bound
     worst = np.inf
     worst_idx = 0
-    for k, seg in enumerate(sched.segments):
-        lam_min = float(np.linalg.eigvalsh(laplacian(seg.weights))[0])
+    for k in range(len(sched.segments)):
+        lam_min = float(sched.spectrum(k)[0][0])
         if lam_min < worst:
             worst = lam_min
             worst_idx = k

@@ -1,21 +1,21 @@
 """Observability of the disagreement dynamics.
 
-Gramians of the projected system, the exact integral bounds that certify
-uniform complete observability, and reconstruction of shifted node states
-from edge signals.
+Gramians of the projected system (drift -(L + J), J = 11'/N, output factor
+D with D D' = L + J), the exact integral bounds that certify uniform
+complete observability, and reconstruction of shifted node states from edge
+signals.  Since L J = J L = 0, flows and Gramians are closed forms in each
+segment's cached Laplacian eigenbasis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConfigurationError, SignedGraphError, UnobservableWindowError
-from .graph import edge_pairs, incidence, integrated_laplacian
-from .dynamics import projected_system
+from .graph import edge_pairs, incidence, integrated_laplacian, negative_link_assumption_holds
+from .dynamics import _disagreement_flow
 
 __all__ = [
     "EdgeSignalTrace",
@@ -132,39 +132,39 @@ class ObservabilityGramian:
         return (self.start, self.start + self.delta)
 
 
-def _piece_propagator(lam, q, dt):
-    return (q * np.exp(-lam * dt)) @ q.T
+def _projected_flow(lam, q, h):
+    """e^{-(L+J)h} = (e^{-Lh} - J) + e^{-h} J for L = Q diag(lam) Q'."""
+    return _disagreement_flow(lam, q, h) + np.exp(-h) / q.shape[0]
 
 
-def gramian(sched, s, delta, quad_step=None):
+def _gramian_increment(lam, q, h):
+    """int_0^h e^{-(L+J)t} (L+J) e^{-(L+J)t} dt = (I - e^{-2(L+J)h}) / 2.
+
+    The symmetric case of Van Loan (IEEE TAC 1978) with the output D D'
+    equal to the drift, so the Kronecker kernel collapses to a diagonal.
+    """
+    return (q * (-0.5 * np.expm1(-2.0 * lam * h))) @ q.T - 0.5 * np.expm1(-2.0 * h) / q.shape[0]
+
+
+def gramian(sched, s, delta):
     """Observability Gramian of the projected system over [s, s + delta].
 
-    Phi is exact per segment (spectral propagation of the drift); the
-    integrand Phi' D D' Phi is integrated by composite Simpson on a per
-    segment uniform grid with step <= quad_step (default delta / 1024), so
-    the grid is always refined at segment boundaries.
+    Exact up to rounding: each constant piece adds Phi' G Phi, where Phi is
+    the projected flow from s to the piece start and G the closed-form
+    piece Gramian of :func:`_gramian_increment`.  Refuses a schedule that
+    violates the Negative-Link Assumption, whose L + J has no real output
+    factor D.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    proj = projected_system(sched)
+    negative_link_assumption_holds(sched).require()
     n = sched.node_count
-    h_max = delta / 1024.0 if quad_step is None else float(quad_step)
-    if h_max <= 0.0:
-        raise ValueError("quad_step must be positive")
     w = np.zeros((n, n))
     phi = np.eye(n)
     for ta, tb, k in sched.pieces(s, s + delta):
-        lam, q = np.linalg.eigh(-proj.drift[k])
-        ddt = proj.output_factor[k] @ proj.output_factor[k].T
-        n_sub = 2 * max(1, math.ceil((tb - ta) / (2.0 * h_max)))
-        tau = np.linspace(ta, tb, n_sub + 1)
-        step = _piece_propagator(lam, q, tau[1] - tau[0])
-        vals = np.empty((n_sub + 1, n, n))
-        for j in range(n_sub + 1):
-            if j > 0:
-                phi = step @ phi
-            vals[j] = phi.T @ ddt @ phi
-        w += simpson(vals, x=tau, axis=0)
+        lam, q = sched.spectrum(k)
+        w += phi.T @ _gramian_increment(lam, q, tb - ta) @ phi
+        phi = _projected_flow(lam, q, tb - ta) @ phi
     w = (w + w.T) / 2.0
     eigs = np.linalg.eigvalsh(w)
     return ObservabilityGramian(
@@ -217,6 +217,31 @@ def uniform_bounds_check(sched, delta_obs, stride, positive_tol=1e-10):
     )
 
 
+def _simpson(y, x):
+    """Composite Simpson integral of samples y (axis 0) at increasing x.
+
+    Each pair of consecutive intervals gets the quadratic rule for
+    irregular spacing.  An even sample count leaves one interval over,
+    integrated by Cartwright's last-interval correction (Cartwright 2017,
+    J. Math. Sci. Math. Educ. 12(2)); two samples fall back to the
+    trapezoid.
+    """
+    h = np.diff(x)
+    m = h.size - h.size % 2  # intervals covered by full Simpson panels
+    h0, h1 = h[0:m:2], h[1:m:2]
+    weights = np.zeros(h.size + 1)
+    weights[0:m:2] += (h0 + h1) / 6.0 * (2.0 - h1 / h0)
+    weights[1:m:2] += (h0 + h1) ** 3 / (6.0 * h0 * h1)
+    weights[2:m + 1:2] += (h0 + h1) / 6.0 * (2.0 - h0 / h1)
+    if h.size == 1:
+        weights += 0.5 * h[0]
+    elif h.size % 2:
+        a, b = h[-2], h[-1]
+        weights[-3:] += [-b ** 3 / (6.0 * a * (a + b)), (b * b + 3.0 * a * b) / (6.0 * a),
+                         (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))]
+    return weights @ y
+
+
 def _piece_node_indices(times, ta, tb, tol):
     idx = np.nonzero((times >= ta - tol) & (times <= tb + tol))[0]
     # duplicated boundary rows: keep the right limit at the piece start and
@@ -228,17 +253,17 @@ def _piece_node_indices(times, ta, tb, tol):
     return idx
 
 
-def reconstruct(z, sched, s, delta, cond_tol=1e-8, quad_step=None):
+def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     """Estimate the shifted state y(s) = x(s) - x_ave(0) * 1 from edge signals.
 
     Computes W^{-1} int_s^{s+delta} Phi'(t, s) D(t) z~(t) dt where W is the
-    observability Gramian of :func:`gramian` (schedule-driven quadrature at
-    ``quad_step``, default delta / 1024), Phi the projected transition
-    matrix, and z~ the trace signals; the augmented average channel of D is
-    identically zero for zero-mean states, so only the incidence block
-    enters the correlation.  The correlation integral runs on the trace's
-    own sample grid, piecewise per segment: halving the trace sampling step
-    and ``quad_step`` together halves the quadrature step everywhere.
+    exact observability Gramian of :func:`gramian`, Phi the projected
+    transition matrix, and z~ the trace signals; the augmented average
+    channel of D is identically zero for zero-mean states, so only the
+    incidence block enters the correlation.  The correlation integrates
+    sampled data, so it is composite Simpson on the trace's own sample grid,
+    piecewise per segment: halving the trace sampling step halves the
+    quadrature step everywhere.
 
     The trace must sample the whole window including every interior segment
     boundary (traces written by :func:`edge_signals` do).  A Gramian
@@ -255,14 +280,13 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8, quad_step=None):
         raise ConfigurationError(
             "edge order of the trace does not match the schedule's lexicographic order"
         )
-    gram = gramian(sched, s, delta, quad_step=quad_step)
+    gram = gramian(sched, s, delta)
     if gram.lambda_min <= cond_tol:
         raise UnobservableWindowError(
             f"Gramian eigenvalue {gram.lambda_min:.6e} at or below cond_tol {cond_tol:.1e}; "
             "the window is not jointly connected enough to invert",
             lambda_min=gram.lambda_min,
         )
-    proj = projected_system(sched)
     times = z.sample_times
     tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
     corr = np.zeros(n)
@@ -281,15 +305,14 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8, quad_step=None):
             )
         sub_t = times[idx].copy()
         sub_t[0], sub_t[-1] = ta, tb
-        lam, q = np.linalg.eigh(-proj.drift[k])
+        lam, q = sched.spectrum(k)
         if k not in h_cache:
             h_cache[k] = incidence(sched.segments[k].weights).entries
-        h = h_cache[k]
-        vals_c = np.empty((idx.size, n))
-        for pos, j in enumerate(idx):
-            if pos > 0:
-                phi = _piece_propagator(lam, q, sub_t[pos] - sub_t[pos - 1]) @ phi
-            vals_c[pos] = phi.T @ (h @ z.signals[j])
-        corr += simpson(vals_c, x=sub_t, axis=0)
+        v = z.signals[idx] @ h_cache[k].T  # rows: D(t_j) z~(t_j), all in 1-perp
+        p = q - q.mean(axis=0)
+        # rows: e^{-(L+J) tau_j} v_j, which is _disagreement_flow(tau_j) v_j
+        flowed = (np.exp(-lam * (sub_t - ta)[:, None]) * (v @ p)) @ p.T
+        corr += _simpson(flowed, sub_t) @ phi
+        phi = _projected_flow(lam, q, tb - ta) @ phi
     lam_w, q_w = np.linalg.eigh(gram.entries)
     return q_w @ ((q_w.T @ corr) / lam_w)

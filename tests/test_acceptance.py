@@ -141,15 +141,15 @@ def test_criterion_06_reconstruction_roundtrip():
     rng = np.random.default_rng(777)
     x0 = rng.standard_normal(5)
 
-    def roundtrip(dt, quad_step):
+    def roundtrip(dt):
         traj = simulate(sched, x0, 6.0, dt)
         trace = edge_signals(traj, sched)
-        est = reconstruct(trace, sched, 2.0, 4.0, quad_step=quad_step)
+        est = reconstruct(trace, sched, 2.0, 4.0)
         truth = traj.states[traj.index_at(2.0)] - float(np.mean(x0))
         return est, float(np.linalg.norm(est - truth))
 
-    est_default, err_default = roundtrip(1.0 / 128, None)
-    _, err_halved = roundtrip(1.0 / 256, 4.0 / 2048)
+    est_default, err_default = roundtrip(1.0 / 128)
+    _, err_halved = roundtrip(1.0 / 256)
     traj_shift = simulate(sched, x0 + 4.0, 6.0, 1.0 / 128)
     est_shift = reconstruct(edge_signals(traj_shift, sched), sched, 2.0, 4.0)
     shift_gap = float(np.abs(est_default - est_shift).max())

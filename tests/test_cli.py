@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensuslab
 from consensuslab.cli import list_tasks, main
 from consensuslab.errors import ScenarioError
 
@@ -65,18 +69,74 @@ def test_same_seed_byte_identical(tmp_path):
     assert (t1 / "trajectory.csv").read_bytes() == (t2 / "trajectory.csv").read_bytes()
 
 
-def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "schedule": {"segments": [{"t0": 0, "t1": 1, "edges": []}]},
-        "initial_state": [0.0, 0.0],
+def _valid_scenario():
+    return {
+        "schedule": {"nodes": 3, "periodic": True, "period": 2.0, "segments": [
+            {"t0": 0.0, "t1": 1.0, "edges": [{"i": 1, "j": 2, "w": 1.0}]},
+            {"t0": 1.0, "t1": 2.0, "edges": [{"i": 2, "j": 3, "w": 1.0}]}]},
+        "initial_state": [1.0, 0.0, -1.0],
+        "noise": {"kind": "windowed-random", "zeta": 1.0, "B0": 1.0, "seed": 3},
         "output_dir": "bad_out",
-        "tasks": [{"task": "simulate", "t_end": 1.0, "sample_dt": 0.1}],
-    }))
-    code = main(["run", str(bad)])
-    assert code == 2
-    assert "nodes" in capsys.readouterr().err
-    assert not (tmp_path / "bad_out").exists()
+        "tasks": [
+            {"task": "simulate", "t_end": 4.0, "sample_dt": 0.1},
+            {"task": "connectivity", "delta": 1.0, "T": 2.0, "stride": 0.25},
+            {"task": "bounds", "delta": 2.0, "stride": 0.25},
+            {"task": "rate", "skip_time": 0.0, "fit_dt": 2.0},
+            {"task": "robustness", "t_end": 4.0, "sample_dt": 0.1},
+        ],
+    }
+
+
+def _set(keys, value):
+    def mutate(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return mutate
+
+
+def _drop_nodes(data):
+    del data["schedule"]["nodes"]
+
+
+# (label, mutation of _valid_scenario(), fragment of the error message)
+MALFORMED = [
+    ("missing nodes", _drop_nodes, "nodes"),
+    ("negative t_end", _set(["tasks", 0, "t_end"], -5.0), "'t_end' must be positive"),
+    ("zero sample_dt", _set(["tasks", 0, "sample_dt"], 0.0), "'sample_dt' must be positive"),
+    ("boolean t_end", _set(["tasks", 0, "t_end"], True), "'t_end' must be a finite number"),
+    ("infinite t_end", _set(["tasks", 0, "t_end"], float("inf")), "finite number"),
+    ("negative delta", _set(["tasks", 1, "delta"], -0.1), "'delta' must be positive"),
+    ("zero T", _set(["tasks", 1, "T"], 0), "'T' must be positive"),
+    ("string stride", _set(["tasks", 1, "stride"], "0.25"), "'stride' must be a finite number"),
+    ("negative stride", _set(["tasks", 2, "stride"], -0.25), "'stride' must be positive"),
+    ("zero fit_dt", _set(["tasks", 3, "fit_dt"], 0.0), "'fit_dt' must be positive"),
+    ("null skip_time", _set(["tasks", 3, "skip_time"], None), "'skip_time' must be a finite"),
+    ("negative robustness t_end", _set(["tasks", 4, "t_end"], -1.0), "must be positive"),
+    ("boolean zeta", _set(["noise", "zeta"], True), "'zeta'"),
+    ("string B0", _set(["noise", "B0"], "1.0"), "'B0'"),
+    ("nan weight", _set(["schedule", "segments", 1, "edges", 0, "w"], float("nan")),
+     "finite"),
+]
+
+
+def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_valid_scenario()))
+    assert main(["validate", str(good)]) == 0
+    capsys.readouterr()
+    for k, (label, mutate, message) in enumerate(MALFORMED):
+        data = _valid_scenario()
+        mutate(data)
+        case_dir = tmp_path / f"case{k}"
+        case_dir.mkdir()
+        bad = case_dir / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad)]) == 2, label
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and message in err, (label, err)
+        assert not (case_dir / "bad_out").exists(), label
 
 
 def test_unknown_task_suggestion(tmp_path, capsys):
@@ -105,6 +165,51 @@ def test_math_domain_error_exits_3(tmp_path, capsys):
     }))
     assert main(["run", str(scn)]) == 3
     assert "Gramian" in capsys.readouterr().err
+
+
+def test_negative_link_violation_exits_3(tmp_path, capsys):
+    # a_23 = -1 puts the Laplacian eigenvalue -1 below the Negative-Link tolerance
+    scn = tmp_path / "nla.json"
+    scn.write_text(json.dumps({
+        "schedule": {"nodes": 3, "segments": [
+            {"t0": 0, "t1": 5, "edges": [{"i": 1, "j": 2, "w": 1.0}, {"i": 1, "j": 3, "w": 1.0},
+                                         {"i": 2, "j": 3, "w": -1.0}]}]},
+        "initial_state": [1.0, -1.0, 0.5],
+        "tasks": [{"task": "gramian", "start": 0.0, "delta": 2.0}],
+    }))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 3
+    assert "Negative-Link" in capsys.readouterr().err
+
+
+# imports the package and runs the CLI with every scipy import refused
+_RUN_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import consensuslab.cli
+assert "scipy" not in sys.modules
+sys.exit(consensuslab.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name", ["robust_noise", "five_node_reconstruct"])
+def test_runs_without_scipy(tmp_path, name):
+    src = str(Path(consensuslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, "run", str(SCENARIOS / f"{name}.json"),
+         "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_validate_command(tmp_path, capsys):

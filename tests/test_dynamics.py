@@ -7,11 +7,12 @@ from consensuslab import (
     StateVector,
     WeightSchedule,
     average_drift,
+    incidence,
     laplacian,
     project,
-    projected_system,
     read_trajectory_csv,
     simulate,
+    sqrt_laplacian_factor,
     transition_matrix,
 )
 from helpers import (
@@ -52,21 +53,22 @@ class TestSimulate:
         with pytest.raises(ConfigurationError, match="cover"):
             simulate(k2_schedule(), [1.0, -1.0], 5.0, 0.1, noise=noise)
 
-    def test_simpson_order_on_smooth_noise(self):
-        # constant noise makes the convolution integrand smooth, so halving
-        # the quadrature step must shrink the error ~16x (>= 8x asserted)
-        sched = k2_schedule(horizon=3.0)
-        noise = NoiseProcess.table([0.0, 3.0], [[0.3, -0.1]], zeta=1.0, energy_bound=0.2)
-        x0 = [1.0, -1.0]
-
-        def run(h):
-            return simulate(sched, x0, 3.0, 0.5, noise=noise, noise_quad_step=h).states
-
-        ref = run(0.5 / 64)
-        err_coarse = np.abs(run(0.5 / 4) - ref).max()
-        err_fine = np.abs(run(0.5 / 8) - ref).max()
-        assert err_coarse > 1e-10  # error must be measurable for the ratio to mean anything
-        assert err_coarse / err_fine >= 8.0
+    def test_constant_noise_matches_closed_form(self):
+        # K2 with weight a under constant noise w: the mean grows as
+        # mean(w) t and d = x1 - x2 relaxes as
+        # d0 e^{-2at} + (w1 - w2)(1 - e^{-2at}) / (2a); the phi_1 noise term
+        # is exact, so only rounding separates the two
+        a = 1.5
+        sched = k2_schedule(weight=a, horizon=3.0)
+        w = np.array([0.3, -0.1])
+        noise = NoiseProcess.table([0.0, 3.0], [w], zeta=1.0, energy_bound=0.2)
+        traj = simulate(sched, [1.0, -1.0], 3.0, 0.5, noise=noise)
+        t = traj.sample_times
+        decay = np.exp(-2.0 * a * t)
+        d = 2.0 * decay + (w[0] - w[1]) * (1.0 - decay) / (2.0 * a)
+        mean = w.mean() * t
+        assert np.abs(traj.states[:, 0] - (mean + d / 2.0)).max() <= 1e-13
+        assert np.abs(traj.states[:, 1] - (mean - d / 2.0)).max() <= 1e-13
 
 
 class TestAverageDrift:
@@ -160,38 +162,52 @@ class TestProject:
         assert np.array_equal(project(np.array([3.0, 1.0, 2.0])), [1.0, -1.0, 0.0])
 
 
+def _projected_drift(sched, k):
+    """-(L_k + 11'/N), rebuilt from the schedule's cached spectrum."""
+    lam, q = sched.spectrum(k)
+    n = sched.node_count
+    return -((q * lam) @ q.T + np.ones((n, n)) / n)
+
+
 class TestProjectedSystem:
     def test_k2_drift(self):
-        ps = projected_system(k2_schedule())
-        assert np.allclose(ps.drift[0], -np.array([[1.5, -0.5], [-0.5, 1.5]]))
+        assert np.allclose(_projected_drift(k2_schedule(), 0),
+                           -np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
     def test_empty_graph_rank_one(self):
-        ps = projected_system(empty_schedule(3))
-        assert np.allclose(ps.drift[0], -np.ones((3, 3)) / 3)
-        assert np.linalg.matrix_rank(ps.drift[0]) == 1
+        drift = _projected_drift(empty_schedule(3), 0)
+        assert np.allclose(drift, -np.ones((3, 3)) / 3)
+        assert np.linalg.matrix_rank(drift) == 1
 
     def test_k3_spectrum(self):
-        ps = projected_system(k3_schedule())
-        assert np.allclose(np.linalg.eigvalsh(-ps.drift[0]), [1.0, 3.0, 3.0])
+        sched = k3_schedule()
+        assert np.allclose(sched.spectrum(0)[0], [0.0, 3.0, 3.0])
+        assert np.allclose(np.linalg.eigvalsh(-_projected_drift(sched, 0)), [1.0, 3.0, 3.0])
 
     def test_output_factor_identity(self):
         for sched in (k2_schedule(), five_node_schedule(), alternating_schedule()):
-            ps = projected_system(sched)
             n = sched.node_count
             for k, seg in enumerate(sched.segments):
-                target = laplacian(seg.weights) + np.ones((n, n)) / n
-                d = ps.output_factor[k]
-                assert np.abs(d @ d.T - target).max() < 1e-10
+                d = np.hstack([incidence(seg.weights).entries, np.ones((n, 1)) / np.sqrt(n)])
+                assert np.abs(d @ d.T + _projected_drift(sched, k)).max() < 1e-10
 
     def test_signed_segment_uses_symmetric_root(self):
         sched = WeightSchedule(
             [(0.0, 1.0, weights(3, (0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.4)))]
         )
-        ps = projected_system(sched)
-        d = ps.output_factor[0]
-        assert d.shape == (3, 3)
         target = laplacian(sched.segments[0].weights) + np.ones((3, 3)) / 3
+        d = sqrt_laplacian_factor(target)
+        assert d.shape == (3, 3)
         assert np.abs(d @ d.T - target).max() < 1e-10
+        assert np.abs(target + _projected_drift(sched, 0)).max() < 1e-10
+
+    def test_spectrum_is_cached_and_read_only(self):
+        sched = five_node_schedule()
+        lam, q = sched.spectrum(1)
+        assert sched.spectrum(1)[1] is q
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+        assert np.abs((q * lam) @ q.T - laplacian(sched.segments[1].weights)).max() < 1e-12
 
 
 class TestProjectedEquivalence:

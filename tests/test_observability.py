@@ -4,19 +4,21 @@ import pytest
 from consensuslab import (
     ConfigurationError,
     EdgeSignalTrace,
+    NegativeLinkError,
     SignedGraphError,
     UnobservableWindowError,
+    WeightSchedule,
     check_joint_connectivity,
     edge_signals,
     gramian,
     incidence,
     laplacian,
-    projected_system,
     read_edge_signals_csv,
     reconstruct,
     simulate,
     uniform_bounds_check,
 )
+from consensuslab.observability import _simpson
 from helpers import (
     alternating_schedule,
     empty_schedule,
@@ -90,8 +92,7 @@ class TestGramian:
         sched = k2_schedule()
         delta = 1e-4
         g = gramian(sched, 0.0, delta)
-        ps = projected_system(sched)
-        ddt = ps.output_factor[0] @ ps.output_factor[0].T
+        ddt = laplacian(sched.segments[0].weights) + np.ones((2, 2)) / 2  # D D' = L + J
         assert np.abs(g.entries - delta * ddt).max() < 1e-6
 
     def test_disconnected_direction_in_kernel(self):
@@ -131,16 +132,37 @@ class TestGramian:
         with pytest.raises(HorizonError):
             gramian(k2_schedule(horizon=5.0), 3.0, 4.0)
 
+    def test_negative_link_violation_raises(self):
+        # a_23 = -1 gives L the eigenvalue -1: L + 11'/N has no real factor D
+        sched = WeightSchedule(
+            [(0.0, 2.0, weights(3, (0, 1, 1.0), (0, 2, 1.0), (1, 2, -1.0)))]
+        )
+        with pytest.raises(NegativeLinkError) as err:
+            gramian(sched, 0.0, 1.0)
+        assert err.value.eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        # a signed schedule that keeps L PSD is accepted
+        assert gramian(signed_triangle_symmetric(horizon=2.0), 0.0, 1.0).lambda_min > 0.0
+
     def test_psd_on_random_windows(self):
         rng = np.random.default_rng(21)
         for trial in range(5):
             sched = random_periodic_schedule(rng, segments=2)
             s = float(rng.uniform(0.0, 2.0))
             delta = float(rng.uniform(0.5, 3.0))
-            g = gramian(sched, s, delta, quad_step=delta / 256)
+            g = gramian(sched, s, delta)
             assert g.lambda_min >= -1e-10
             n = sched.node_count
             assert g.lambda_max <= delta * (2 * (n - 1) * sched.weight_bound + 1.0) + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 65])
+def test_simpson_matches_reference(n):
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.05, 1.0, n))
+    y = np.column_stack([np.exp(np.sin(x)), 1.0 + x * x, rng.uniform(0.5, 2.0, n)])
+    ref = integrate.simpson(y, x=x, axis=0)
+    assert np.all(np.abs(_simpson(y, x) - ref) <= 1e-14 * np.abs(ref))
 
 
 class TestUniformBounds:
@@ -229,15 +251,15 @@ class TestReconstruct:
         rng = np.random.default_rng(777)
         x0 = rng.standard_normal(5)
 
-        def run(dt, quad_step):
+        def run(dt):
             traj = simulate(sched, x0, 6.0, dt)
             trace = edge_signals(traj, sched)
-            est = reconstruct(trace, sched, 2.0, 4.0, quad_step=quad_step)
+            est = reconstruct(trace, sched, 2.0, 4.0)
             truth = traj.states[traj.index_at(2.0)] - float(np.mean(x0))
             return float(np.linalg.norm(est - truth))
 
-        err_default = run(1.0 / 128, None)
-        err_halved = run(1.0 / 256, 4.0 / 2048)
+        err_default = run(1.0 / 128)
+        err_halved = run(1.0 / 256)
         assert err_default < 1e-5
         assert err_default / err_halved >= 8.0
 
