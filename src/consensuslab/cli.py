@@ -14,6 +14,7 @@ import difflib
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -88,6 +89,17 @@ def _require_number(params, key, where):
     return float(v)
 
 
+def _optional_number(params, key, where, default):
+    return _require_number(params, key, where) if key in params else default
+
+
+def _optional_seed(params, where):
+    v = params.get("seed")
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
+        _fail(f"{where}: 'seed' must be a nonnegative integer, got {v!r}")
+    return v
+
+
 class Scenario:
     """Validated scenario: schedule, initial state, noise spec, task list."""
 
@@ -95,11 +107,12 @@ class Scenario:
         if not isinstance(data, dict):
             _fail("scenario must be a JSON object")
         self.name = data.get("name", "scenario")
-        self.seed = data.get("seed")
-        if self.seed is not None and not isinstance(self.seed, int):
-            _fail("'seed' must be an integer")
+        self.seed = _optional_seed(data, "scenario")
         self.base_dir = Path(base_dir)
         self.output_dir = data.get("output_dir", "out")
+        for key in ("name", "output_dir"):
+            if not isinstance(getattr(self, key), str):
+                _fail(f"'{key}' must be a string")
 
         known = {"name", "seed", "schedule", "schedule_file", "initial_state",
                  "noise", "output_dir", "tasks"}
@@ -146,21 +159,23 @@ class Scenario:
         if not isinstance(spec, dict) or "kind" not in spec:
             _fail("'initial_state' must be a vector or an object with 'kind'")
         kind = spec["kind"]
+        scale = _optional_number(spec, "scale", "initial_state", 1.0)
         if kind == "consensus":
-            return np.full(n, float(spec.get("value", 0.0)))
+            return np.full(n, _optional_number(spec, "value", "initial_state", 0.0))
         if kind == "seeded-random":
-            seed = spec.get("seed")
+            seed = _optional_seed(spec, "initial_state")
             rng = np.random.default_rng(seed if seed is not None else self._seed_child(0))
-            return float(spec.get("scale", 1.0)) * rng.standard_normal(n)
+            return scale * rng.standard_normal(n)
         if kind == "eigvector":
             seg = spec.get("segment", 1)
             idx = spec.get("index", 2)
-            if not isinstance(seg, int) or not 1 <= seg <= len(self.schedule.segments):
-                _fail(f"eigvector initial state: 'segment' must be 1..{len(self.schedule.segments)}")
-            if not isinstance(idx, int) or not 1 <= idx <= n:
+            count = len(self.schedule.segments)
+            if isinstance(seg, bool) or not isinstance(seg, int) or not 1 <= seg <= count:
+                _fail(f"eigvector initial state: 'segment' must be 1..{count}")
+            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= n:
                 _fail(f"eigvector initial state: 'index' must be 1..{n}")
             _, vecs = self.schedule.spectrum(seg - 1)
-            return float(spec.get("scale", 1.0)) * vecs[:, idx - 1]
+            return scale * vecs[:, idx - 1]
         _fail(f"unknown initial_state kind {kind!r}")
 
     def _validate_noise(self, spec):
@@ -172,6 +187,8 @@ class Scenario:
         if kind != "zero":
             for key in ("zeta", "B0"):
                 _require_number(spec, key, "noise")
+            if spec["B0"] < 0:
+                _fail(f"noise: parameter 'B0' must be nonnegative, got {spec['B0']!r}")
         if kind == "table":
             if "breakpoints" not in spec or "values" not in spec:
                 _fail("table noise needs 'breakpoints' and 'values'")
@@ -184,8 +201,15 @@ class Scenario:
             width = np.asarray(spec["values"]).shape[1]
             if width != self.schedule.node_count:
                 _fail(f"noise values are {width} wide for a {self.schedule.node_count}-node schedule")
-        if kind == "windowed-random" and spec.get("seed") is None and self.seed is None:
-            _fail("windowed-random noise needs a 'seed' (or a scenario seed)")
+        if kind == "windowed-random":
+            if _optional_seed(spec, "noise") is None and self.seed is None:
+                _fail("windowed-random noise needs a 'seed' (or a scenario seed)")
+            if not 0 <= _optional_number(spec, "margin", "noise", 0.05) < 1:
+                _fail(f"noise: parameter 'margin' must lie in [0, 1), got {spec['margin']!r}")
+            steps = spec.get("steps_per_window", 4)
+            if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+                _fail(f"noise: parameter 'steps_per_window' must be a positive integer, "
+                      f"got {steps!r}")
         return spec
 
     def _validate_tasks(self, tasks):
@@ -237,7 +261,7 @@ class Scenario:
             spec["B0"],
             seed if seed is not None else self._seed_child(1),
             t_end,
-            steps_per_window=int(spec.get("steps_per_window", 4)),
+            steps_per_window=spec.get("steps_per_window", 4),
             margin=float(spec.get("margin", 0.05)),
         )
 
@@ -272,15 +296,45 @@ class _Runner:
         self.artifacts.append(name)
 
     def run(self):
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, params in self.scenario.tasks:
-            getattr(self, "task_" + name)(**params)
-        self.emit_json("manifest.json", {
-            "scenario": self.scenario.name,
-            "seed": self.scenario.seed,
-            "tasks": [name for name, _ in self.scenario.tasks],
-            "artifacts": sorted(set(self.artifacts)),
-        })
+        """Run every task into a fresh sibling directory, then publish it.
+
+        The outputs appear under the output directory only once every task
+        has succeeded: the staging directory is renamed into place (or, when
+        the output directory already exists, its files are moved in with the
+        manifest last).  On failure the staging directory and any parent
+        directories created for it are removed.
+        """
+        final = self.out_dir
+        created = [p for p in reversed(final.parents) if not p.exists()]
+        final.parent.mkdir(parents=True, exist_ok=True)
+        self.out_dir = final.parent / f".{final.name}.partial-{os.getpid()}-{os.urandom(4).hex()}"
+        self.out_dir.mkdir()
+        try:
+            for name, params in self.scenario.tasks:
+                getattr(self, "task_" + name)(**params)
+            self.emit_json("manifest.json", {
+                "scenario": self.scenario.name,
+                "seed": self.scenario.seed,
+                "tasks": [name for name, _ in self.scenario.tasks],
+                "artifacts": sorted(set(self.artifacts)),
+            })
+            if final.exists():
+                # the manifest, which marks a complete run, goes last
+                for name in sorted(set(self.artifacts), key=lambda a: a == "manifest.json"):
+                    os.replace(self.out_dir / name, final / name)
+                self.out_dir.rmdir()
+            else:
+                self.out_dir.rename(final)
+        except BaseException:
+            shutil.rmtree(self.out_dir, ignore_errors=True)
+            for parent in reversed(created):
+                try:
+                    parent.rmdir()
+                except OSError:
+                    break
+            raise
+        finally:
+            self.out_dir = final
 
     def task_simulate(self, t_end, sample_dt):
         sc = self.scenario
@@ -435,7 +489,11 @@ def main(argv=None):
             print(f"scenario '{scenario.name}' is valid "
                   f"({scenario.schedule.node_count} nodes, {len(scenario.tasks)} tasks)")
             return 0
-        _Runner(scenario, _resolve_output_dir(scenario, args.output_dir)).run()
+        try:
+            _Runner(scenario, _resolve_output_dir(scenario, args.output_dir)).run()
+        except ValueError as exc:
+            # the scenario validated, so a failed domain check is a math error
+            raise ConsensusLabError(str(exc)) from exc
         return 0
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

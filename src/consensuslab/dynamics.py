@@ -62,8 +62,8 @@ class Trajectory:
             raise ValueError("sample_times and states must have matching lengths")
         if t.size == 0:
             raise ValueError("trajectory must hold at least one sample")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("sample_times must be strictly increasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
+            raise ValueError("sample_times must be finite and strictly increasing")
         mean0 = float(x[0].mean())
         if self.initial_average is None:
             self.initial_average = mean0
@@ -87,10 +87,20 @@ class Trajectory:
     def write_csv(self, path):
         n = self.node_count
         header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.sample_times, self.states):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_csv_rows(path, header, self.sample_times, self.states)
+
+
+def _write_csv_rows(path, header, times, values):
+    """Write ``header`` and one ``t,v1,...,vM`` line per row, 17 digits each.
+
+    Each line is a single %-format call on a ``%.17g`` template, which
+    gives the same text as formatting every value with ``f"{v:.17g}"``.
+    Rows are formatted one at a time, so no copy of the array is made.
+    """
+    line = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % (t, *row.tolist()) for t, row in zip(times.tolist(), values))
 
 
 def read_trajectory_csv(path):
@@ -193,47 +203,55 @@ class NoiseProcess:
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return self.values[min(max(idx, 0), self.values.shape[0] - 1)]
 
-    def breakpoints_between(self, t0, t1):
-        if self.kind == "zero":
-            return []
-        b = self.breakpoints
-        return [float(x) for x in b if t0 < x < t1]
-
-    def _energy(self, t0, t1):
-        b, v = self.breakpoints, self.values
-        total = 0.0
-        for k in range(v.shape[0]):
-            overlap = min(t1, b[k + 1]) - max(t0, b[k])
-            if overlap > 0.0:
-                total += overlap * float(v[k] @ v[k])
-        return total
-
     def window_energies(self):
-        """Exact energies of the declared zeta-grid windows."""
+        """Exact energies of the declared zeta-grid windows.
+
+        The window edges and the breakpoints cut the span into elementary
+        intervals, each inside one window and one constant row, so every
+        window energy is a short sum of length * |w|^2 terms.
+        """
         if self.kind == "zero":
             return []
+        b, v = self.breakpoints, self.values
         t0, t1 = self.span
-        out = []
-        s = t0
-        while s < t1 - 1e-12 * max(1.0, abs(t1)):
-            out.append(self._energy(s, s + self.zeta))
-            s += self.zeta
-        return out
+        # starts by repeated addition s <- s + zeta, so window k ends exactly
+        # where window k + 1 begins
+        count = math.ceil((t1 - t0) / self.zeta) + 2
+        starts = np.cumsum(np.concatenate(([t0], np.full(count, self.zeta))))
+        starts = starts[starts < t1 - 1e-12 * max(1.0, abs(t1))]
+        if starts.size == 0:
+            return []
+        end = starts[-1] + self.zeta
+        cuts = np.unique(np.concatenate((b, starts, [end])))
+        cuts = cuts[cuts <= end]
+        # |w|^2 of each row, and zero past the last breakpoint
+        row_energy = np.append(np.einsum("ij,ij->i", v, v), 0.0)
+        pieces = np.diff(cuts) * row_energy[np.searchsorted(b, cuts[:-1], side="right") - 1]
+        return np.add.reduceat(pieces, np.searchsorted(cuts, starts)).tolist()
 
 
 def _merge_grid(anchors, base, tol):
-    # anchors win over nearby base points so boundary times stay exact
-    anchors = sorted(set(anchors))
-    merged = list(anchors)
-    for t in base:
-        if all(abs(t - a) > tol for a in anchors):
-            merged.append(float(t))
-    merged.sort()
-    out = [merged[0]]
-    for t in merged[1:]:
-        if t - out[-1] > tol:
-            out.append(t)
-    return np.asarray(out)
+    """Sorted union of anchors and base points, with no two within tol.
+
+    Anchors win over base points within tol of them, so boundary times stay
+    exact; among points still within tol of the last kept one, the earlier
+    stays.
+    """
+    anchors = np.unique(np.asarray(anchors, dtype=float))
+    k = np.searchsorted(anchors, base)
+    near = (np.abs(base - anchors[np.maximum(k - 1, 0)]) <= tol) | (
+        np.abs(base - anchors[np.minimum(k, anchors.size - 1)]) <= tol
+    )
+    merged = np.sort(np.concatenate((anchors, base[~near])))
+    keep = np.ones(merged.size, dtype=bool)
+    # a point more than tol after its neighbour is always kept; only runs of
+    # close points need the walk back to the last kept one
+    for i in np.flatnonzero(np.diff(merged) <= tol) + 1:
+        j = i - 1
+        while not keep[j]:
+            j -= 1
+        keep[i] = merged[i] - merged[j] > tol
+    return merged[keep]
 
 
 def _phi1(z):
@@ -254,10 +272,13 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
         Samples are emitted on the sample_dt grid plus every segment
         boundary (the vector field is discontinuous there).
     noise : NoiseProcess, optional
-        Defaults to zero.  Each step is split at the noise breakpoints; on a
-        sub-piece of length h with constant w the eigen-coordinates
-        c = Q'x advance as c <- e^{-lam h} c + h phi_1(-lam h) Q'w, which is
-        exact, so the whole run is exact up to rounding.
+        Defaults to zero.  Each segment piece is split at the noise
+        breakpoints; on a sub-piece [u0, u1] with constant w the
+        eigen-coordinates c = Q'x at every sample time t in (u0, u1] are
+        c(t) = e^{-lam tau} c(u0) + tau phi_1(-lam tau) Q'w, tau = t - u0,
+        one matrix product for all of them.  This is exact, so the whole
+        run is exact up to rounding, and its cost is linear in the number
+        of samples, segments and noise breakpoints.
 
     Returns
     -------
@@ -289,8 +310,14 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     t0 = x0.time
     n_steps = int(math.floor((t_end - t0) / sample_dt + 1e-9))
     base = t0 + sample_dt * np.arange(n_steps + 1)
-    anchors = [t0, t_end] + sched.boundaries_between(t0, t_end)
+    pieces = sched.pieces(t0, t_end)
+    anchors = [t0, t_end] + [tb for _, tb, _ in pieces[:-1]]
     grid = _merge_grid(anchors, base, tol=1e-6 * sample_dt)
+    if pieces and pieces[-1][1] < grid[-1]:
+        # a non-periodic schedule ends at most its horizon tolerance before
+        # t_end; its last segment carries the run to the final sample
+        ta, _, k = pieces[-1]
+        pieces[-1] = (ta, float(grid[-1]), k)
 
     zero_noise = noise.kind == "zero"
     if zero_noise and np.ptp(x0.values) == 0.0:
@@ -300,17 +327,28 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
 
     states = np.empty((grid.size, n))
     states[0] = x0.values
-    for step in range(grid.size - 1):
-        ta, tb = grid[step], grid[step + 1]
-        lam, q = sched.spectrum(sched.segment_index_at((ta + tb) / 2.0))
-        c = q.T @ states[step]
-        cuts = [ta] + noise.breakpoints_between(ta, tb) + [tb]
-        for u0, u1 in zip(cuts[:-1], cuts[1:]):
-            z = -lam * (u1 - u0)
-            c = np.exp(z) * c
+    if not zero_noise:
+        breaks, rows = noise.breakpoints, noise.values
+        # breakpoints strictly inside each piece, and the noise row at its start
+        first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right")
+        last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left")
+    x = x0.values
+    for p, (ta, tb, k) in enumerate(pieces):
+        lam, q = sched.spectrum(k)
+        c = q.T @ x
+        cuts = [ta, tb] if zero_noise else [ta, *breaks[first[p]:last[p]], tb]
+        bounds = np.searchsorted(grid, cuts, side="right")
+        for i, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
+            # samples in (u0, u1] in one product, then the state at u1
+            tau = np.append(grid[bounds[i]:bounds[i + 1]] - u0, u1 - u0)
+            z = -lam * tau[:, None]
+            coords = np.exp(z) * c
             if not zero_noise:
-                c += (u1 - u0) * _phi1(z) * (q.T @ noise.values_at((u0 + u1) / 2.0))
-        states[step + 1] = q @ c
+                w = rows[min(max(first[p] - 1 + i, 0), rows.shape[0] - 1)]
+                coords += tau[:, None] * _phi1(z) * (q.T @ w)
+            states[bounds[i]:bounds[i + 1]] = coords[:-1] @ q.T
+            c = coords[-1]
+        x = q @ c
     return Trajectory(grid, states, sched.name, float(x0.values.mean()))
 
 

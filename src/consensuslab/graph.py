@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -319,11 +320,6 @@ class WeightSchedule:
             idx = min(idx + 1, len(self.segments) - 1)
         return out
 
-    def boundaries_between(self, t0, t1):
-        """Segment switching times strictly inside (t0, t1)."""
-        pieces = self.pieces(t0, t1)
-        return [tb for _, tb, _ in pieces[:-1]]
-
 
 def integrated_weights(sched, s, duration):
     """Per-edge integrals int_s^{s+duration} a_ij(t) dt as an N x N matrix.
@@ -554,6 +550,10 @@ def negative_link_assumption_holds(sched, tol=None):
 # Node indices are 1-based; omitted edges have weight 0.
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def schedule_from_dict(data, name=None):
     if not isinstance(data, dict):
         raise ConfigurationError("schedule must be a JSON object")
@@ -569,6 +569,10 @@ def schedule_from_dict(data, name=None):
     for k, seg in enumerate(raw_segments):
         if not isinstance(seg, dict) or "t0" not in seg or "t1" not in seg:
             raise ConfigurationError(f"segment {k} needs 't0' and 't1'")
+        if not (_is_number(seg["t0"]) and _is_number(seg["t1"])):
+            raise ConfigurationError(f"segment {k}: 't0' and 't1' must be finite numbers")
+        if not isinstance(seg.get("edges", []), list):
+            raise ConfigurationError(f"segment {k}: 'edges' must be a list")
         w = np.zeros((n, n))
         seen = set()
         for e in seg.get("edges", []):
@@ -588,10 +592,19 @@ def schedule_from_dict(data, name=None):
                 raise ConfigurationError(f"segment {k}: edge ({i},{j}) out of range 1..{n}")
             if (i, j) in seen:
                 raise ConfigurationError(f"segment {k}: duplicate edge ({i},{j})")
+            if not _is_number(wt):
+                raise ConfigurationError(
+                    f"segment {k}: edge ({i},{j}) weight must be a finite number, got {wt!r}"
+                )
             seen.add((i, j))
             w[i - 1, j - 1] = w[j - 1, i - 1] = float(wt)
         segments.append((seg["t0"], seg["t1"], w))
-    periodic = bool(data.get("periodic", False))
+    periodic = data.get("periodic", False)
+    if not isinstance(periodic, bool):
+        raise ConfigurationError(f"'periodic' must be true or false, got {periodic!r}")
+    bound = data.get("bound")
+    if bound is not None and not (_is_number(bound) and bound > 0):
+        raise ConfigurationError(f"'bound' must be a positive finite number, got {bound!r}")
     if periodic and "period" in data and data["period"] != segments[-1][1]:
         raise ConfigurationError(
             f"declared period {data['period']} differs from the last segment end {segments[-1][1]}"
@@ -599,7 +612,7 @@ def schedule_from_dict(data, name=None):
     return WeightSchedule(
         segments,
         periodic=periodic,
-        weight_bound=data.get("bound"),
+        weight_bound=bound,
         name=data.get("name", name),
     )
 

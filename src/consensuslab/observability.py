@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SignedGraphError, UnobservableWindowError
 from .graph import edge_pairs, incidence, integrated_laplacian, negative_link_assumption_holds
-from .dynamics import _disagreement_flow
+from .dynamics import _disagreement_flow, _write_csv_rows
 
 __all__ = [
     "EdgeSignalTrace",
@@ -48,8 +48,8 @@ class EdgeSignalTrace:
         z = np.asarray(self.signals, dtype=float)
         if t.ndim != 1 or z.ndim != 2 or z.shape[0] != t.size:
             raise ValueError("sample_times and signals must have matching lengths")
-        if np.any(np.diff(t) < 0.0):
-            raise ValueError("sample_times must be non-decreasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0.0):
+            raise ValueError("sample_times must be finite and non-decreasing")
         if z.shape[1] != len(self.edge_order):
             raise ValueError("signal width must match the edge order")
         self.sample_times = t
@@ -58,10 +58,7 @@ class EdgeSignalTrace:
 
     def write_csv(self, path):
         header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in self.edge_order)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.sample_times, self.signals):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_csv_rows(path, header, self.sample_times, self.signals)
 
 
 def read_edge_signals_csv(path):
@@ -81,6 +78,13 @@ def _grid_tolerance(times):
     if positive.size == 0:
         return 1e-12
     return 1e-6 * float(positive.min())
+
+
+def _rows_within(times, ta, tb, tol):
+    """Row range [lo, hi) of the sorted times within tol of [ta, tb]."""
+    lo = int(np.searchsorted(times, ta - tol, side="left"))
+    hi = int(np.searchsorted(times, tb + tol, side="right"))
+    return lo, hi
 
 
 def edge_signals(traj, sched):
@@ -111,9 +115,9 @@ def edge_signals(traj, sched):
         return EdgeSignalTrace(times.copy(), traj.states @ h_for(k), pairs)
     out_t, out_z = [], []
     for ta, tb, k in pieces:
-        mask = (times >= ta - tol) & (times <= tb + tol)
-        out_t.append(times[mask])
-        out_z.append(traj.states[mask] @ h_for(k))
+        lo, hi = _rows_within(times, ta, tb, tol)
+        out_t.append(times[lo:hi])
+        out_z.append(traj.states[lo:hi] @ h_for(k))
     return EdgeSignalTrace(np.concatenate(out_t), np.vstack(out_z), pairs)
 
 
@@ -242,15 +246,16 @@ def _simpson(y, x):
     return weights @ y
 
 
-def _piece_node_indices(times, ta, tb, tol):
-    idx = np.nonzero((times >= ta - tol) & (times <= tb + tol))[0]
+def _piece_node_rows(times, ta, tb, tol):
+    """Row range [lo, hi) of the trace samples on the piece [ta, tb]."""
+    lo, hi = _rows_within(times, ta, tb, tol)
     # duplicated boundary rows: keep the right limit at the piece start and
     # the left limit at the piece end
-    if idx.size >= 2 and times[idx[1]] - times[idx[0]] <= tol:
-        idx = idx[1:]
-    if idx.size >= 2 and times[idx[-1]] - times[idx[-2]] <= tol:
-        idx = idx[:-1]
-    return idx
+    if hi - lo >= 2 and times[lo + 1] - times[lo] <= tol:
+        lo += 1
+    if hi - lo >= 2 and times[hi - 1] - times[hi - 2] <= tol:
+        hi -= 1
+    return lo, hi
 
 
 def reconstruct(z, sched, s, delta, cond_tol=1e-8):
@@ -293,22 +298,22 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     phi = np.eye(n)
     h_cache = {}
     for ta, tb, k in sched.pieces(s, s + delta):
-        idx = _piece_node_indices(times, ta, tb, tol)
-        if idx.size < 2:
+        lo, hi = _piece_node_rows(times, ta, tb, tol)
+        if hi - lo < 2:
             raise ConfigurationError(
-                f"trace has {idx.size} samples inside segment piece [{ta}, {tb}]"
+                f"trace has {hi - lo} samples inside segment piece [{ta}, {tb}]"
             )
-        if abs(times[idx[0]] - ta) > tol or abs(times[idx[-1]] - tb) > tol:
+        if abs(times[lo] - ta) > tol or abs(times[hi - 1] - tb) > tol:
             raise ConfigurationError(
                 "trace must sample the window ends and every segment boundary; "
                 f"piece [{ta}, {tb}] is not covered"
             )
-        sub_t = times[idx].copy()
+        sub_t = times[lo:hi].copy()
         sub_t[0], sub_t[-1] = ta, tb
         lam, q = sched.spectrum(k)
         if k not in h_cache:
             h_cache[k] = incidence(sched.segments[k].weights).entries
-        v = z.signals[idx] @ h_cache[k].T  # rows: D(t_j) z~(t_j), all in 1-perp
+        v = z.signals[lo:hi] @ h_cache[k].T  # rows: D(t_j) z~(t_j), all in 1-perp
         p = q - q.mean(axis=0)
         # rows: e^{-(L+J) tau_j} v_j, which is _disagreement_flow(tau_j) v_j
         flowed = (np.exp(-lam * (sub_t - ta)[:, None]) * (v @ p)) @ p.T

@@ -112,3 +112,90 @@ def union_find_connected(n, weight_matrix, threshold=0.0):
             if weight_matrix[i, j] > threshold:
                 parent[find(i)] = find(j)
     return len({find(v) for v in range(n)}) == 1
+
+
+# -- slow references for the vectorised fast paths ---------------------------
+#
+# These are the straightforward per-sample / per-row versions the package
+# used before its linear-time rewrites.  Tests compare the fast paths with
+# them; nothing in the package imports them.
+
+
+def reference_merge_grid(anchors, base, tol):
+    """Anchors win over base points within tol; then close points are
+    dropped, keeping the earlier one.  O(samples x anchors)."""
+    anchors = sorted(set(anchors))
+    merged = list(anchors)
+    for t in base:
+        if all(abs(t - a) > tol for a in anchors):
+            merged.append(float(t))
+    merged.sort()
+    out = [merged[0]]
+    for t in merged[1:]:
+        if t - out[-1] > tol:
+            out.append(t)
+    return np.asarray(out)
+
+
+def _reference_phi1(z):
+    safe = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
+
+
+def reference_simulate(sched, x0_time, x0_values, t_end, sample_dt, noise=None):
+    """(grid, states) from one exact spectral step per sample interval,
+    each split at the noise breakpoints inside it."""
+    import math
+
+    x0_values = np.asarray(x0_values, dtype=float)
+    t0 = float(x0_time)
+    n_steps = int(math.floor((t_end - t0) / sample_dt + 1e-9))
+    base = t0 + sample_dt * np.arange(n_steps + 1)
+    anchors = [t0, t_end] + [tb for _, tb, _ in sched.pieces(t0, t_end)[:-1]]
+    grid = reference_merge_grid(anchors, base, tol=1e-6 * sample_dt)
+    noisy = noise is not None and noise.kind != "zero"
+    states = np.empty((grid.size, x0_values.size))
+    states[0] = x0_values
+    for step in range(grid.size - 1):
+        ta, tb = grid[step], grid[step + 1]
+        lam, q = sched.spectrum(sched.segment_index_at((ta + tb) / 2.0))
+        c = q.T @ states[step]
+        inner = [float(b) for b in noise.breakpoints if ta < b < tb] if noisy else []
+        cuts = [ta] + inner + [tb]
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            z = -lam * (u1 - u0)
+            c = np.exp(z) * c
+            if noisy:
+                c += (u1 - u0) * _reference_phi1(z) * (q.T @ noise.values_at((u0 + u1) / 2.0))
+        states[step + 1] = q @ c
+    return grid, states
+
+
+def reference_window_energies(noise):
+    """Window energies by overlapping every zeta-window with every row."""
+    b, v = noise.breakpoints, noise.values
+    t0, t1 = float(b[0]), float(b[-1])
+    out = []
+    s = t0
+    while s < t1 - 1e-12 * max(1.0, abs(t1)):
+        total = 0.0
+        for k in range(v.shape[0]):
+            overlap = min(s + noise.zeta, b[k + 1]) - max(s, b[k])
+            if overlap > 0.0:
+                total += overlap * float(v[k] @ v[k])
+        out.append(total)
+        s += noise.zeta
+    return out
+
+
+def reference_csv_text(header, times, values):
+    """CSV text with every value written by an f-string at 17 digits."""
+    lines = [header + "\n"]
+    for t, row in zip(times, values):
+        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
+
+
+def reference_piece_mask(times, ta, tb, tol):
+    """Indices of the samples within tol of [ta, tb], by a boolean mask."""
+    return np.nonzero((times >= ta - tol) & (times <= tb + tol))[0]

@@ -118,6 +118,35 @@ MALFORMED = [
     ("string B0", _set(["noise", "B0"], "1.0"), "'B0'"),
     ("nan weight", _set(["schedule", "segments", 1, "edges", 0, "w"], float("nan")),
      "finite"),
+    ("string weight", _set(["schedule", "segments", 0, "edges", 0, "w"], "abc"),
+     "weight must be a finite number"),
+    ("boolean weight", _set(["schedule", "segments", 0, "edges", 0, "w"], True),
+     "weight must be a finite number"),
+    ("string margin", _set(["noise", "margin"], "abc"), "'margin' must be a finite number"),
+    ("margin of one", _set(["noise", "margin"], 1.0), "'margin' must lie in [0, 1)"),
+    ("negative margin", _set(["noise", "margin"], -0.1), "'margin' must lie in [0, 1)"),
+    ("zero steps_per_window", _set(["noise", "steps_per_window"], 0), "'steps_per_window'"),
+    ("boolean steps_per_window", _set(["noise", "steps_per_window"], True),
+     "'steps_per_window'"),
+    ("fractional steps_per_window", _set(["noise", "steps_per_window"], 2.5),
+     "'steps_per_window'"),
+    ("string scale", _set(["initial_state"], {"kind": "seeded-random", "scale": "abc"}),
+     "'scale' must be a finite number"),
+    ("infinite scale", _set(["initial_state"], {"kind": "eigvector", "scale": float("inf")}),
+     "'scale' must be a finite number"),
+    ("string value", _set(["initial_state"], {"kind": "consensus", "value": "abc"}),
+     "'value' must be a finite number"),
+    ("negative B0", _set(["noise", "B0"], -1.0), "'B0' must be nonnegative"),
+    ("negative noise seed", _set(["noise", "seed"], -3), "'seed' must be a nonnegative integer"),
+    ("boolean scenario seed", _set(["seed"], True), "'seed' must be a nonnegative integer"),
+    ("string segment start", _set(["schedule", "segments", 1, "t0"], "1.0"),
+     "'t0' and 't1' must be finite numbers"),
+    ("edges not a list", _set(["schedule", "segments", 0, "edges"], 5), "'edges' must be a list"),
+    ("string periodic", _set(["schedule", "periodic"], "yes"), "'periodic' must be true or false"),
+    ("string bound", _set(["schedule", "bound"], "abc"), "'bound' must be a positive"),
+    ("boolean eigvector segment", _set(["initial_state"], {"kind": "eigvector", "segment": True}),
+     "'segment' must be"),
+    ("numeric output_dir", _set(["output_dir"], 5), "'output_dir' must be a string"),
 ]
 
 
@@ -137,6 +166,43 @@ def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err, (label, err)
         assert not (case_dir / "bad_out").exists(), label
+
+
+def _too_few_samples_for_rate():
+    data = _valid_scenario()
+    del data["noise"]
+    data["tasks"] = [{"task": "simulate", "t_end": 0.3, "sample_dt": 0.1}, {"task": "rate"}]
+    return data
+
+
+def test_rate_with_too_few_samples_exits_3_without_outputs(tmp_path, capsys):
+    scn = tmp_path / "short.json"
+    scn.write_text(json.dumps(_too_few_samples_for_rate()))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "nested" / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json"]
+
+
+def test_failed_run_leaves_previous_outputs_untouched(tmp_path, capsys):
+    code, out = run_scenario("k2_constant", tmp_path)
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    scn = tmp_path / "short.json"
+    scn.write_text(json.dumps(_too_few_samples_for_rate()))
+    assert main(["run", str(scn), "--output-dir", str(out)]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out", "short.json"]
+
+
+def test_rerun_into_existing_output_dir_replaces_files(tmp_path):
+    code, out = run_scenario("k2_constant", tmp_path)
+    first = (out / "trajectory.csv").read_bytes()
+    (out / "trajectory.csv").write_text("stale")
+    code, out = run_scenario("k2_constant", tmp_path)
+    assert code == 0
+    assert (out / "trajectory.csv").read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out"]
 
 
 def test_unknown_task_suggestion(tmp_path, capsys):

@@ -1,0 +1,246 @@
+"""The linear-time kernels against the slow references they replace.
+
+``simulate`` propagates all samples of a constant sub-piece in one product,
+the sample grid is merged with ``searchsorted``, noise window energies are
+summed over elementary intervals, edge-signal rows are located by
+``searchsorted`` ranges, and CSV rows are formatted by one %-format call.
+Each is compared here with the straightforward version in ``helpers``.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from consensuslab import (
+    EdgeSignalTrace,
+    NoiseProcess,
+    StateVector,
+    Trajectory,
+    WeightSchedule,
+    edge_signals,
+    simulate,
+)
+from consensuslab.cli import load_scenario
+from consensuslab.dynamics import _merge_grid
+from consensuslab.graph import edge_pairs, incidence
+from consensuslab.observability import _piece_node_rows, _rows_within
+from helpers import (
+    five_node_schedule,
+    random_weights,
+    reference_csv_text,
+    reference_merge_grid,
+    reference_piece_mask,
+    reference_simulate,
+    reference_window_energies,
+    weights,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDENS = ["alternating_triangle", "disconnected_noise", "five_node_reconstruct",
+           "isolated_node", "k2_constant", "robust_noise", "signed_triangle"]
+
+
+def assert_matches_reference(sched, x0_time, x0, t_end, sample_dt, noise=None):
+    traj = simulate(sched, StateVector(x0_time, x0), t_end, sample_dt, noise=noise)
+    grid, states = reference_simulate(sched, x0_time, x0, t_end, sample_dt, noise)
+    assert np.array_equal(traj.sample_times, grid)
+    scale = max(1.0, float(np.abs(states).max()))
+    assert np.abs(traj.states - states).max() <= 1e-12 * scale
+    return traj
+
+
+def random_schedule(rng, n, periodic, segments=4):
+    ends = np.cumsum(rng.uniform(0.1, 1.5, segments))
+    starts = np.concatenate(([0.0], ends[:-1]))
+    return WeightSchedule(
+        [(a, b, random_weights(rng, n, density=0.5)) for a, b in zip(starts, ends)],
+        periodic=periodic,
+    )
+
+
+# -- simulate ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_runs_match_reference(name):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    runs = 0
+    for task, params in sc.tasks:
+        if task == "simulate":
+            noise = sc.build_noise(params["t_end"]) if sc.noise_spec is not None else None
+            x0 = sc.initial_state
+        elif task == "robustness":
+            noise = sc.build_noise(params["t_end"])
+            x0 = np.zeros(sc.schedule.node_count)  # robustness starts at consensus
+        else:
+            continue
+        assert_matches_reference(sc.schedule, 0.0, x0, params["t_end"],
+                                 params.get("sample_dt", 0.05), noise)
+        runs += 1
+    assert runs == 1
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_random_schedules_match_reference(n, periodic, noisy):
+    rng = np.random.default_rng([n, periodic, noisy])
+    sched = random_schedule(rng, n, periodic)
+    horizon = 13.7 if periodic else sched.horizon
+    noise = NoiseProcess.windowed_random(n, 0.6, 2.0, seed=n, t_end=horizon) if noisy else None
+    for x0_time, t_end, sample_dt in [(0.0, horizon, 0.05),
+                                      (0.83, horizon, 0.1),        # x0.time > 0
+                                      (0.0, horizon - 0.0123, 0.07)]:  # t_end off the grid
+        assert_matches_reference(sched, x0_time, rng.standard_normal(n), t_end, sample_dt, noise)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_boundaries_within_tolerance_of_samples(noisy):
+    # sample_dt 0.1 gives the merge tolerance 1e-7; each boundary sits
+    # within it of a base sample point, so the boundary replaces the sample
+    w1 = weights(3, (0, 1, 1.0))
+    w2 = weights(3, (1, 2, 2.0), (0, 2, 0.5))
+    edges = [0.0, 1.0 + 3e-8, 2.0 - 6e-8, 3.0 + 1e-7, 4.0]
+    sched = WeightSchedule(
+        [(a, b, w1 if k % 2 == 0 else w2) for k, (a, b) in enumerate(zip(edges[:-1], edges[1:]))]
+    )
+    noise = NoiseProcess.windowed_random(3, 0.5, 1.0, seed=4, t_end=4.0) if noisy else None
+    traj = assert_matches_reference(sched, 0.0, np.array([1.0, -2.0, 0.5]), 4.0 - 2e-8, 0.1, noise)
+    for b in edges[1:-1]:
+        assert b in traj.sample_times
+    assert traj.sample_times[-1] == 4.0 - 2e-8
+
+
+def test_run_ending_just_past_a_nonperiodic_horizon():
+    # t_end may pass the horizon by its 1e-9 relative tolerance, which is more
+    # than the merge tolerance: the last segment carries the final sample
+    sched = WeightSchedule([(0.0, 6.0, weights(3, (0, 1, 0.2), (1, 2, 0.1)))])
+    traj = assert_matches_reference(sched, 0.0, np.array([3.0, 1.0, -1.0]), 6.0 + 5e-9, 0.001)
+    assert traj.sample_times[-1] == 6.0 + 5e-9 and traj.sample_times[-2] <= 6.0
+
+
+def test_merge_grid_matches_reference():
+    rng = np.random.default_rng(11)
+    tol = 1e-3
+    for _ in range(200):
+        base = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 40))))
+        anchors = list(rng.uniform(0.0, 1.0, int(rng.integers(1, 6))))
+        # anchors and base points near each other, and chains of close anchors
+        anchors += [float(base[0]) + tol * rng.uniform(-1.5, 1.5)]
+        anchors += [anchors[0] + tol * 0.6 * k for k in range(1, 4)]
+        base = np.sort(np.concatenate((base, anchors[:2] + tol * rng.uniform(-1, 1, 2))))
+        assert np.array_equal(_merge_grid(anchors, base, tol),
+                              reference_merge_grid(anchors, base, tol))
+
+
+# -- noise ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("zeta,t_end,steps", [(1.0, 10.0, 4), (0.7, 40.3, 3), (0.25, 9.9, 1)])
+def test_windowed_random_energies_match_reference(zeta, t_end, steps):
+    noise = NoiseProcess.windowed_random(4, zeta, 2.0, seed=9, t_end=t_end, t_start=0.5,
+                                         steps_per_window=steps)
+    fast, slow = noise.window_energies(), reference_window_energies(noise)
+    assert len(fast) == len(slow)
+    assert np.abs(np.subtract(fast, slow)).max() <= 1e-12 * max(slow)
+
+
+def test_table_energies_match_reference():
+    rng = np.random.default_rng(2)
+    breaks = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.9, 300))))
+    values = rng.standard_normal((breaks.size - 1, 3))
+    for zeta in (0.33, 1.0, 2.5, float(breaks[-1]) * 2.0):
+        noise = NoiseProcess.table(breaks, values, zeta, energy_bound=1e6)
+        fast, slow = noise.window_energies(), reference_window_energies(noise)
+        assert len(fast) == len(slow)
+        assert np.abs(np.subtract(fast, slow)).max() <= 1e-12 * max(slow)
+
+
+# -- edge-signal row ranges ----------------------------------------------------
+
+
+def test_row_ranges_match_masks():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        times = np.sort(rng.choice(np.round(rng.uniform(0, 5, 30), 1), 40))
+        ta, tb = np.sort(rng.choice(np.concatenate((times, rng.uniform(-1, 6, 5))), 2))
+        tol = float(rng.choice([0.0, 1e-9, 0.05, 0.1]))
+        lo, hi = _rows_within(times, ta, tb, tol)
+        assert np.array_equal(np.arange(lo, hi), reference_piece_mask(times, ta, tb, tol))
+
+
+def test_piece_rows_match_masks_on_a_trace():
+    sched = five_node_schedule()
+    traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 6.0, 0.05)
+    trace = edge_signals(traj, sched)
+    times, tol = trace.sample_times, 1e-9
+    for ta, tb, _ in sched.pieces(0.5, 5.5):
+        idx = reference_piece_mask(times, ta, tb, tol)
+        if times[idx[1]] - times[idx[0]] <= tol:
+            idx = idx[1:]
+        if times[idx[-1]] - times[idx[-2]] <= tol:
+            idx = idx[:-1]
+        lo, hi = _piece_node_rows(times, ta, tb, tol)
+        assert np.array_equal(np.arange(lo, hi), idx)
+
+
+@pytest.mark.parametrize("sample_dt", [0.05, 0.3])
+def test_edge_signals_bit_identical_to_masks(sample_dt):
+    sched = five_node_schedule()
+    traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, sample_dt)
+    times = traj.sample_times
+    tol = 1e-6 * float(np.diff(times).min())
+    out_t, out_z = [], []
+    for ta, tb, k in sched.pieces(times[0], times[-1]):
+        mask = reference_piece_mask(times, ta, tb, tol)
+        out_t.append(times[mask])
+        out_z.append(traj.states[mask] @ incidence(sched.segments[k].weights).entries)
+    trace = edge_signals(traj, sched)
+    assert np.array_equal(trace.sample_times, np.concatenate(out_t))
+    assert np.array_equal(trace.signals, np.vstack(out_z))
+
+
+def test_nan_sample_times_are_refused():
+    # the searchsorted row ranges need sorted times, which NaN would break
+    times = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(times, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        EdgeSignalTrace(times, np.zeros((3, 1)), ((0, 1),))
+
+
+# -- CSV text ------------------------------------------------------------------
+
+SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e22,
+                    float(2 ** 53 + 1), 2.0 ** 53 + 2, 0.1, -1.0 / 3.0, 123456789.125,
+                    np.nextafter(1.0, 2.0), 1.7976931348623157e308])
+
+
+def special_rows(width):
+    rng = np.random.default_rng(8)
+    pool = np.concatenate((SPECIAL, np.logspace(-300, 300, 61), -np.logspace(-300, 300, 61),
+                           rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)))
+    rows = -(-pool.size // width)
+    return np.resize(pool, (rows, width))
+
+
+def test_trajectory_csv_bytes_match_fstrings(tmp_path):
+    states = special_rows(7)
+    times = np.concatenate(([-0.0], np.logspace(-300, 300, states.shape[0] - 1)))
+    traj = Trajectory(times, states)
+    traj.write_csv(tmp_path / "t.csv")
+    header = "t," + ",".join(f"x{i + 1}" for i in range(7))
+    expected = reference_csv_text(header, times, states).encode()
+    assert (tmp_path / "t.csv").read_bytes() == expected
+
+
+def test_edge_signal_csv_bytes_match_fstrings(tmp_path):
+    pairs = tuple(edge_pairs(4))
+    signals = special_rows(len(pairs))
+    times = np.repeat(np.linspace(0.0, 1e22, signals.shape[0] // 2 + 1), 2)[:signals.shape[0]]
+    trace = EdgeSignalTrace(times, signals, pairs)
+    trace.write_csv(tmp_path / "z.csv")
+    header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in pairs)
+    expected = reference_csv_text(header, times, signals).encode()
+    assert (tmp_path / "z.csv").read_bytes() == expected
