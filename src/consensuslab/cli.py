@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import math
 import os
 import shutil
 import sys
@@ -82,7 +81,7 @@ def _fail(msg):
 
 def _require_number(params, key, where):
     v = params.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not graph._is_number(v):
         _fail(f"{where}: parameter '{key}' must be a finite number, got {v!r}")
     if key in POSITIVE_PARAMS and v <= 0:
         _fail(f"{where}: parameter '{key}' must be positive, got {v!r}")
