@@ -132,6 +132,8 @@ class Scenario:
         try:
             if "schedule" in data:
                 return graph.schedule_from_dict(data["schedule"], name=self.name)
+            if not isinstance(data["schedule_file"], str):
+                _fail(f"'schedule_file' must be a string, got {data['schedule_file']!r}")
             path = self.base_dir / data["schedule_file"]
             if not path.is_file():
                 _fail(f"schedule file not found: {path}")
@@ -195,7 +197,7 @@ class Scenario:
                 dynamics.NoiseProcess.table(
                     spec["breakpoints"], spec["values"], spec["zeta"], spec["B0"]
                 )
-            except (ConsensusLabError, ValueError) as exc:
+            except (ConsensusLabError, TypeError, ValueError) as exc:
                 _fail(f"invalid table noise: {exc}")
             width = np.asarray(spec["values"]).shape[1]
             if width != self.schedule.node_count:
@@ -220,7 +222,7 @@ class Scenario:
             if not isinstance(entry, dict) or "task" not in entry:
                 _fail("each task must be an object with a 'task' name")
             name = entry["task"]
-            if name not in TASKS:
+            if not isinstance(name, str) or name not in TASKS:
                 hint = difflib.get_close_matches(str(name), TASKS, n=1)
                 suffix = f"; did you mean '{hint[0]}'?" if hint else ""
                 _fail(f"unknown task {name!r}{suffix}")
@@ -265,21 +267,18 @@ class Scenario:
         )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_to_json(obj):
+    # json calls this only for what it cannot encode itself
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 
@@ -288,6 +287,7 @@ class _Runner:
         self.scenario = scenario
         self.out_dir = Path(out_dir)
         self.trajectory = None
+        self.signals_written = False  # edge_signals.csv holds this trajectory's trace
         self.artifacts = []
 
     def emit_json(self, name, payload):
@@ -345,6 +345,7 @@ class _Runner:
             sample_dt,
             noise=noise,
         )
+        self.signals_written = False
         self.trajectory.write_csv(self.out_dir / "trajectory.csv")
         self.artifacts.append("trajectory.csv")
 
@@ -378,8 +379,10 @@ class _Runner:
     def task_reconstruct(self, start, delta, cond_tol=1e-8):
         sc = self.scenario
         trace = observability.edge_signals(self.trajectory, sc.schedule)
-        trace.write_csv(self.out_dir / "edge_signals.csv")
-        self.artifacts.append("edge_signals.csv")
+        if not self.signals_written:
+            trace.write_csv(self.out_dir / "edge_signals.csv")
+            self.artifacts.append("edge_signals.csv")
+            self.signals_written = True
         estimate = observability.reconstruct(trace, sc.schedule, start, delta, cond_tol=cond_tol)
         gram = observability.gramian(sc.schedule, start, delta)
         report = {

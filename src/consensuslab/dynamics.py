@@ -131,12 +131,14 @@ class NoiseProcess:
             return
         b = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
-        if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0.0):
-            raise ConfigurationError("noise breakpoints must be increasing, length >= 2")
+        if b.ndim != 1 or b.size < 2 or not np.all(np.isfinite(b)) or np.any(np.diff(b) <= 0.0):
+            raise ConfigurationError("noise breakpoints must be finite and increasing, length >= 2")
         if v.shape != (b.size - 1, self.node_count):
             raise ConfigurationError(
                 f"noise values must have shape ({b.size - 1}, {self.node_count}), got {v.shape}"
             )
+        if not np.all(np.isfinite(v)):
+            raise ConfigurationError("noise values must be finite")
         if self.zeta is None or self.zeta <= 0.0:
             raise ConfigurationError("noise needs a positive window length zeta")
         self.breakpoints = b
@@ -156,6 +158,10 @@ class NoiseProcess:
     @classmethod
     def table(cls, breakpoints, values, zeta, energy_bound):
         values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            raise ConfigurationError(
+                f"noise values must be a table of rows, one value per node; got shape {values.shape}"
+            )
         return cls("table", values.shape[1], zeta, energy_bound,
                    breakpoints=breakpoints, values=values)
 

@@ -125,13 +125,13 @@ def incidence(g):
             "use sqrt_laplacian_factor for signed graphs"
         )
     n = snap.node_count
-    pairs = edge_pairs(n)
-    h = np.zeros((n, len(pairs)))
-    for k, (i, j) in enumerate(pairs):
-        root = np.sqrt(w[i, j])
-        h[i, k] = -root
-        h[j, k] = root
-    return IncidenceMatrix(entries=h, edge_order=tuple(pairs))
+    rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
+    edge = np.arange(rows.size)
+    root = np.sqrt(w[rows, cols])
+    h = np.zeros((n, rows.size))
+    h[rows, edge] = -root
+    h[cols, edge] = root
+    return IncidenceMatrix(entries=h, edge_order=tuple(edge_pairs(n)))
 
 
 def sqrt_laplacian_factor(matrix, tol=None):
@@ -334,6 +334,53 @@ def integrated_weights(sched, s, duration):
     return acc
 
 
+# windows go through the stacked kernels in blocks of about this many matrix
+# entries per (windows, N, N) array, so memory stays flat in the window count
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _window_integrals(sched, starts, duration):
+    """Yield (lo, stack): integrated_weights for starts[lo:lo + len(stack)].
+
+    Each block stacks at most max(1, _BLOCK_ENTRIES // N^2) windows, and
+    no other array of the scan is larger than one block.  A window's pieces
+    are added in their own order, padded to the block's widest window with
+    zero durations, so every slice is bit-identical to
+    :func:`integrated_weights` (adding +-0.0 is exact).
+    """
+    if duration < 0.0:
+        raise ValueError("duration must be nonnegative")
+    n = sched.node_count
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    seg_weights = [seg.weights for seg in sched.segments]
+    for lo in range(0, len(starts), block):
+        pieces = [sched.pieces(s, s + duration) for s in starts[lo:lo + block]]
+        width = max(map(len, pieces))
+        dur = np.array([[tb - ta for ta, tb, _ in p] + [0.0] * (width - len(p)) for p in pieces])
+        idx = np.array([[k for _, _, k in p] + [0] * (width - len(p)) for p in pieces], dtype=int)
+        acc = np.zeros((len(pieces), n, n))
+        term = np.empty_like(acc)
+        for c in range(width):
+            np.stack([seg_weights[k] for k in idx[:, c].tolist()], out=term)
+            term *= dur[:, c, None, None]
+            acc += term
+        yield lo, acc
+
+
+def _laplacians(w):
+    """Laplacians of a (windows, N, N) weight stack, laid out like laplacian().
+
+    Built as diag(row sums) minus W by subtraction from zeros, so absent
+    edges hold +0.0 exactly as in np.diag(d) - w (a negated W would leave
+    -0.0 there, which changes the last bits LAPACK returns).
+    """
+    lap = np.zeros(w.shape)
+    diag = np.arange(w.shape[1])
+    lap[:, diag, diag] = w.sum(axis=2)
+    lap -= w
+    return lap
+
+
 def integrated_laplacian(sched, s, duration):
     """Exact segment-wise integral of the Laplacian over [s, s+duration]."""
     w = integrated_weights(sched, s, duration)
@@ -467,30 +514,33 @@ def check_joint_connectivity(sched, delta, T, window_stride):
     connectivity of its unweighted Laplacian reported as evidence.  Window
     starts come from :func:`window_starts`; for periodic schedules one
     period of starts covers all s >= 0, otherwise the check is documented
-    as grid-limited.
+    as grid-limited.  Windows are integrated and their Laplacian spectra
+    computed in stacked blocks (see :func:`_window_integrals`).
     """
     if delta <= 0.0 or T <= 0.0:
         raise ValueError("delta and T must be positive")
-    pairs = edge_pairs(sched.node_count)
+    n = sched.node_count
+    pairs = edge_pairs(n)
+    rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
+    starts = window_starts(sched, T, window_stride)
     evidence = []
     counterexample = None
-    for s in window_starts(sched, T, window_stride):
-        acc = integrated_weights(sched, s, T)
-        edges = tuple((i, j) for i, j in pairs if acc[i, j] >= delta)
-        connected = _components_connected(sched.node_count, edges)
-        thresh = np.zeros((sched.node_count, sched.node_count))
-        for i, j in edges:
-            thresh[i, j] = thresh[j, i] = 1.0
-        evidence.append(
-            WindowEvidence(
-                start=float(s),
-                edges=edges,
-                lambda2=lambda2(laplacian(thresh)),
-                connected=connected,
+    for lo, acc in _window_integrals(sched, starts, T):
+        mask = acc[:, rows, cols] >= delta
+        thresh = np.zeros(acc.shape)
+        thresh[:, rows, cols] = mask
+        thresh[:, cols, rows] = mask
+        lap = _laplacians(thresh)
+        assert np.array_equal(lap, lap.transpose(0, 2, 1)), "threshold Laplacians must be symmetric"
+        lam2 = np.linalg.eigvalsh(lap)[:, 1].tolist()
+        for r, s in enumerate(starts[lo:lo + len(acc)]):
+            edges = tuple(pairs[e] for e in np.flatnonzero(mask[r]).tolist())
+            connected = _components_connected(n, edges)
+            evidence.append(
+                WindowEvidence(start=float(s), edges=edges, lambda2=lam2[r], connected=connected)
             )
-        )
-        if not connected and counterexample is None:
-            counterexample = float(s)
+            if not connected and counterexample is None:
+                counterexample = float(s)
     verdict = "connected" if counterexample is None else "not_connected"
     return ConnectivityCertificate(
         delta=float(delta),
@@ -582,7 +632,7 @@ def schedule_from_dict(data, name=None):
                 raise ConfigurationError(
                     f"segment {k}: each edge needs 'i', 'j', 'w'"
                 ) from exc
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j)):
                 raise ConfigurationError(f"segment {k}: edge indices must be integers")
             if i >= j:
                 raise ConfigurationError(

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SignedGraphError, UnobservableWindowError
-from .graph import edge_pairs, incidence, integrated_laplacian, negative_link_assumption_holds
+from .graph import (
+    _laplacians,
+    _window_integrals,
+    edge_pairs,
+    incidence,
+    negative_link_assumption_holds,
+    window_starts,
+)
 from .dynamics import _disagreement_flow, _write_csv_rows
 
 __all__ = [
@@ -195,24 +202,28 @@ def uniform_bounds_check(sched, delta_obs, stride, positive_tol=1e-10):
 
     The integrand needs no transition matrix and is exactly computable
     segment-wise.  alpha1 is the minimum smallest eigenvalue over the
-    window starts of :func:`consensuslab.graph.window_starts`; the verdict
-    flag is alpha1 > positive_tol.
+    window starts of :func:`consensuslab.graph.window_starts` (the first
+    start attaining it is the worst window); the verdict flag is
+    alpha1 > positive_tol.  Windows are integrated and their spectra
+    computed in stacked blocks.
     """
-    from .graph import window_starts
-
     if delta_obs <= 0.0:
         raise ValueError("delta_obs must be positive")
     n = sched.node_count
-    shift = np.ones((n, n)) / n
+    shift = delta_obs * (np.ones((n, n)) / n)
+    starts = window_starts(sched, delta_obs, stride)
     alpha1 = np.inf
     alpha2 = -np.inf
     worst = 0.0
-    for s in window_starts(sched, delta_obs, stride):
-        eigs = np.linalg.eigvalsh(integrated_laplacian(sched, s, delta_obs) + delta_obs * shift)
-        if eigs[0] < alpha1:
-            alpha1 = float(eigs[0])
-            worst = float(s)
-        alpha2 = max(alpha2, float(eigs[-1]))
+    for lo, acc in _window_integrals(sched, starts, delta_obs):
+        lap = _laplacians(acc)
+        lap += shift
+        eigs = np.linalg.eigvalsh(lap)
+        r = int(np.argmin(eigs[:, 0]))
+        if eigs[r, 0] < alpha1:
+            alpha1 = float(eigs[r, 0])
+            worst = float(starts[lo + r])
+        alpha2 = max(alpha2, float(eigs[:, -1].max()))
     return UniformBounds(
         alpha1=alpha1,
         alpha2=alpha2,

@@ -1,8 +1,20 @@
 """Shared schedule builders and small oracles for the test suite."""
 
+import json
+
 import numpy as np
 
-from consensuslab import WeightSchedule
+from consensuslab import UniformBounds, WeightSchedule
+from consensuslab.graph import (
+    ConnectivityCertificate,
+    WindowEvidence,
+    edge_pairs,
+    integrated_laplacian,
+    integrated_weights,
+    lambda2,
+    laplacian,
+    window_starts,
+)
 
 
 def weights(n, *edges):
@@ -199,3 +211,72 @@ def reference_csv_text(header, times, values):
 def reference_piece_mask(times, ta, tb, tol):
     """Indices of the samples within tol of [ta, tb], by a boolean mask."""
     return np.nonzero((times >= ta - tol) & (times <= tb + tol))[0]
+
+
+def reference_incidence(w):
+    """Incidence entries filled one edge column at a time."""
+    n = w.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    h = np.zeros((n, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        root = np.sqrt(w[i, j])
+        h[i, k] = -root
+        h[j, k] = root
+    return h
+
+
+def reference_connectivity(sched, delta, T, window_stride):
+    """The per-window certificate: one integral, threshold graph, union-find
+    and lambda2 call per window start."""
+    n = sched.node_count
+    evidence = []
+    counterexample = None
+    for s in window_starts(sched, T, window_stride):
+        acc = integrated_weights(sched, s, T)
+        edges = tuple((i, j) for i, j in edge_pairs(n) if acc[i, j] >= delta)
+        thresh = np.zeros((n, n))
+        for i, j in edges:
+            thresh[i, j] = thresh[j, i] = 1.0
+        connected = union_find_connected(n, thresh)
+        evidence.append(WindowEvidence(start=float(s), edges=edges,
+                                       lambda2=lambda2(laplacian(thresh)), connected=connected))
+        if not connected and counterexample is None:
+            counterexample = float(s)
+    return ConnectivityCertificate(
+        delta=float(delta), T=float(T),
+        verdict="connected" if counterexample is None else "not_connected",
+        windows=tuple(evidence), counterexample_window=counterexample,
+    )
+
+
+def reference_uniform_bounds(sched, delta_obs, stride, positive_tol=1e-10):
+    """alpha1/alpha2 from one eigvalsh call per window start."""
+    n = sched.node_count
+    shift = np.ones((n, n)) / n
+    alpha1, alpha2, worst = np.inf, -np.inf, 0.0
+    for s in window_starts(sched, delta_obs, stride):
+        eigs = np.linalg.eigvalsh(integrated_laplacian(sched, s, delta_obs) + delta_obs * shift)
+        if eigs[0] < alpha1:
+            alpha1, worst = float(eigs[0]), float(s)
+        alpha2 = max(alpha2, float(eigs[-1]))
+    return UniformBounds(alpha1=alpha1, alpha2=alpha2, worst_window_start=worst,
+                         observable=bool(alpha1 > positive_tol))
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
+def reference_write_json(path, payload):
+    """JSON report written after a deep copy into plain Python values."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")

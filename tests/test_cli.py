@@ -100,6 +100,15 @@ def _drop_nodes(data):
     del data["schedule"]["nodes"]
 
 
+def _table_noise(breakpoints, values):
+    return {"kind": "table", "zeta": 1.0, "B0": 1.0, "breakpoints": breakpoints, "values": values}
+
+
+def _numeric_schedule_file(data):
+    del data["schedule"]
+    data["schedule_file"] = 5
+
+
 # (label, mutation of _valid_scenario(), fragment of the error message)
 MALFORMED = [
     ("missing nodes", _drop_nodes, "nodes"),
@@ -147,6 +156,19 @@ MALFORMED = [
     ("boolean eigvector segment", _set(["initial_state"], {"kind": "eigvector", "segment": True}),
      "'segment' must be"),
     ("numeric output_dir", _set(["output_dir"], 5), "'output_dir' must be a string"),
+    ("numeric schedule_file", _numeric_schedule_file, "'schedule_file' must be a string"),
+    ("list task name", _set(["tasks", 0, "task"], ["x"]), "unknown task ['x']"),
+    ("one-row table values", _set(["noise"], _table_noise([0.0, 4.0], [0.1, 0.2])),
+     "noise values must be a table"),
+    ("boolean edge index", _set(["schedule", "segments", 0, "edges", 0, "i"], True),
+     "edge indices must be integers"),
+    ("nan table value", _set(["noise"], _table_noise([0.0, 4.0], [[0.1, float("nan"), 0.0]])),
+     "noise values must be finite"),
+    ("infinite table breakpoint",
+     _set(["noise"], _table_noise([0.0, float("inf")], [[0.1, 0.2, 0.0]])),
+     "noise breakpoints must be finite"),
+    ("object table values", _set(["noise"], _table_noise([0.0, 4.0], {"a": 1})),
+     "invalid table noise"),
 ]
 
 

@@ -3,10 +3,15 @@
 ``simulate`` propagates all samples of a constant sub-piece in one product,
 the sample grid is merged with ``searchsorted``, noise window energies are
 summed over elementary intervals, edge-signal rows are located by
-``searchsorted`` ranges, and CSV rows are formatted by one %-format call.
-Each is compared here with the straightforward version in ``helpers``.
+``searchsorted`` ranges, CSV rows are formatted by one %-format call, window
+scans integrate and diagonalise stacked blocks of windows, the incidence
+matrix is filled by index arrays, and JSON reports encode numpy values
+through ``json``'s ``default`` hook.  Each is compared here with the
+straightforward version in ``helpers``.
 """
 
+import copy
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +26,30 @@ from consensuslab import (
     edge_signals,
     simulate,
 )
-from consensuslab.cli import load_scenario
+from consensuslab import graph
+from consensuslab.cli import _write_json, load_scenario, main
 from consensuslab.dynamics import _merge_grid
-from consensuslab.graph import edge_pairs, incidence
-from consensuslab.observability import _piece_node_rows, _rows_within
+from consensuslab.graph import (
+    _window_integrals,
+    check_joint_connectivity,
+    edge_pairs,
+    incidence,
+    integrated_weights,
+    window_starts,
+)
+from consensuslab.observability import _piece_node_rows, _rows_within, uniform_bounds_check
 from helpers import (
     five_node_schedule,
     random_weights,
+    reference_connectivity,
     reference_csv_text,
+    reference_incidence,
     reference_merge_grid,
     reference_piece_mask,
     reference_simulate,
+    reference_uniform_bounds,
     reference_window_energies,
+    reference_write_json,
     weights,
 )
 
@@ -244,3 +261,172 @@ def test_edge_signal_csv_bytes_match_fstrings(tmp_path):
     header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in pairs)
     expected = reference_csv_text(header, times, signals).encode()
     assert (tmp_path / "z.csv").read_bytes() == expected
+
+
+# -- window scans --------------------------------------------------------------
+
+
+def random_signed_schedule(rng, n, periodic, segments=4):
+    """Random schedule whose weights take both signs."""
+    ends = np.cumsum(rng.uniform(0.1, 1.5, segments))
+    starts = np.concatenate(([0.0], ends[:-1]))
+    segs = []
+    for a, b in zip(starts, ends):
+        w = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        segs.append((a, b, w + w.T))
+    return WeightSchedule(segs, periodic=periodic)
+
+
+SCHEDULE_KINDS = {"periodic": lambda rng, n: random_schedule(rng, n, True),
+                  "nonperiodic": lambda rng, n: random_schedule(rng, n, False),
+                  "signed": lambda rng, n: random_signed_schedule(rng, n, True)}
+
+
+def block_size(n):
+    return max(1, graph._BLOCK_ENTRIES // (n * n))
+
+
+def golden_schedules():
+    return [load_scenario(SCENARIOS / f"{name}.json").schedule for name in GOLDENS]
+
+
+def assert_integrals_match(sched, starts, duration):
+    """Compare every stacked slice with integrated_weights; return the block count."""
+    covered = blocks = 0
+    for lo, stack in _window_integrals(sched, starts, duration):
+        assert lo == covered and 1 <= len(stack) <= block_size(sched.node_count)
+        for r, s in enumerate(starts[lo:lo + len(stack)]):
+            assert np.array_equal(stack[r], integrated_weights(sched, s, duration))
+        covered += len(stack)
+        blocks += 1
+    assert covered == len(starts)
+    return blocks
+
+
+@pytest.mark.parametrize("sched", golden_schedules(), ids=GOLDENS)
+def test_window_integrals_match_on_goldens(sched):
+    for frac in (0.3, 0.5):
+        T = frac * sched.horizon
+        assert_integrals_match(sched, window_starts(sched, T, T / 16.0), T)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+def test_window_integrals_match_over_several_blocks(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    sched = SCHEDULE_KINDS[kind](rng, n)
+    T = 0.4 * sched.horizon
+    span = sched.horizon if sched.periodic else sched.horizon - T
+    starts = window_starts(sched, T, span / (1.5 * block_size(n)))
+    assert len(starts) > block_size(n)
+    assert assert_integrals_match(sched, starts, T) >= 2
+    # windows with no piece at all stack to zeros
+    assert assert_integrals_match(sched, starts[:3], 0.0) == 1
+
+
+@pytest.mark.parametrize("sched", golden_schedules(), ids=GOLDENS)
+def test_window_checks_match_reference_on_goldens(sched):
+    T = 0.4 * sched.horizon
+    for delta in (0.05 * T, 0.3 * T):
+        cert = check_joint_connectivity(sched, delta, T, T / 8.0)
+        assert cert.as_dict() == reference_connectivity(sched, delta, T, T / 8.0).as_dict()
+    assert uniform_bounds_check(sched, T, T / 8.0) == reference_uniform_bounds(sched, T, T / 8.0)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+def test_window_checks_match_reference_over_several_blocks(n, kind, monkeypatch):
+    rng = np.random.default_rng([n, len(kind), 1])
+    sched = SCHEDULE_KINDS[kind](rng, n)
+    T = 0.4 * sched.horizon
+    stride = T / 40.0
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 7 * n * n)  # seven windows per block
+    assert len(window_starts(sched, T, stride)) > 7
+    verdicts = []
+    for delta in (1e-9, 0.1 * T, 10.0 * T):  # the last leaves every window edgeless
+        cert = check_joint_connectivity(sched, delta, T, stride)
+        assert cert.as_dict() == reference_connectivity(sched, delta, T, stride).as_dict()
+        verdicts.append(cert.verdict)
+    assert uniform_bounds_check(sched, T, stride) == reference_uniform_bounds(sched, T, stride)
+    assert verdicts[-1] == "not_connected"
+
+
+def test_worst_window_is_the_first_minimum(monkeypatch):
+    # a constant graph on dyadic times: every window integral is exact and
+    # equal, so the first start must be reported, also when the minimum
+    # repeats in later blocks
+    k3 = weights(3, (0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))
+    sched = WeightSchedule([(0.0, 1.0, k3), (1.0, 2.0, k3)], periodic=True)
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 2 * 9)
+    bounds = uniform_bounds_check(sched, 0.5, 0.125)
+    assert bounds == reference_uniform_bounds(sched, 0.5, 0.125)
+    assert bounds.worst_window_start == 0.0 and bounds.alpha1 == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 30])
+def test_incidence_entries_match_reference(n):
+    w = random_weights(np.random.default_rng(n), n, density=0.5)
+    h = incidence(w)
+    assert np.array_equal(h.entries, reference_incidence(w))
+    assert h.edge_order == tuple(edge_pairs(n))
+    assert all(type(i) is int and type(j) is int for i, j in h.edge_order)
+
+
+# -- CLI reports ---------------------------------------------------------------
+
+
+def test_edge_signals_written_once_per_trajectory(tmp_path):
+    data = json.loads((SCENARIOS / "five_node_reconstruct.json").read_text())
+    twice = copy.deepcopy(data)
+    twice["tasks"].append({"task": "reconstruct", "start": 1.0, "delta": 4.0})
+    outputs = {}
+    for label, scenario in (("once", data), ("twice", twice)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / label)]) == 0
+        outputs[label] = (tmp_path / label / "edge_signals.csv").read_bytes()
+        manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+        assert manifest["artifacts"].count("edge_signals.csv") == 1
+    assert outputs["once"] == outputs["twice"]
+
+
+def test_edge_signals_follow_a_new_trajectory(tmp_path):
+    # a second simulate replaces the trajectory; its reconstruct rewrites the trace
+    data = json.loads((SCENARIOS / "five_node_reconstruct.json").read_text())
+    data["tasks"] += [{"task": "simulate", "t_end": 6.0, "sample_dt": 0.015625},
+                      {"task": "reconstruct", "start": 2.0, "delta": 4.0}]
+    path = tmp_path / "resim.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    rows = np.loadtxt(tmp_path / "out" / "edge_signals.csv", delimiter=",", skiprows=1)
+    assert np.isclose(np.diff(rows[:, 0]).max(), 0.015625)
+
+
+def test_json_report_bytes_match_reference_writer(tmp_path):
+    payload = {
+        "floats": [0.1, -0.0, 1e-310, 1e22, float("nan"), float("inf"), -float("inf")],
+        "numpy_scalars": [np.float64(1.0 / 3.0), np.float32(0.1), np.int64(-7), np.intc(3)],
+        "arrays": {"matrix": np.arange(6.0).reshape(2, 3) / 7.0, "ints": np.arange(4),
+                   "empty": np.zeros((0, 2))},
+        "nested": ({"b": (1, 2.5, None), "a": [True, False, "text"]},),
+        "z_last": np.float64(-2.0),
+    }
+    _write_json(tmp_path / "new.json", payload)
+    reference_write_json(tmp_path / "old.json", payload)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    for name in GOLDENS:
+        sched = load_scenario(SCENARIOS / f"{name}.json").schedule
+        cert = check_joint_connectivity(sched, 0.1, 0.4 * sched.horizon, 0.05 * sched.horizon)
+        _write_json(tmp_path / "new.json", cert.as_dict())
+        reference_write_json(tmp_path / "old.json", cert.as_dict())
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_json_report_encodes_numpy_bools_and_refuses_other_objects(tmp_path):
+    # the deep-copy writer refused these; json's default hook encodes them
+    _write_json(tmp_path / "b.json", {"flag": np.bool_(True), "flags": np.array([False, True]),
+                                      "scalar": np.array(2.5)})
+    assert json.loads((tmp_path / "b.json").read_text()) == {
+        "flag": True, "flags": [False, True], "scalar": 2.5}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_json(tmp_path / "c.json", {"x": object()})
