@@ -13,6 +13,7 @@ import argparse
 import difflib
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -276,10 +277,56 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# byte classes of compact JSON text (0 for every other byte)
+_OPENER, _CLOSER, _COMMA, _COLON, _QUOTE = 1, 2, 3, 4, 5
+_JSON_CLASS = np.zeros(256, dtype=np.uint8)
+_JSON_CLASS[np.frombuffer(b'{[}],:"', dtype=np.uint8)] = [
+    _OPENER, _OPENER, _CLOSER, _CLOSER, _COMMA, _COLON, _QUOTE]
+_JSON_CLASS.setflags(write=False)
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+
+
+def _indent2(compact):
+    """The json.dumps(indent=2) layout of compact JSON bytes, plus a newline.
+
+    Escapes are masked first, then string contents by quote parity.  A
+    newline and two spaces per nesting level go after each non-empty opener
+    and each comma and before each non-empty closer, one space after each
+    colon.  Returns a uint8 array.
+    """
+    cls = _JSON_CLASS[np.frombuffer(_ESCAPE.sub(b"..", compact), dtype=np.uint8)]
+    quote = cls == _QUOTE
+    cls[np.logical_xor.accumulate(quote) | quote] = 0
+    at = np.flatnonzero(cls).astype(np.int32)
+    kind = cls[at]
+    opener, closer = kind == _OPENER, kind == _CLOSER
+    depth = np.cumsum(opener, dtype=np.int32) - np.cumsum(closer, dtype=np.int32)
+    breaks = 1 + 2 * depth  # a newline and the indent of the depth after the token
+    # an opener directly followed by a closer is an empty [] or {}, kept as is
+    empty = np.zeros(at.size + 1, dtype=bool)
+    empty[1:-1] = opener[:-1] & closer[1:] & (np.diff(at) == 1)
+    after_break = (opener & ~empty[1:]) | (kind == _COMMA)
+    before_break = closer & ~empty[:-1]
+    # output position of every input byte, and of the final newline at the end
+    pos = np.ones(len(compact) + 1, dtype=np.int32)
+    pos[0] = 0
+    pos[at + 1] += np.where(after_break, breaks, kind == _COLON)
+    pos[at] += np.where(before_break, breaks, 0)
+    np.cumsum(pos, out=pos)
+    out = np.full(pos[-1] + 1, ord(" "), dtype=np.uint8)  # inserted bytes: spaces...
+    out[pos[:-1]] = np.frombuffer(compact, dtype=np.uint8)
+    out[pos[at[after_break]] + 1] = ord("\n")  # ...each break led by a newline
+    out[pos[at[before_break]] - breaks[before_break]] = ord("\n")
+    out[-1] = ord("\n")
+    return out
+
+
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_json)
-        fh.write("\n")
+    """Write payload as json.dump(indent=2, sort_keys=True) would, plus a newline."""
+    compact = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_numpy_to_json)
+    out = _indent2(compact.encode("ascii"))
+    with open(path, "wb") as fh:
+        fh.write(out)
 
 
 class _Runner:

@@ -212,6 +212,7 @@ class WeightSchedule:
         self.period = self.horizon if self.periodic else None
         self._starts = [s.t_start for s in segs]
         self._spectra = {}
+        self._last_gramian = None  # kept by observability.gramian
 
     def __len__(self):
         return len(self.segments)
@@ -514,8 +515,11 @@ def check_joint_connectivity(sched, delta, T, window_stride):
     connectivity of its unweighted Laplacian reported as evidence.  Window
     starts come from :func:`window_starts`; for periodic schedules one
     period of starts covers all s >= 0, otherwise the check is documented
-    as grid-limited.  Windows are integrated and their Laplacian spectra
-    computed in stacked blocks (see :func:`_window_integrals`).
+    as grid-limited.  Windows are integrated in stacked blocks (see
+    :func:`_window_integrals`) and keyed by their threshold graph: only the
+    first window with a given graph has its Laplacian spectrum computed
+    (one stacked call per block) and its components found; later windows
+    reuse that evidence.
     """
     if delta <= 0.0 or T <= 0.0:
         raise ValueError("delta and T must be positive")
@@ -523,21 +527,31 @@ def check_joint_connectivity(sched, delta, T, window_stride):
     pairs = edge_pairs(n)
     rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
     starts = window_starts(sched, T, window_stride)
+    graphs = {}  # threshold-mask bytes -> (edges, lambda2, connected)
     evidence = []
     counterexample = None
     for lo, acc in _window_integrals(sched, starts, T):
         mask = acc[:, rows, cols] >= delta
-        thresh = np.zeros(acc.shape)
-        thresh[:, rows, cols] = mask
-        thresh[:, cols, rows] = mask
-        lap = _laplacians(thresh)
-        assert np.array_equal(lap, lap.transpose(0, 2, 1)), "threshold Laplacians must be symmetric"
-        lam2 = np.linalg.eigvalsh(lap)[:, 1].tolist()
-        for r, s in enumerate(starts[lo:lo + len(acc)]):
-            edges = tuple(pairs[e] for e in np.flatnonzero(mask[r]).tolist())
-            connected = _components_connected(n, edges)
+        keys = [m.tobytes() for m in mask]
+        first = {}  # threshold graphs first seen in this block -> their row
+        for r, key in enumerate(keys):
+            if key not in graphs:
+                first.setdefault(key, r)
+        if first:
+            fresh = mask[list(first.values())]
+            thresh = np.zeros((len(first), n, n))
+            thresh[:, rows, cols] = fresh
+            thresh[:, cols, rows] = fresh
+            lap = _laplacians(thresh)
+            assert np.array_equal(lap, lap.transpose(0, 2, 1)), "threshold Laplacians must be symmetric"
+            lam2 = np.linalg.eigvalsh(lap)[:, 1].tolist()
+            for key, m, l2 in zip(first, fresh, lam2):
+                edges = tuple(pairs[e] for e in np.flatnonzero(m).tolist())
+                graphs[key] = (edges, l2, _components_connected(n, edges))
+        for s, key in zip(starts[lo:lo + len(acc)], keys):
+            edges, l2, connected = graphs[key]
             evidence.append(
-                WindowEvidence(start=float(s), edges=edges, lambda2=lam2[r], connected=connected)
+                WindowEvidence(start=float(s), edges=edges, lambda2=l2, connected=connected)
             )
             if not connected and counterexample is None:
                 counterexample = float(s)

@@ -164,10 +164,16 @@ def gramian(sched, s, delta):
     the projected flow from s to the piece start and G the closed-form
     piece Gramian of :func:`_gramian_increment`.  Refuses a schedule that
     violates the Negative-Link Assumption, whose L + J has no real output
-    factor D.
+    factor D.  The schedule keeps the last window's Gramian (entries
+    read-only), so asking again for the same window, as a reconstruction
+    followed by a report of its Gramian does, builds it once.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    start, delta = float(s), float(delta)
+    last = sched._last_gramian
+    if last is not None and (last.start, last.delta) == (start, delta):
+        return last
     negative_link_assumption_holds(sched).require()
     n = sched.node_count
     w = np.zeros((n, n))
@@ -177,14 +183,16 @@ def gramian(sched, s, delta):
         w += phi.T @ _gramian_increment(lam, q, tb - ta) @ phi
         phi = _projected_flow(lam, q, tb - ta) @ phi
     w = (w + w.T) / 2.0
+    w.setflags(write=False)
     eigs = np.linalg.eigvalsh(w)
-    return ObservabilityGramian(
-        start=float(s),
-        delta=float(delta),
+    sched._last_gramian = ObservabilityGramian(
+        start=start,
+        delta=delta,
         entries=w,
         lambda_min=float(eigs[0]),
         lambda_max=float(eigs[-1]),
     )
+    return sched._last_gramian
 
 
 @dataclass(frozen=True)

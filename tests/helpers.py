@@ -269,14 +269,15 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(obj.tolist())  # a 0-d array lists as its scalar
+    if isinstance(obj, np.generic):
         return obj.item()
     return obj
 
 
 def reference_write_json(path, payload):
-    """JSON report written after a deep copy into plain Python values."""
+    """JSON report written by json's pure-Python indent=2 encoder after a
+    deep copy into plain Python values."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")

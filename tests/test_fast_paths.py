@@ -4,10 +4,11 @@
 the sample grid is merged with ``searchsorted``, noise window energies are
 summed over elementary intervals, edge-signal rows are located by
 ``searchsorted`` ranges, CSV rows are formatted by one %-format call, window
-scans integrate and diagonalise stacked blocks of windows, the incidence
-matrix is filled by index arrays, and JSON reports encode numpy values
-through ``json``'s ``default`` hook.  Each is compared here with the
-straightforward version in ``helpers``.
+scans integrate and diagonalise stacked blocks of windows, the connectivity
+check diagonalises each distinct threshold graph once, the incidence matrix
+is filled by index arrays, and JSON reports are encoded compactly by
+``json``'s C encoder and re-indented in one numpy pass.  Each is compared
+here with the straightforward version in ``helpers``.
 """
 
 import copy
@@ -26,7 +27,7 @@ from consensuslab import (
     edge_signals,
     simulate,
 )
-from consensuslab import graph
+from consensuslab import graph, observability
 from consensuslab.cli import _write_json, load_scenario, main
 from consensuslab.dynamics import _merge_grid
 from consensuslab.graph import (
@@ -333,22 +334,85 @@ def test_window_checks_match_reference_on_goldens(sched):
     assert uniform_bounds_check(sched, T, T / 8.0) == reference_uniform_bounds(sched, T, T / 8.0)
 
 
-@pytest.mark.parametrize("n", [3, 10, 30])
-@pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
-def test_window_checks_match_reference_over_several_blocks(n, kind, monkeypatch):
+def repeating_schedule(rng, n):
+    """Two random graphs alternating on four unit segments (period 4).
+
+    Window s + 2 sees the integrals of window s, and neighbouring windows
+    mostly share a threshold graph, so graphs recur inside and across blocks.
+    """
+    a, b = random_weights(rng, n, density=0.5), random_weights(rng, n, density=0.5)
+    return WeightSchedule([(float(k), k + 1.0, (a, b)[k % 2]) for k in range(4)], periodic=True)
+
+
+def sliding_schedule(rng, n):
+    """Edge k alone, weight 5, on the unit segment [k, k + 1] of a period of 100.
+
+    With T = 40 and stride 1 every window covers its own run of 40 edges, so
+    no two windows share a threshold graph (for any delta up to 5).
+    """
+    pairs = edge_pairs(n)
+    return WeightSchedule([(float(k), k + 1.0, weights(n, (*pairs[k], 5.0))) for k in range(100)],
+                          periodic=True)
+
+
+CHECK_SCHEDULES = {**SCHEDULE_KINDS, "repeating": repeating_schedule, "distinct": sliding_schedule}
+CHECK_CASES = [pytest.param(kind, n, id=f"{kind}-{n}")
+               for kind in sorted(SCHEDULE_KINDS) for n in (3, 10, 30)]
+CHECK_CASES += [pytest.param("repeating", 10, id="repeating-10"),
+                pytest.param("distinct", 15, id="distinct-15")]
+
+
+def graph_repeats(graphs, block):
+    """(a graph repeats inside a block, a graph of an earlier block recurs)."""
+    within = across = False
+    earlier = set()
+    for lo in range(0, len(graphs), block):
+        chunk = graphs[lo:lo + block]
+        within |= len(set(chunk)) < len(chunk)
+        across |= not earlier.isdisjoint(chunk)
+        earlier.update(chunk)
+    return within, across
+
+
+@pytest.mark.parametrize("kind,n", CHECK_CASES)
+def test_window_checks_match_reference_over_several_blocks(kind, n, monkeypatch):
     rng = np.random.default_rng([n, len(kind), 1])
-    sched = SCHEDULE_KINDS[kind](rng, n)
+    sched = CHECK_SCHEDULES[kind](rng, n)
     T = 0.4 * sched.horizon
     stride = T / 40.0
     monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 7 * n * n)  # seven windows per block
     assert len(window_starts(sched, T, stride)) > 7
-    verdicts = []
+    verdicts, windows = [], []
     for delta in (1e-9, 0.1 * T, 10.0 * T):  # the last leaves every window edgeless
         cert = check_joint_connectivity(sched, delta, T, stride)
         assert cert.as_dict() == reference_connectivity(sched, delta, T, stride).as_dict()
         verdicts.append(cert.verdict)
+        windows.append(cert.windows)
     assert uniform_bounds_check(sched, T, stride) == reference_uniform_bounds(sched, T, stride)
     assert verdicts[-1] == "not_connected"
+    graphs = [w.edges for w in windows[1]]
+    if kind == "repeating":
+        assert graph_repeats(graphs, 7) == (True, True)
+    if kind == "distinct":
+        assert len(set(graphs)) == len(graphs) == 100
+        assert {w.connected for w in windows[1]} == {True, False}
+
+
+def test_each_distinct_threshold_graph_is_diagonalised_once(monkeypatch):
+    sched = repeating_schedule(np.random.default_rng(3), 10)
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 7 * 10 * 10)
+    eigvalsh = np.linalg.eigvalsh
+    matrices = []
+
+    def counting_eigvalsh(a):
+        matrices.append(len(a) if np.ndim(a) == 3 else 1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    cert = check_joint_connectivity(sched, 0.16, 1.6, 0.04)
+    distinct = {w.edges for w in cert.windows}
+    assert 1 < len(distinct) < len(cert.windows) and len(matrices) > 1
+    assert sum(matrices) == len(distinct)
 
 
 def test_worst_window_is_the_first_minimum(monkeypatch):
@@ -414,16 +478,82 @@ def test_json_report_bytes_match_reference_writer(tmp_path):
     _write_json(tmp_path / "new.json", payload)
     reference_write_json(tmp_path / "old.json", payload)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    certificates = []
     for name in GOLDENS:
         sched = load_scenario(SCENARIOS / f"{name}.json").schedule
-        cert = check_joint_connectivity(sched, 0.1, 0.4 * sched.horizon, 0.05 * sched.horizon)
+        certificates.append(check_joint_connectivity(sched, 0.1, 0.4 * sched.horizon,
+                                                     0.05 * sched.horizon))
+    # the shape of a large report: N = 20, 16 segments, hundreds of windows
+    sched = random_schedule(np.random.default_rng(20), 20, True, segments=16)
+    certificates.append(check_joint_connectivity(sched, 0.2, 2.0, sched.horizon / 400.0))
+    assert len(certificates[-1].windows) >= 400
+    for cert in certificates:
         _write_json(tmp_path / "new.json", cert.as_dict())
         reference_write_json(tmp_path / "old.json", cert.as_dict())
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
+HOSTILE_TEXT = ['[', ']', '{', '}', ',', ':', '"', '\\', '\\"', '\n', '\t', '\x00', '\u00e9',
+                '\u20ac', '\U0001d11e', '"\\"', ': ', ', ']
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.5e-320,
+                  2.2250738585072014e-308, 1e22, 1e-310]
+
+
+def test_json_writer_matches_reference_on_generated_trees(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    text = st.lists(st.sampled_from(HOSTILE_TEXT) | st.characters(), max_size=6).map("".join)
+    floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    numpy_scalars = (floats.map(np.float64) | st.floats(width=32).map(np.float32)
+                     | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                     | st.booleans().map(np.bool_))
+    arrays = (floats.map(np.array)  # 0-d
+              | st.sampled_from([(0,), (0, 3), (2, 0), (1, 0, 2)]).map(np.zeros)
+              | st.lists(floats, max_size=6).map(np.array)
+              | st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(
+                  lambda v: np.array(v[:len(v) // 2 * 2]).reshape(2, -1)))
+    leaves = (st.none() | st.booleans() | st.integers() | floats | text | numpy_scalars
+              | arrays)
+    trees = st.recursive(
+        leaves,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=3).map(tuple)
+                          | st.dictionaries(text, children, max_size=4)),
+        max_leaves=40,
+    )
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(tree=trees)
+    def check(tree):
+        _write_json(tmp_path / "new.json", tree)
+        reference_write_json(tmp_path / "old.json", tree)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    check()
+
+
+def test_reconstruct_task_builds_its_gramian_once(tmp_path, monkeypatch):
+    builds = []
+    holds = observability.negative_link_assumption_holds  # checked once per build
+
+    def counted(sched):
+        builds.append(sched)
+        return holds(sched)
+
+    monkeypatch.setattr(observability, "negative_link_assumption_holds", counted)
+    data = json.loads((SCENARIOS / "five_node_reconstruct.json").read_text())
+    data["tasks"] = [t for t in data["tasks"] if t["task"] in ("simulate", "reconstruct")]
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
+    report = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert report["lambda_min"] == observability.gramian(load_scenario(path).schedule,
+                                                         2.0, 4.0).lambda_min
+
+
 def test_json_report_encodes_numpy_bools_and_refuses_other_objects(tmp_path):
-    # the deep-copy writer refused these; json's default hook encodes them
     _write_json(tmp_path / "b.json", {"flag": np.bool_(True), "flags": np.array([False, True]),
                                       "scalar": np.array(2.5)})
     assert json.loads((tmp_path / "b.json").read_text()) == {
