@@ -13,7 +13,6 @@ from .errors import (
 )
 from .graph import (
     ConnectivityCertificate,
-    GraphSnapshot,
     IncidenceMatrix,
     NegativeLinkReport,
     WeightSchedule,
@@ -30,7 +29,6 @@ from .graph import (
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
-    sqrt_laplacian_factor,
     window_starts,
 )
 from .dynamics import (

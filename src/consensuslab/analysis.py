@@ -110,7 +110,6 @@ class RobustnessReport:
     zeta: float | None
     energy_bound: float
     sup_error: float
-    c_bound: float
     sample_times: np.ndarray
     errors: np.ndarray
 
@@ -125,12 +124,10 @@ def robustness_report(sched, noise, t_end, sample_dt=0.05, consensus_value=0.0):
     x0 = StateVector(0.0, np.full(sched.node_count, float(consensus_value)))
     traj = simulate(sched, x0, t_end, sample_dt, noise=noise)
     errors = consensus_error(traj)
-    sup = float(errors.max())
     return RobustnessReport(
         zeta=noise.zeta,
         energy_bound=noise.energy_bound,
-        sup_error=sup,
-        c_bound=sup,
+        sup_error=float(errors.max()),
         sample_times=traj.sample_times,
         errors=errors,
     )

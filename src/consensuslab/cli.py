@@ -334,7 +334,7 @@ class _Runner:
         self.scenario = scenario
         self.out_dir = Path(out_dir)
         self.trajectory = None
-        self.signals_written = False  # edge_signals.csv holds this trajectory's trace
+        self.trace = None  # edge signals of this trajectory, written to edge_signals.csv
         self.artifacts = []
 
     def emit_json(self, name, payload):
@@ -392,7 +392,7 @@ class _Runner:
             sample_dt,
             noise=noise,
         )
-        self.signals_written = False
+        self.trace = None
         self.trajectory.write_csv(self.out_dir / "trajectory.csv")
         self.artifacts.append("trajectory.csv")
 
@@ -425,12 +425,11 @@ class _Runner:
 
     def task_reconstruct(self, start, delta, cond_tol=1e-8):
         sc = self.scenario
-        trace = observability.edge_signals(self.trajectory, sc.schedule)
-        if not self.signals_written:
-            trace.write_csv(self.out_dir / "edge_signals.csv")
+        if self.trace is None:
+            self.trace = observability.edge_signals(self.trajectory, sc.schedule)
+            self.trace.write_csv(self.out_dir / "edge_signals.csv")
             self.artifacts.append("edge_signals.csv")
-            self.signals_written = True
-        estimate = observability.reconstruct(trace, sc.schedule, start, delta, cond_tol=cond_tol)
+        estimate = observability.reconstruct(self.trace, sc.schedule, start, delta, cond_tol=cond_tol)
         gram = observability.gramian(sc.schedule, start, delta)
         report = {
             "s": start,
@@ -463,7 +462,7 @@ class _Runner:
             "zeta": report.zeta,
             "B0": report.energy_bound,
             "sup_error": report.sup_error,
-            "C_bound": report.c_bound,
+            "C_bound": report.sup_error,
             "t_end": t_end,
             "sample_times": report.sample_times,
             "errors": report.errors,

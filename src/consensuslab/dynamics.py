@@ -52,7 +52,6 @@ class Trajectory:
 
     sample_times: np.ndarray
     states: np.ndarray
-    schedule_id: str | None = None
     initial_average: float | None = None
 
     def __post_init__(self):
@@ -329,7 +328,7 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     if zero_noise and np.ptp(x0.values) == 0.0:
         # consensus states are equilibria of the noiseless dynamics
         states = np.tile(x0.values, (grid.size, 1))
-        return Trajectory(grid, states, sched.name, float(x0.values.mean()))
+        return Trajectory(grid, states, float(x0.values.mean()))
 
     states = np.empty((grid.size, n))
     states[0] = x0.values
@@ -355,7 +354,7 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
             states[bounds[i]:bounds[i + 1]] = coords[:-1] @ q.T
             c = coords[-1]
         x = q @ c
-    return Trajectory(grid, states, sched.name, float(x0.values.mean()))
+    return Trajectory(grid, states, float(x0.values.mean()))
 
 
 @dataclass(frozen=True)

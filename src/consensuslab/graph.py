@@ -25,7 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "GraphSnapshot",
     "WeightSchedule",
     "IncidenceMatrix",
     "WindowEvidence",
@@ -34,7 +33,6 @@ __all__ = [
     "edge_pairs",
     "laplacian",
     "incidence",
-    "sqrt_laplacian_factor",
     "integrated_weights",
     "integrated_laplacian",
     "lambda2",
@@ -53,44 +51,32 @@ def edge_pairs(node_count):
     return [(i, j) for i in range(node_count) for j in range(i + 1, node_count)]
 
 
-class GraphSnapshot:
-    """Weighted undirected graph at a single instant.
+def _checked_weights(weights):
+    """Read-only float copy of a weight matrix, checked for use as a graph.
 
-    The weight matrix must be exactly symmetric with a zero diagonal;
-    negative entries are allowed (signed graphs).
+    The matrix must be exactly symmetric with a zero diagonal; negative
+    entries are allowed (signed graphs).
     """
-
-    def __init__(self, weights):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InvalidSnapshotError(f"weight matrix must be square, got shape {w.shape}")
-        # finiteness first: NaN != NaN would otherwise read as asymmetry
-        if not np.all(np.isfinite(w)):
-            raise InvalidSnapshotError("weights must be finite")
-        if not np.array_equal(w, w.T):
-            raise InvalidSnapshotError("weight matrix must be exactly symmetric")
-        if np.any(np.diag(w) != 0.0):
-            raise InvalidSnapshotError("weight matrix must have a zero diagonal")
-        w.setflags(write=False)
-        self.weights = w
-        self.node_count = w.shape[0]
-
-    @property
-    def is_nonnegative(self):
-        return bool(np.all(self.weights >= 0.0))
+    w = np.array(weights, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise InvalidSnapshotError(f"weight matrix must be square, got shape {w.shape}")
+    # finiteness first: NaN != NaN would otherwise read as asymmetry
+    if not np.all(np.isfinite(w)):
+        raise InvalidSnapshotError("weights must be finite")
+    if not np.array_equal(w, w.T):
+        raise InvalidSnapshotError("weight matrix must be exactly symmetric")
+    if np.any(np.diag(w) != 0.0):
+        raise InvalidSnapshotError("weight matrix must have a zero diagonal")
+    w.setflags(write=False)
+    return w
 
 
-def _as_snapshot(g):
-    return g if isinstance(g, GraphSnapshot) else GraphSnapshot(g)
-
-
-def laplacian(g):
-    """Weighted Laplacian L = D - A of a snapshot (or raw weight matrix).
+def laplacian(w):
+    """Weighted Laplacian L = D - A of a weight matrix.
 
     Valid for signed weights as well; L stays symmetric with L @ 1 = 0.
     """
-    snap = _as_snapshot(g)
-    w = snap.weights
+    w = _checked_weights(w)
     return np.diag(w.sum(axis=1)) - w
 
 
@@ -106,25 +92,13 @@ class IncidenceMatrix:
     entries: np.ndarray
     edge_order: tuple
 
-    @property
-    def node_count(self):
-        return self.entries.shape[0]
 
-    @property
-    def edge_count(self):
-        return self.entries.shape[1]
-
-
-def incidence(g):
-    """Build the weighted incidence matrix H of a nonnegative snapshot."""
-    snap = _as_snapshot(g)
-    w = snap.weights
+def incidence(w):
+    """Build the weighted incidence matrix H of a nonnegative weight matrix."""
+    w = _checked_weights(w)
     if np.any(w < 0.0):
-        raise SignedGraphError(
-            "incidence factorization needs nonnegative weights; "
-            "use sqrt_laplacian_factor for signed graphs"
-        )
-    n = snap.node_count
+        raise SignedGraphError("incidence factorization needs nonnegative weights")
+    n = w.shape[0]
     rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
     edge = np.arange(rows.size)
     root = np.sqrt(w[rows, cols])
@@ -132,32 +106,6 @@ def incidence(g):
     h[rows, edge] = -root
     h[cols, edge] = root
     return IncidenceMatrix(entries=h, edge_order=tuple(edge_pairs(n)))
-
-
-def sqrt_laplacian_factor(matrix, tol=None):
-    """Symmetric PSD square root S of a symmetric PSD matrix, S @ S = matrix.
-
-    Intended for Laplacians of signed graphs under the assumption that the
-    positive links dominate.  Eigenvalues inside [-tol, 0) are clamped to 0;
-    an eigenvalue below -tol raises NegativeLinkError with the eigenvalue.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix must be symmetric")
-    if tol is None:
-        tol = 1e-9 * m.shape[0] * scale
-    lam, q = np.linalg.eigh((m + m.T) / 2.0)
-    if lam[0] < -tol:
-        raise NegativeLinkError(
-            f"matrix has eigenvalue {lam[0]:.6e} below -{tol:.1e}; "
-            "Negative-Link Assumption violated",
-            eigenvalue=float(lam[0]),
-        )
-    s = (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
-    return (s + s.T) / 2.0
 
 
 class Segment(NamedTuple):
@@ -178,8 +126,7 @@ class WeightSchedule:
         segs = []
         for raw in segments:
             t0, t1, w = raw
-            snap = _as_snapshot(w)
-            segs.append(Segment(float(t0), float(t1), snap.weights))
+            segs.append(Segment(float(t0), float(t1), _checked_weights(w)))
         if not segs:
             raise ConfigurationError("schedule needs at least one segment")
         n = segs[0].weights.shape[0]
@@ -212,6 +159,7 @@ class WeightSchedule:
         self.period = self.horizon if self.periodic else None
         self._starts = [s.t_start for s in segs]
         self._spectra = {}
+        self._incidences = {}
         self._last_gramian = None  # kept by observability.gramian
 
     def __len__(self):
@@ -245,6 +193,18 @@ class WeightSchedule:
             pair = self._spectra[k] = (lam, q)
         return pair
 
+    def incidence(self, k):
+        """Entries of segment k's incidence matrix H_k, with H_k H_k' = L_k.
+
+        Computed on first use and cached read-only on the schedule, like
+        :meth:`spectrum`; edge signals and reconstruction share it.
+        """
+        h = self._incidences.get(k)
+        if h is None:
+            h = self._incidences[k] = incidence(self.segments[k].weights).entries
+            h.setflags(write=False)
+        return h
+
     def _local_index(self, tau):
         idx = bisect.bisect_right(self._starts, tau) - 1
         return min(max(idx, 0), len(self.segments) - 1)
@@ -265,12 +225,6 @@ class WeightSchedule:
             raise HorizonError(f"time {t} exceeds the horizon {self.horizon}")
         return self._local_index(min(t, self.horizon))
 
-    def weights_at(self, t):
-        return self.segments[self.segment_index_at(t)].weights
-
-    def snapshot_at(self, t):
-        return GraphSnapshot(self.weights_at(t))
-
     def pieces(self, t0, t1):
         """Split [t0, t1] at segment boundaries.
 
@@ -287,38 +241,30 @@ class WeightSchedule:
         if t0 < -tiny:
             raise HorizonError(f"window start {t0} is before the schedule start")
         t0 = max(t0, 0.0)
+        if not self.periodic:
+            tol = 1e-9 * max(1.0, self.horizon)
+            if t1 > self.horizon + tol:
+                raise HorizonError(
+                    f"window [{t0}, {t1}] leaves the horizon {self.horizon} of a non-periodic schedule"
+                )
+            # t0 <= t1 <= horizon: the walk below stops at the horizon, never wrapping
+            t1 = min(t1, self.horizon)
+        p = self.horizon
+        k0, tau = divmod(t0, p)
+        idx = self._local_index(tau)
+        abs_end = k0 * p + self.segments[idx].t_end
         out = []
-        if self.periodic:
-            p = self.period
-            k0, tau = divmod(t0, p)
-            idx = self._local_index(tau)
-            abs_end = k0 * p + self.segments[idx].t_end
-            t = t0
-            while t < t1 - tiny:
-                tb = min(abs_end, t1)
-                if tb > t + tiny:
-                    out.append((t, tb, idx))
-                t = tb
-                idx += 1
-                if idx == len(self.segments):
-                    idx = 0
-                    k0 += 1
-                abs_end = k0 * p + self.segments[idx].t_end
-            return out
-        tol = 1e-9 * max(1.0, self.horizon)
-        if t1 > self.horizon + tol:
-            raise HorizonError(
-                f"window [{t0}, {t1}] leaves the horizon {self.horizon} of a non-periodic schedule"
-            )
-        t1 = min(t1, self.horizon)
-        idx = self._local_index(t0)
         t = t0
         while t < t1 - tiny:
-            tb = min(self.segments[idx].t_end, t1)
+            tb = min(abs_end, t1)
             if tb > t + tiny:
                 out.append((t, tb, idx))
             t = tb
-            idx = min(idx + 1, len(self.segments) - 1)
+            idx += 1
+            if idx == len(self.segments):
+                idx = 0
+                k0 += 1
+            abs_end = k0 * p + self.segments[idx].t_end
         return out
 
 
@@ -438,7 +384,7 @@ def window_starts(sched, window_length, stride):
     if window_length < 0.0:
         raise ValueError("window length must be nonnegative")
     bounds = [seg.t_start for seg in sched.segments] + [sched.horizon]
-    tol = 1e-9 * max(1.0, stride)
+    tol = 1e-9 * max(1.0, sched.horizon)
     if sched.periodic:
         p = sched.period
         vals = list(np.arange(0.0, p, stride))

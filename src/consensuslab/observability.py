@@ -18,7 +18,6 @@ from .graph import (
     _laplacians,
     _window_integrals,
     edge_pairs,
-    incidence,
     negative_link_assumption_holds,
     window_starts,
 )
@@ -107,24 +106,17 @@ def edge_signals(traj, sched):
     if traj.node_count != sched.node_count:
         raise ConfigurationError("trajectory and schedule node counts differ")
     pairs = tuple(edge_pairs(sched.node_count))
-    h_cache = {}
-
-    def h_for(k):
-        if k not in h_cache:
-            h_cache[k] = incidence(sched.segments[k].weights).entries
-        return h_cache[k]
-
     times = traj.sample_times
     tol = _grid_tolerance(times)
     pieces = sched.pieces(times[0], times[-1])
     if not pieces:
         k = sched.segment_index_at(times[0])
-        return EdgeSignalTrace(times.copy(), traj.states @ h_for(k), pairs)
+        return EdgeSignalTrace(times.copy(), traj.states @ sched.incidence(k), pairs)
     out_t, out_z = [], []
     for ta, tb, k in pieces:
         lo, hi = _rows_within(times, ta, tb, tol)
         out_t.append(times[lo:hi])
-        out_z.append(traj.states[lo:hi] @ h_for(k))
+        out_z.append(traj.states[lo:hi] @ sched.incidence(k))
     return EdgeSignalTrace(np.concatenate(out_t), np.vstack(out_z), pairs)
 
 
@@ -137,10 +129,6 @@ class ObservabilityGramian:
     entries: np.ndarray
     lambda_min: float
     lambda_max: float
-
-    @property
-    def window(self):
-        return (self.start, self.start + self.delta)
 
 
 def _projected_flow(lam, q, h):
@@ -315,7 +303,6 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
     corr = np.zeros(n)
     phi = np.eye(n)
-    h_cache = {}
     for ta, tb, k in sched.pieces(s, s + delta):
         lo, hi = _piece_node_rows(times, ta, tb, tol)
         if hi - lo < 2:
@@ -330,9 +317,7 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
         sub_t = times[lo:hi].copy()
         sub_t[0], sub_t[-1] = ta, tb
         lam, q = sched.spectrum(k)
-        if k not in h_cache:
-            h_cache[k] = incidence(sched.segments[k].weights).entries
-        v = z.signals[lo:hi] @ h_cache[k].T  # rows: D(t_j) z~(t_j), all in 1-perp
+        v = z.signals[lo:hi] @ sched.incidence(k).T  # rows: D(t_j) z~(t_j), all in 1-perp
         p = q - q.mean(axis=0)
         # rows: e^{-(L+J) tau_j} v_j, which is _disagreement_flow(tau_j) v_j
         flowed = (np.exp(-lam * (sub_t - ta)[:, None]) * (v @ p)) @ p.T

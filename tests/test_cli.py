@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shutil
@@ -67,6 +68,25 @@ def test_same_seed_byte_identical(tmp_path):
     _, t1 = run_scenario("k2_constant", tmp_path, out_name="t1")
     _, t2 = run_scenario("k2_constant", tmp_path, out_name="t2")
     assert (t1 / "trajectory.csv").read_bytes() == (t2 / "trajectory.csv").read_bytes()
+
+
+def test_robustness_c_bound_is_the_measured_supremum(tmp_path):
+    code, out = run_scenario("robust_noise", tmp_path)
+    assert code == 0
+    report = json.loads((out / "robustness.json").read_text())
+    assert report["C_bound"] == report["sup_error"] == max(report["errors"])
+
+
+def test_package_exports_exactly_the_submodule_names():
+    from consensuslab import analysis, dynamics, errors, graph, observability
+
+    exported = {name for name, value in vars(consensuslab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    expected = set().union(*(m.__all__ for m in (graph, dynamics, observability, analysis)))
+    expected |= {name for name, value in vars(errors).items()
+                 if isinstance(value, type) and issubclass(value, Exception)}
+    assert exported == expected
+    assert len(exported) == 50
 
 
 def _valid_scenario():

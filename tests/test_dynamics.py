@@ -12,7 +12,6 @@ from consensuslab import (
     project,
     read_trajectory_csv,
     simulate,
-    sqrt_laplacian_factor,
     transition_matrix,
 )
 from helpers import (
@@ -196,9 +195,6 @@ class TestProjectedSystem:
             [(0.0, 1.0, weights(3, (0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.4)))]
         )
         target = laplacian(sched.segments[0].weights) + np.ones((3, 3)) / 3
-        d = sqrt_laplacian_factor(target)
-        assert d.shape == (3, 3)
-        assert np.abs(d @ d.T - target).max() < 1e-10
         assert np.abs(target + _projected_drift(sched, 0)).max() < 1e-10
 
     def test_spectrum_is_cached_and_read_only(self):

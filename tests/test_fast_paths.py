@@ -553,6 +553,31 @@ def test_reconstruct_task_builds_its_gramian_once(tmp_path, monkeypatch):
                                                          2.0, 4.0).lambda_min
 
 
+def test_two_reconstructions_build_each_incidence_once(tmp_path, monkeypatch):
+    built, traces = [], []
+    build, extract = graph.incidence, observability.edge_signals
+
+    def counted_incidence(w):
+        built.append(id(w))  # segment weights live as long as the run's schedule
+        return build(w)
+
+    def counted_signals(traj, sched):
+        traces.append(sched)
+        return extract(traj, sched)
+
+    monkeypatch.setattr(graph, "incidence", counted_incidence)
+    # count builds made through observability's own namespace as well
+    monkeypatch.setattr(observability, "incidence", counted_incidence, raising=False)
+    monkeypatch.setattr(observability, "edge_signals", counted_signals)
+    data = json.loads((SCENARIOS / "five_node_reconstruct.json").read_text())
+    data["tasks"].append({"task": "reconstruct", "start": 1.0, "delta": 4.0})
+    path = tmp_path / "rec2.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert built and len(built) == len(set(built))
+    assert len(traces) == 1
+
+
 def test_json_report_encodes_numpy_bools_and_refuses_other_objects(tmp_path):
     _write_json(tmp_path / "b.json", {"flag": np.bool_(True), "flags": np.array([False, True]),
                                       "scalar": np.array(2.5)})

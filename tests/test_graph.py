@@ -5,7 +5,6 @@ from consensuslab import (
     ConfigurationError,
     HorizonError,
     InvalidSnapshotError,
-    NegativeLinkError,
     SignedGraphError,
     WeightSchedule,
     check_joint_connectivity,
@@ -19,10 +18,11 @@ from consensuslab import (
     negative_link_assumption_holds,
     save_schedule,
     schedule_from_dict,
-    sqrt_laplacian_factor,
+    window_starts,
 )
 from helpers import (
     alternating_schedule,
+    five_node_schedule,
     isolated_schedule,
     k2_schedule,
     k3_schedule,
@@ -80,7 +80,7 @@ class TestIncidence:
         assert np.abs(h.entries @ h.entries.T - laplacian(w)).max() < 1e-15
 
     def test_negative_weight_redirects(self):
-        with pytest.raises(SignedGraphError, match="sqrt_laplacian_factor"):
+        with pytest.raises(SignedGraphError, match="nonnegative weights"):
             incidence(weights(2, (0, 1, -1.0)))
 
     def test_factorization_and_connectivity_on_random_graphs(self):
@@ -96,31 +96,6 @@ class TestIncidence:
             assert eigs[0] > -1e-12 * n * bound
             # lambda2 > 0 exactly when the positive-edge graph is connected
             assert (lambda2(lap) > 1e-9) == union_find_connected(n, w)
-
-
-class TestSqrtFactor:
-    def test_zero_matrix(self):
-        assert np.array_equal(sqrt_laplacian_factor(np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_k2(self):
-        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        s = sqrt_laplacian_factor(lap)
-        assert np.abs(s @ s - lap).max() < 1e-12
-        assert np.allclose(np.linalg.eigvalsh(s), [0.0, np.sqrt(2.0)])
-
-    def test_signed_triangle(self):
-        lap = laplacian(weights(3, (0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.4)))
-        s = sqrt_laplacian_factor(lap)
-        assert np.abs(s @ s - lap).max() < 1e-10 * 3
-        assert np.allclose(
-            np.linalg.eigvalsh(s), [0.0, np.sqrt(0.2), np.sqrt(3.0)], atol=1e-9
-        )
-
-    def test_indefinite_matrix_refused(self):
-        lap = laplacian(weights(2, (0, 1, -1.0)))  # eigenvalues {0, -2}
-        with pytest.raises(NegativeLinkError) as err:
-            sqrt_laplacian_factor(lap)
-        assert err.value.eigenvalue == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestIntegration:
@@ -195,6 +170,19 @@ class TestJointConnectivity:
         for delta in (1.0, 0.5, 0.1, 0.01):
             assert check_joint_connectivity(sched, delta, 2.0, 0.25).connected
 
+    def test_large_stride_keeps_every_kink_start(self):
+        # edge (1,2) is on during [0, 0.05) of each period 2 and edge (2,3)
+        # always: every window of length 1.92 starting in (0.01, 0.12) misses
+        # (1,2); the kink starts 0.05 and 0.08 must survive any stride
+        sched = WeightSchedule([(0.0, 0.05, weights(3, (0, 1, 1.0), (1, 2, 1.0))),
+                                (0.05, 2.0, weights(3, (1, 2, 1.0)))], periodic=True)
+        for stride in (0.01, 1.0, 1e6, 1e8):
+            starts = window_starts(sched, 1.92, stride)
+            assert all(min(abs(s - kink) for s in starts) < 1e-12 for kink in (0.05, 0.08))
+            cert = check_joint_connectivity(sched, 0.04, 1.92, stride)
+            assert cert.verdict == "not_connected"
+            assert cert.counterexample_window == (0.02 if stride == 0.01 else 0.05)
+
     def test_window_longer_than_horizon(self):
         with pytest.raises(HorizonError):
             check_joint_connectivity(k2_schedule(horizon=5.0), 0.1, 6.0, 1.0)
@@ -246,6 +234,34 @@ class TestWeightSchedule:
         ]
         total = sum(b - a for a, b, _ in pieces)
         assert total == pytest.approx(4.0, abs=1e-12)
+
+    def test_pieces_match_the_periodic_twin_inside_the_horizon(self):
+        # a non-periodic schedule walks [t0, t1] exactly as its periodic twin
+        # does while the window stays inside [0, horizon], and refuses to leave it
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            ends = np.cumsum(rng.uniform(0.05, 2.0, int(rng.integers(1, 6))))
+            starts = np.concatenate(([0.0], ends[:-1]))
+            segs = [(a, b, random_weights(rng, 3)) for a, b in zip(starts, ends)]
+            sched, twin = WeightSchedule(segs), WeightSchedule(segs, periodic=True)
+            h = sched.horizon
+            points = np.concatenate((rng.uniform(0.0, h, 8), starts, [h]))
+            for _ in range(20):
+                t0, t1 = sorted(rng.choice(points, 2))
+                assert sched.pieces(t0, t1) == twin.pieces(t0, t1)
+            with pytest.raises(HorizonError):
+                sched.pieces(rng.uniform(0.0, h), h + 1e-6 * max(1.0, h))
+            with pytest.raises(HorizonError):
+                sched.pieces(h + 1.0, h + 2.0)
+
+    def test_incidence_is_cached_and_read_only(self):
+        sched = five_node_schedule()
+        for k, seg in enumerate(sched.segments):
+            h = sched.incidence(k)
+            assert sched.incidence(k) is h
+            assert np.array_equal(h, incidence(seg.weights).entries)
+            with pytest.raises(ValueError):
+                h[0, 0] = 1.0
 
     def test_right_continuous_lookup(self):
         sched = alternating_schedule()
