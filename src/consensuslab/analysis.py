@@ -133,8 +133,8 @@ def robustness_report(sched, noise, t_end, sample_dt=0.05, consensus_value=0.0):
     )
 
 
-def signed_convergence_check(sched, x0, delta, T, stride=None, t_end=60.0,
-                             sample_dt=0.02, skip_time=None, fit_dt=None):
+def signed_convergence_check(sched, x0, delta, T, *, t_end=60.0, sample_dt=0.02,
+                             skip_time=None, fit_dt=None):
     """Simulate a signed schedule and fit its consensus rate.
 
     Refuses unless the Negative-Link Assumption holds (reporting the worst
@@ -144,7 +144,7 @@ def signed_convergence_check(sched, x0, delta, T, stride=None, t_end=60.0,
     flagged: it indicates a run too short to fit.
     """
     negative_link_assumption_holds(sched).require()
-    cert = check_joint_connectivity(sched, delta, T, stride if stride is not None else T / 4.0)
+    cert = check_joint_connectivity(sched, delta, T)
     if not cert.connected:
         raise ConfigurationError(
             f"schedule is not jointly ({delta}, {T})-connected; "

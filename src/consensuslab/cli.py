@@ -13,7 +13,6 @@ import argparse
 import difflib
 import json
 import os
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -25,6 +24,9 @@ from .errors import ConsensusLabError, ScenarioError
 
 OUTPUT_DIR_ENV = "CONSENSUSLAB_OUTPUT_DIR"
 
+# still accepted on connectivity and bounds, so that older scenarios validate
+STRIDE_DOC = "ignored: the window starts follow from the schedule"
+
 # task name -> (required params, optional params with defaults, summary)
 TASKS = {
     "simulate": (
@@ -35,13 +37,13 @@ TASKS = {
     ),
     "connectivity": (
         {"delta": "minimum per-edge window integral", "T": "window length"},
-        {"stride": ("window start stride", "T / 8")},
-        "certify joint (delta, T)-connectivity and write certificate.json",
+        {"stride": (STRIDE_DOC, None)},
+        "certify joint (delta, T)-connectivity over all window starts, certificate.json",
     ),
     "bounds": (
         {"delta": "observation window length"},
-        {"stride": ("window start stride", "delta / 8")},
-        "empirical uniform observability bounds alpha1/alpha2, bounds.json",
+        {"stride": (STRIDE_DOC, None)},
+        "exact uniform observability bounds alpha1/alpha2 over all starts, bounds.json",
     ),
     "gramian": (
         {"start": "window start", "delta": "window length"},
@@ -153,10 +155,8 @@ class Scenario:
         if spec is None:
             _fail("scenario is missing 'initial_state'")
         if isinstance(spec, list):
-            if len(spec) != n or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec
-            ):
-                _fail(f"'initial_state' must list {n} numbers")
+            if len(spec) != n or not all(graph._is_number(v) for v in spec):
+                _fail(f"'initial_state' must list {n} finite numbers")
             return np.asarray(spec, dtype=float)
         if not isinstance(spec, dict) or "kind" not in spec:
             _fail("'initial_state' must be a vector or an object with 'kind'")
@@ -277,56 +277,11 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# byte classes of compact JSON text (0 for every other byte)
-_OPENER, _CLOSER, _COMMA, _COLON, _QUOTE = 1, 2, 3, 4, 5
-_JSON_CLASS = np.zeros(256, dtype=np.uint8)
-_JSON_CLASS[np.frombuffer(b'{[}],:"', dtype=np.uint8)] = [
-    _OPENER, _OPENER, _CLOSER, _CLOSER, _COMMA, _COLON, _QUOTE]
-_JSON_CLASS.setflags(write=False)
-_ESCAPE = re.compile(rb"\\.", re.DOTALL)
-
-
-def _indent2(compact):
-    """The json.dumps(indent=2) layout of compact JSON bytes, plus a newline.
-
-    Escapes are masked first, then string contents by quote parity.  A
-    newline and two spaces per nesting level go after each non-empty opener
-    and each comma and before each non-empty closer, one space after each
-    colon.  Returns a uint8 array.
-    """
-    cls = _JSON_CLASS[np.frombuffer(_ESCAPE.sub(b"..", compact), dtype=np.uint8)]
-    quote = cls == _QUOTE
-    cls[np.logical_xor.accumulate(quote) | quote] = 0
-    at = np.flatnonzero(cls).astype(np.int32)
-    kind = cls[at]
-    opener, closer = kind == _OPENER, kind == _CLOSER
-    depth = np.cumsum(opener, dtype=np.int32) - np.cumsum(closer, dtype=np.int32)
-    breaks = 1 + 2 * depth  # a newline and the indent of the depth after the token
-    # an opener directly followed by a closer is an empty [] or {}, kept as is
-    empty = np.zeros(at.size + 1, dtype=bool)
-    empty[1:-1] = opener[:-1] & closer[1:] & (np.diff(at) == 1)
-    after_break = (opener & ~empty[1:]) | (kind == _COMMA)
-    before_break = closer & ~empty[:-1]
-    # output position of every input byte, and of the final newline at the end
-    pos = np.ones(len(compact) + 1, dtype=np.int32)
-    pos[0] = 0
-    pos[at + 1] += np.where(after_break, breaks, kind == _COLON)
-    pos[at] += np.where(before_break, breaks, 0)
-    np.cumsum(pos, out=pos)
-    out = np.full(pos[-1] + 1, ord(" "), dtype=np.uint8)  # inserted bytes: spaces...
-    out[pos[:-1]] = np.frombuffer(compact, dtype=np.uint8)
-    out[pos[at[after_break]] + 1] = ord("\n")  # ...each break led by a newline
-    out[pos[at[before_break]] - breaks[before_break]] = ord("\n")
-    out[-1] = ord("\n")
-    return out
-
-
 def _write_json(path, payload):
-    """Write payload as json.dump(indent=2, sort_keys=True) would, plus a newline."""
-    compact = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_numpy_to_json)
-    out = _indent2(compact.encode("ascii"))
-    with open(path, "wb") as fh:
-        fh.write(out)
+    """Write payload as sorted-key, 2-space-indented JSON plus a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_json)
+        fh.write("\n")
 
 
 class _Runner:
@@ -397,15 +352,11 @@ class _Runner:
         self.artifacts.append("trajectory.csv")
 
     def task_connectivity(self, delta, T, stride=None):
-        cert = graph.check_joint_connectivity(
-            self.scenario.schedule, delta, T, stride if stride is not None else T / 8.0
-        )
+        cert = graph.check_joint_connectivity(self.scenario.schedule, delta, T)
         self.emit_json("certificate.json", cert.as_dict())
 
     def task_bounds(self, delta, stride=None):
-        bounds = observability.uniform_bounds_check(
-            self.scenario.schedule, delta, stride if stride is not None else delta / 8.0
-        )
+        bounds = observability.uniform_bounds_check(self.scenario.schedule, delta)
         self.emit_json("bounds.json", {
             "delta": delta,
             "alpha1": bounds.alpha1,

@@ -370,39 +370,28 @@ def _dedupe_sorted(values, tol):
     return out
 
 
-def window_starts(sched, window_length, stride):
-    """Candidate window starts for checks quantified over all s >= 0.
+def window_starts(sched, window_length):
+    """Kink starts of the windows [s, s + window_length] over all s >= 0.
 
-    Per-edge window integrals are piecewise linear in s with kinks only
-    where s or s + window_length crosses a segment boundary, so extrema sit
-    at boundary-aligned starts; a stride grid is added on top.  Periodic
-    schedules are covered exactly by one period of starts; for non-periodic
-    schedules the result is a grid-limited sample of [0, horizon - T].
+    These are the starts s where s or s + window_length meets a segment
+    boundary; between two consecutive kinks every per-edge window integral
+    is affine in s.  Periodic schedules give one period of kinks, the
+    others the kinks in [0, horizon - window_length], both ends included.
     """
-    if stride <= 0.0:
-        raise ValueError("stride must be positive")
     if window_length < 0.0:
         raise ValueError("window length must be nonnegative")
     bounds = [seg.t_start for seg in sched.segments] + [sched.horizon]
     tol = 1e-9 * max(1.0, sched.horizon)
+    vals = bounds + [b - window_length for b in bounds]
     if sched.periodic:
         p = sched.period
-        vals = list(np.arange(0.0, p, stride))
-        vals += [b for b in bounds if b < p]
-        vals += [(b - window_length) % p for b in bounds]
-        vals = [v if v < p - tol else 0.0 for v in vals]
-        return _dedupe_sorted(vals, tol)
+        vals = [v % p for v in vals]
+        return _dedupe_sorted([v if v < p - tol else 0.0 for v in vals], tol)
     s_max = sched.horizon - window_length
     if s_max < -tol:
-        raise HorizonError(
-            f"window length {window_length} exceeds the horizon {sched.horizon}"
-        )
+        raise HorizonError(f"window length {window_length} exceeds the horizon {sched.horizon}")
     s_max = max(s_max, 0.0)
-    vals = list(np.arange(0.0, s_max, stride)) + [s_max]
-    vals += [b for b in bounds if 0.0 <= b <= s_max + tol]
-    vals += [b - window_length for b in bounds if -tol <= b - window_length <= s_max + tol]
-    vals = [min(max(v, 0.0), s_max) for v in vals]
-    return _dedupe_sorted(vals, tol)
+    return _dedupe_sorted([min(max(v, 0.0), s_max) for v in vals], tol)
 
 
 @dataclass(frozen=True)
@@ -452,55 +441,73 @@ class ConnectivityCertificate:
         }
 
 
-def check_joint_connectivity(sched, delta, T, window_stride):
+def _deciding_windows(sched, delta, T):
+    """Yield (starts, masks) blocks of the windows whose threshold graphs
+    decide joint (delta, T)-connectivity for all s >= 0.
+
+    On the interval [a, b] between consecutive kinks an edge integral is
+    I_e(a) + f (I_e(b) - I_e(a)) at the start a + f (b - a), so its test
+    I_e >= delta flips at most once, at its delta-crossing.  The crossings
+    cut [a, b] into pieces of constant threshold graph, and the window at
+    each piece's midpoint stands for its piece.  The test is closed and I_e
+    continuous, so the graph at a kink or a crossing holds every edge of
+    the pieces on both sides and needs no window of its own.  Each block
+    has at most max(1, _BLOCK_ENTRIES // N^2) windows.
+    """
+    kinks = window_starts(sched, T)
+    if sched.periodic:  # the last interval ends at the period, whose integrals are those at 0
+        left, right, ends = kinks, kinks[1:] + kinks[:1], kinks[1:] + [sched.period]
+    else:  # a lone kink (T equal to the horizon) is an interval of one point
+        left, right, ends = kinks[:-1] or kinks, kinks[1:] or kinks, kinks[1:] or kinks
+    rows, cols = np.triu_indices(sched.node_count, 1)
+    block = max(1, _BLOCK_ENTRIES // sched.node_count ** 2)
+    scans = zip(_window_integrals(sched, left, T), _window_integrals(sched, right, T))
+    for (lo, at_a), (_, at_b) in scans:
+        ia = at_a[:, rows, cols]
+        slope = at_b[:, rows, cols] - ia
+        a = np.array(left[lo:lo + len(ia)])
+        span = np.array(ends[lo:lo + len(ia)]) - a
+        cross = np.divide(delta - ia, slope, out=np.ones_like(slope), where=slope != 0.0)
+        # per interval: 0, the crossing fractions in ascending order, 1
+        cuts = np.pad(np.sort(cross.clip(0.0, 1.0), axis=1), ((0, 0), (1, 1)),
+                      constant_values=(0.0, 1.0))
+        r, c = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+        mid = (cuts[r, c] + cuts[r, c + 1]) / 2.0
+        for k in range(0, len(mid), block):
+            rr, f = r[k:k + block], mid[k:k + block]
+            yield a[rr] + f * span[rr], ia[rr] + f[:, None] * slope[rr] >= delta
+
+
+def check_joint_connectivity(sched, delta, T):
     """Certify joint (delta, T)-connectivity of a weight schedule.
 
-    For each candidate window start s the edges with
-    int_s^{s+T} a_ij dt >= delta form the threshold graph; connectivity of
-    that graph is decided exactly by union-find, with the algebraic
-    connectivity of its unweighted Laplacian reported as evidence.  Window
-    starts come from :func:`window_starts`; for periodic schedules one
-    period of starts covers all s >= 0, otherwise the check is documented
-    as grid-limited.  Windows are integrated in stacked blocks (see
-    :func:`_window_integrals`) and keyed by their threshold graph: only the
-    first window with a given graph has its Laplacian spectrum computed
-    (one stacked call per block) and its components found; later windows
-    reuse that evidence.
+    The edges with int_s^{s+T} a_ij dt >= delta form the threshold graph of
+    the window start s.  The certificate lists the windows of
+    :func:`_deciding_windows`, one per piece of constant threshold graph,
+    so its verdict holds for every s >= 0.  Connectivity is decided exactly
+    by union-find, with the algebraic connectivity of the unweighted
+    threshold Laplacian reported as evidence (one stacked call per block).
     """
     if delta <= 0.0 or T <= 0.0:
         raise ValueError("delta and T must be positive")
     n = sched.node_count
     pairs = edge_pairs(n)
     rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
-    starts = window_starts(sched, T, window_stride)
-    graphs = {}  # threshold-mask bytes -> (edges, lambda2, connected)
     evidence = []
     counterexample = None
-    for lo, acc in _window_integrals(sched, starts, T):
-        mask = acc[:, rows, cols] >= delta
-        keys = [m.tobytes() for m in mask]
-        first = {}  # threshold graphs first seen in this block -> their row
-        for r, key in enumerate(keys):
-            if key not in graphs:
-                first.setdefault(key, r)
-        if first:
-            fresh = mask[list(first.values())]
-            thresh = np.zeros((len(first), n, n))
-            thresh[:, rows, cols] = fresh
-            thresh[:, cols, rows] = fresh
-            lap = _laplacians(thresh)
-            assert np.array_equal(lap, lap.transpose(0, 2, 1)), "threshold Laplacians must be symmetric"
-            lam2 = np.linalg.eigvalsh(lap)[:, 1].tolist()
-            for key, m, l2 in zip(first, fresh, lam2):
-                edges = tuple(pairs[e] for e in np.flatnonzero(m).tolist())
-                graphs[key] = (edges, l2, _components_connected(n, edges))
-        for s, key in zip(starts[lo:lo + len(acc)], keys):
-            edges, l2, connected = graphs[key]
-            evidence.append(
-                WindowEvidence(start=float(s), edges=edges, lambda2=l2, connected=connected)
-            )
+    for starts, mask in _deciding_windows(sched, delta, T):
+        thresh = np.zeros((len(mask), n, n))
+        thresh[:, rows, cols] = mask
+        thresh[:, cols, rows] = mask
+        lap = _laplacians(thresh)
+        assert np.array_equal(lap, lap.transpose(0, 2, 1)), "threshold Laplacians must be symmetric"
+        lam2 = np.linalg.eigvalsh(lap)[:, 1].tolist()
+        for s, m, l2 in zip(starts.tolist(), mask, lam2):
+            edges = tuple(pairs[e] for e in np.flatnonzero(m).tolist())
+            connected = _components_connected(n, edges)
+            evidence.append(WindowEvidence(start=s, edges=edges, lambda2=l2, connected=connected))
             if not connected and counterexample is None:
-                counterexample = float(s)
+                counterexample = s
     verdict = "connected" if counterexample is None else "not_connected"
     return ConnectivityCertificate(
         delta=float(delta),

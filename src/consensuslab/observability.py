@@ -193,21 +193,21 @@ class UniformBounds:
     observable: bool
 
 
-def uniform_bounds_check(sched, delta_obs, stride, positive_tol=1e-10):
+def uniform_bounds_check(sched, delta_obs, *, positive_tol=1e-10):
     """Extremal eigenvalues of int_s^{s+delta} (L + 11'/N) dt over starts s.
 
-    The integrand needs no transition matrix and is exactly computable
-    segment-wise.  alpha1 is the minimum smallest eigenvalue over the
-    window starts of :func:`consensuslab.graph.window_starts` (the first
-    start attaining it is the worst window); the verdict flag is
-    alpha1 > positive_tol.  Windows are integrated and their spectra
-    computed in stacked blocks.
+    The integral is exact segment-wise and affine in s between the kinks
+    of :func:`consensuslab.graph.window_starts`, where its smallest
+    eigenvalue is concave and its largest convex: alpha1 and alpha2 over
+    the kinks alone are the extremes over all s >= 0 (the first kink
+    attaining alpha1 is the worst window).  The verdict flag is
+    alpha1 > positive_tol.  Windows go through stacked blocks.
     """
     if delta_obs <= 0.0:
         raise ValueError("delta_obs must be positive")
     n = sched.node_count
     shift = delta_obs * (np.ones((n, n)) / n)
-    starts = window_starts(sched, delta_obs, stride)
+    starts = window_starts(sched, delta_obs)
     alpha1 = np.inf
     alpha2 = -np.inf
     worst = 0.0

@@ -6,14 +6,12 @@ import numpy as np
 
 from consensuslab import UniformBounds, WeightSchedule
 from consensuslab.graph import (
-    ConnectivityCertificate,
     WindowEvidence,
     edge_pairs,
     integrated_laplacian,
     integrated_weights,
     lambda2,
     laplacian,
-    window_starts,
 )
 
 
@@ -107,6 +105,53 @@ def random_periodic_schedule(rng, n=None, segments=2, bound=1.0, density=0.5,
             w[:, 0] = 0.0
         segs.append((float(k), float(k + 1), w))
     return WeightSchedule(segs, periodic=True, weight_bound=bound)
+
+
+def quarter_grid_schedule(n, quarters, weight_codes, periodic):
+    """Schedule whose segment k lasts quarters[k] / 4 and gives edge e of
+    edge_pairs(n) the integer weight weight_codes[k][e].
+
+    With a window length on the same quarter grid, every window integral
+    at a kink is a multiple of 1/4 and changes at an integer rate between
+    kinks, so for delta an odd multiple of 1/16 every delta-crossing lies
+    on the grid of multiples of 1/96.
+    """
+    ends = np.cumsum(quarters) / 4.0
+    segments = []
+    for t0, t1, codes in zip(np.concatenate(([0.0], ends[:-1])), ends, weight_codes):
+        w = np.zeros((n, n))
+        for (i, j), code in zip(edge_pairs(n), codes):
+            w[i, j] = w[j, i] = float(code)
+        segments.append((t0, t1, w))
+    return WeightSchedule(segments, periodic=periodic, weight_bound=3.0)
+
+
+def quarter_grid_cases():
+    """Hypothesis strategy of (schedule, T, delta): a quarter_grid_schedule
+    of 3-5 nodes and 2-5 segments, periodic or not, a window length T on the
+    quarter grid and delta an odd multiple of 1/16."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        n, count = draw(st.integers(3, 5)), draw(st.integers(2, 5))
+        quarters = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+        codes = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2)
+        weight_codes = draw(st.lists(codes, min_size=count, max_size=count))
+        periodic = draw(st.booleans())
+        T = draw(st.integers(1, sum(quarters) * (2 if periodic else 1))) / 4.0
+        delta = (2 * draw(st.integers(0, int(12 * T))) + 1) / 16.0
+        return quarter_grid_schedule(n, quarters, weight_codes, periodic), T, delta
+
+    return cases()
+
+
+def dense_starts(sched, T):
+    """0 and the odd multiples of 1/192 over one period, or over
+    [0, horizon - T]: a start inside every gap of the 1/96 grid."""
+    span = sched.period if sched.periodic else sched.horizon - T
+    return np.concatenate(([0.0], (2 * np.arange(round(96 * span)) + 1) / 192.0))
 
 
 def union_find_connected(n, weight_matrix, threshold=0.0):
@@ -225,36 +270,44 @@ def reference_incidence(w):
     return h
 
 
-def reference_connectivity(sched, delta, T, window_stride):
-    """The per-window certificate: one integral, threshold graph, union-find
-    and lambda2 call per window start."""
+def scan_starts(sched, T, count=401):
+    """``count`` evenly spaced window starts over one period, or over
+    [0, horizon - T] of a non-periodic schedule (ends included)."""
+    if sched.periodic:
+        return np.linspace(0.0, sched.period, count, endpoint=False)
+    return np.linspace(0.0, sched.horizon - T, count)
+
+
+def reference_window(sched, delta, T, s):
+    """Evidence of the window [s, s + T], recomputed on its own: one
+    integral, threshold graph, union-find and lambda2 call."""
     n = sched.node_count
-    evidence = []
-    counterexample = None
-    for s in window_starts(sched, T, window_stride):
-        acc = integrated_weights(sched, s, T)
-        edges = tuple((i, j) for i, j in edge_pairs(n) if acc[i, j] >= delta)
-        thresh = np.zeros((n, n))
-        for i, j in edges:
-            thresh[i, j] = thresh[j, i] = 1.0
-        connected = union_find_connected(n, thresh)
-        evidence.append(WindowEvidence(start=float(s), edges=edges,
-                                       lambda2=lambda2(laplacian(thresh)), connected=connected))
-        if not connected and counterexample is None:
-            counterexample = float(s)
-    return ConnectivityCertificate(
-        delta=float(delta), T=float(T),
-        verdict="connected" if counterexample is None else "not_connected",
-        windows=tuple(evidence), counterexample_window=counterexample,
-    )
+    acc = integrated_weights(sched, s, T)
+    edges = tuple((i, j) for i, j in edge_pairs(n) if acc[i, j] >= delta)
+    thresh = np.zeros((n, n))
+    for i, j in edges:
+        thresh[i, j] = thresh[j, i] = 1.0
+    return WindowEvidence(start=float(s), edges=edges, lambda2=lambda2(laplacian(thresh)),
+                          connected=union_find_connected(n, thresh))
 
 
-def reference_uniform_bounds(sched, delta_obs, stride, positive_tol=1e-10):
-    """alpha1/alpha2 from one eigvalsh call per window start."""
+def reference_connectivity(sched, delta, T, starts=None):
+    """Verdict of a dense scan: the threshold graph at every start of
+    ``starts`` (default :func:`scan_starts`) must be connected."""
+    n = sched.node_count
+    for s in scan_starts(sched, T) if starts is None else starts:
+        if not union_find_connected(n, integrated_weights(sched, s, T) >= delta):
+            return "not_connected"
+    return "connected"
+
+
+def reference_uniform_bounds(sched, delta_obs, starts=None, positive_tol=1e-10):
+    """alpha1/alpha2 of a dense scan, one eigvalsh call per start of
+    ``starts`` (default :func:`scan_starts`)."""
     n = sched.node_count
     shift = np.ones((n, n)) / n
     alpha1, alpha2, worst = np.inf, -np.inf, 0.0
-    for s in window_starts(sched, delta_obs, stride):
+    for s in scan_starts(sched, delta_obs) if starts is None else starts:
         eigs = np.linalg.eigvalsh(integrated_laplacian(sched, s, delta_obs) + delta_obs * shift)
         if eigs[0] < alpha1:
             alpha1, worst = float(eigs[0]), float(s)

@@ -83,8 +83,8 @@ def test_criterion_02_k2_closed_form_decay():
 def test_criterion_03_theorem1_sufficiency():
     start = time.perf_counter()
     sched = alternating_schedule()
-    cert = check_joint_connectivity(sched, 1.0, 2.0, 0.25)
-    cert_double_T = check_joint_connectivity(sched, 1.0, 4.0, 0.25)
+    cert = check_joint_connectivity(sched, 1.0, 2.0)
+    cert_double_T = check_joint_connectivity(sched, 1.0, 4.0)
     rng = np.random.default_rng(20260601)
     traj = simulate(sched, rng.standard_normal(3), 40.0, 0.02)
     fit = fit_exponential_rate(traj, skip_time=2.0, fit_dt=2.0)
@@ -103,7 +103,7 @@ def test_criterion_04_theorem1_necessity():
     traj = simulate(sched, [0.0, 0.0, 1.0], 100.0, 0.1)
     errors = consensus_error(traj)
     floor_ratio = float((errors / errors[0]).min())
-    bounds = uniform_bounds_check(sched, 20.0, 2.0)
+    bounds = uniform_bounds_check(sched, 20.0)
     elapsed = time.perf_counter() - start
     ok = floor_ratio >= 0.9 and bounds.alpha1 < 1e-10
     _report(4, ok and elapsed < 5.0,

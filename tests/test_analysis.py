@@ -154,7 +154,7 @@ class TestNecessityDeskForm:
             from consensuslab import check_joint_connectivity
 
             for T in (5.0, 20.0):
-                assert not check_joint_connectivity(sched, 0.01, T, 0.5).connected
+                assert not check_joint_connectivity(sched, 0.01, T).connected
             x0 = rng.standard_normal(4)
             traj = simulate(sched, x0, 40.0, 0.05)
             fit = fit_exponential_rate(traj, fit_dt=2.0)
@@ -167,6 +167,10 @@ class TestSignedConvergence:
             signed_triangle_symmetric(), [1.0, 0.0, -1.0], delta=0.5, T=5.0
         )
         assert fit.alpha == pytest.approx(0.2, abs=1e-6)
+
+    def test_run_settings_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            signed_convergence_check(signed_triangle_symmetric(), [1.0, 0.0, -1.0], 0.5, 5.0, 60.0)
 
     def test_consensus_start_stays(self):
         traj = simulate(signed_triangle_symmetric(), np.full(3, 1.0), 10.0, 0.1)

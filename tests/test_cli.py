@@ -165,6 +165,10 @@ MALFORMED = [
      "'scale' must be a finite number"),
     ("string value", _set(["initial_state"], {"kind": "consensus", "value": "abc"}),
      "'value' must be a finite number"),
+    ("nan initial state entry", _set(["initial_state", 1], float("nan")),
+     "'initial_state' must list 3 finite numbers"),
+    ("infinite initial state entry", _set(["initial_state", 2], -float("inf")),
+     "'initial_state' must list 3 finite numbers"),
     ("negative B0", _set(["noise", "B0"], -1.0), "'B0' must be nonnegative"),
     ("negative noise seed", _set(["noise", "seed"], -3), "'seed' must be a nonnegative integer"),
     ("boolean scenario seed", _set(["seed"], True), "'seed' must be a nonnegative integer"),

@@ -22,11 +22,15 @@ from consensuslab import (
 )
 from helpers import (
     alternating_schedule,
+    dense_starts,
     five_node_schedule,
     isolated_schedule,
     k2_schedule,
     k3_schedule,
+    quarter_grid_cases,
     random_weights,
+    reference_connectivity,
+    reference_window,
     signed_triangle_symmetric,
     union_find_connected,
     weights,
@@ -148,44 +152,77 @@ class TestLambda2:
 
 class TestJointConnectivity:
     def test_constant_k3(self):
-        cert = check_joint_connectivity(k3_schedule(), 0.5, 1.0, 0.5)
+        cert = check_joint_connectivity(k3_schedule(), 0.5, 1.0)
         assert cert.connected
         assert cert.counterexample_window is None
         assert all(w.lambda2 > 0.5 for w in cert.windows)
 
     def test_alternating_certificate(self):
-        cert = check_joint_connectivity(alternating_schedule(), 1.0, 2.0, 0.25)
+        cert = check_joint_connectivity(alternating_schedule(), 1.0, 2.0)
         assert cert.verdict == "connected"
         # every window accrues exactly 1.0 per edge
         for w in cert.windows:
             assert set(w.edges) == {(0, 1), (1, 2)}
 
     def test_isolated_node(self):
-        cert = check_joint_connectivity(isolated_schedule(), 0.01, 20.0, 5.0)
+        cert = check_joint_connectivity(isolated_schedule(), 0.01, 20.0)
         assert cert.verdict == "not_connected"
         assert cert.counterexample_window is not None
 
     def test_monotone_in_delta(self):
         sched = alternating_schedule()
         for delta in (1.0, 0.5, 0.1, 0.01):
-            assert check_joint_connectivity(sched, delta, 2.0, 0.25).connected
+            assert check_joint_connectivity(sched, delta, 2.0).connected
 
-    def test_large_stride_keeps_every_kink_start(self):
+    def test_window_starts_keep_every_kink(self):
         # edge (1,2) is on during [0, 0.05) of each period 2 and edge (2,3)
-        # always: every window of length 1.92 starting in (0.01, 0.12) misses
-        # (1,2); the kink starts 0.05 and 0.08 must survive any stride
+        # always: every window of length 1.92 starting in (0.01, 0.12) has
+        # less than 0.04 of (1,2); the kinks 0.05 and 0.08 lie inside that run
         sched = WeightSchedule([(0.0, 0.05, weights(3, (0, 1, 1.0), (1, 2, 1.0))),
                                 (0.05, 2.0, weights(3, (1, 2, 1.0)))], periodic=True)
-        for stride in (0.01, 1.0, 1e6, 1e8):
-            starts = window_starts(sched, 1.92, stride)
-            assert all(min(abs(s - kink) for s in starts) < 1e-12 for kink in (0.05, 0.08))
-            cert = check_joint_connectivity(sched, 0.04, 1.92, stride)
-            assert cert.verdict == "not_connected"
-            assert cert.counterexample_window == (0.02 if stride == 0.01 else 0.05)
+        assert np.allclose(window_starts(sched, 1.92), [0.0, 0.05, 0.08, 0.13], rtol=0, atol=1e-12)
+        cert = check_joint_connectivity(sched, 0.04, 1.92)
+        assert cert.verdict == "not_connected"
+        assert cert.counterexample_window == pytest.approx(0.03)  # the middle of (0.01, 0.05)
+
+    @pytest.mark.parametrize("delta", [0.52, 0.51, 0.505])
+    def test_two_edges_absent_together_between_kinks(self, delta):
+        # (1,2) on [0, 1.03), (1,3) on [1.03, 2.06), (2,3) always, T = 1: on
+        # the kink interval [0.03, 1.03] the integral of (1,2) falls below
+        # delta at 1.03 - delta before the one of (1,3) rises above it at
+        # delta + 0.03, so node 1 is isolated in between; the same happens
+        # on [1.06, 2.06], the interval that wraps to the next period
+        sched = WeightSchedule([(0.0, 1.03, weights(3, (0, 1, 1.0), (1, 2, 1.0))),
+                                (1.03, 2.06, weights(3, (0, 2, 1.0), (1, 2, 1.0)))],
+                               periodic=True)
+        cert = check_joint_connectivity(sched, delta, 1.0)
+        assert cert.verdict == "not_connected" == reference_connectivity(sched, delta, 1.0)
+        first, second = [w.start for w in cert.windows if not w.connected]
+        assert cert.counterexample_window == first and 1.03 - delta < first < delta + 0.03
+        assert 2.06 - delta < second < delta + 1.06
+        for s in (first, second):
+            assert reference_window(sched, delta, 1.0, s).edges == ((1, 2),)
+
+    def test_verdict_matches_a_dense_scan(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            sched, T, delta = data.draw(quarter_grid_cases())
+            cert = check_joint_connectivity(sched, delta, T)
+            # the integrals stay 1/192 or more from delta on this scan, so
+            # no example sits on a rounding-level tie
+            assert cert.verdict == reference_connectivity(sched, delta, T, dense_starts(sched, T))
+            for w in cert.windows:
+                assert w == reference_window(sched, delta, T, w.start)
+
+        check()
 
     def test_window_longer_than_horizon(self):
         with pytest.raises(HorizonError):
-            check_joint_connectivity(k2_schedule(horizon=5.0), 0.1, 6.0, 1.0)
+            check_joint_connectivity(k2_schedule(horizon=5.0), 0.1, 6.0)
 
 
 class TestNegativeLinkAssumption:

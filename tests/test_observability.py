@@ -21,12 +21,15 @@ from consensuslab import (
 from consensuslab.observability import _simpson
 from helpers import (
     alternating_schedule,
+    dense_starts,
     empty_schedule,
     five_node_schedule,
     isolated_schedule,
     k2_schedule,
     k3_schedule,
+    quarter_grid_cases,
     random_periodic_schedule,
+    reference_uniform_bounds,
     signed_triangle_symmetric,
     weights,
 )
@@ -167,27 +170,32 @@ def test_simpson_matches_reference(n):
 
 class TestUniformBounds:
     def test_constant_k2(self):
-        ub = uniform_bounds_check(k2_schedule(), 1.0, 0.5)
+        ub = uniform_bounds_check(k2_schedule(), 1.0)
         # eigenvalues of [[1.5, -.5], [-.5, 1.5]] are {1, 2}
         assert ub.alpha1 == pytest.approx(1.0, abs=1e-12)
         assert ub.alpha2 == pytest.approx(2.0, abs=1e-12)
         assert ub.observable
 
+    def test_tolerance_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            uniform_bounds_check(k2_schedule(), 1.0, 0.5)
+        assert not uniform_bounds_check(k2_schedule(), 1.0, positive_tol=1.5).observable
+
     def test_empty_graph(self):
-        ub = uniform_bounds_check(empty_schedule(3, horizon=5.0), 1.0, 1.0)
+        ub = uniform_bounds_check(empty_schedule(3, horizon=5.0), 1.0)
         assert abs(ub.alpha1) < 1e-14
         assert ub.alpha2 == pytest.approx(1.0, abs=1e-12)
         assert not ub.observable
 
     def test_alternating_positive(self):
-        ub = uniform_bounds_check(alternating_schedule(), 2.0, 0.25)
+        ub = uniform_bounds_check(alternating_schedule(), 2.0)
         assert ub.alpha1 > 0.0
         assert ub.observable
 
     def test_doubling_weights_does_not_decrease_alpha1(self):
         for sched in (k3_schedule(), alternating_schedule()):
-            a1 = uniform_bounds_check(sched, 2.0, 0.5).alpha1
-            a2 = uniform_bounds_check(sched.scaled(2.0), 2.0, 0.5).alpha1
+            a1 = uniform_bounds_check(sched, 2.0).alpha1
+            a2 = uniform_bounds_check(sched.scaled(2.0), 2.0).alpha1
             assert a2 >= a1 - 1e-12
 
     def test_incidence_route_matches_laplacian_route(self):
@@ -210,6 +218,27 @@ class TestUniformBounds:
             assert np.abs(from_incidence - from_laplacian).max() < 1e-10
 
 
+    def test_bounds_are_the_extremes_over_every_start(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            sched, T, _ = data.draw(quarter_grid_cases())
+            bounds = uniform_bounds_check(sched, T)
+            # the quarter grid holds every kink; the dense starts lie between
+            span = sched.period if sched.periodic else sched.horizon - T + 0.125
+            at_kinks = reference_uniform_bounds(sched, T, np.arange(0.0, span, 0.25))
+            dense = reference_uniform_bounds(sched, T, dense_starts(sched, T))
+            tol = 1e-12 * max(1.0, bounds.alpha2)
+            assert abs(bounds.alpha1 - at_kinks.alpha1) <= tol
+            assert abs(bounds.alpha2 - at_kinks.alpha2) <= tol
+            assert bounds.alpha1 <= dense.alpha1 + tol and bounds.alpha2 >= dense.alpha2 - tol
+
+        check()
+
+
 class TestConnectivityObservabilityEquivalence:
     def test_alpha1_positive_iff_jointly_connected(self):
         # seeded family, half with a permanently isolated node; zero mismatches
@@ -220,9 +249,9 @@ class TestConnectivityObservabilityEquivalence:
                 rng, segments=2, density=0.55, isolate_node=(trial % 2 == 1)
             )
             period = sched.period
-            ub = uniform_bounds_check(sched, period, period / 4.0)
+            ub = uniform_bounds_check(sched, period)
             connected_somewhere = any(
-                check_joint_connectivity(sched, delta, T, period / 4.0).connected
+                check_joint_connectivity(sched, delta, T).connected
                 for T in (period, 2.0 * period)
                 for delta in (1e-3, 1e-2, 0.1)
             )
