@@ -8,6 +8,7 @@ arrays; node counts are desk scale.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -362,14 +363,6 @@ def _components_connected(node_count, edges):
     return len({find(v) for v in range(node_count)}) == 1
 
 
-def _dedupe_sorted(values, tol):
-    out = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return out
-
-
 def window_starts(sched, window_length):
     """Kink starts of the windows [s, s + window_length] over all s >= 0.
 
@@ -384,14 +377,16 @@ def window_starts(sched, window_length):
     tol = 1e-9 * max(1.0, sched.horizon)
     vals = bounds + [b - window_length for b in bounds]
     if sched.periodic:
-        p = sched.period
-        vals = [v % p for v in vals]
-        return _dedupe_sorted([v if v < p - tol else 0.0 for v in vals], tol)
-    s_max = sched.horizon - window_length
-    if s_max < -tol:
+        vals = [v % sched.period if v % sched.period < sched.period - tol else 0.0 for v in vals]
+    elif sched.horizon - window_length < -tol:
         raise HorizonError(f"window length {window_length} exceeds the horizon {sched.horizon}")
-    s_max = max(s_max, 0.0)
-    return _dedupe_sorted([min(max(v, 0.0), s_max) for v in vals], tol)
+    else:
+        vals = [min(max(v, 0.0), max(sched.horizon - window_length, 0.0)) for v in vals]
+    out = []  # sorted, each at least tol above the previous
+    for v in sorted(vals):
+        if not out or v - out[-1] > tol:
+            out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -445,33 +440,38 @@ def _deciding_windows(sched, delta, T):
     """Yield (starts, masks) blocks of the windows whose threshold graphs
     decide joint (delta, T)-connectivity for all s >= 0.
 
-    On the interval [a, b] between consecutive kinks an edge integral is
-    I_e(a) + f (I_e(b) - I_e(a)) at the start a + f (b - a), so its test
-    I_e >= delta flips at most once, at its delta-crossing.  The crossings
-    cut [a, b] into pieces of constant threshold graph, and the window at
-    each piece's midpoint stands for its piece.  The test is closed and I_e
-    continuous, so the graph at a kink or a crossing holds every edge of
-    the pieces on both sides and needs no window of its own.  Each block
-    has at most max(1, _BLOCK_ENTRIES // N^2) windows.
+    Between consecutive kinks a and b, I_e(a + f (b - a)) is affine in f, so
+    the test I_e >= delta flips at most at one delta-crossing per edge, and
+    the crossings cut [a, b] into pieces of constant threshold graph.  As the
+    test is closed, a cut's graph holds the edges on both sides, and a piece
+    whose left cut only adds edges (or right cut only drops them) holds its
+    neighbour's.  The other, inclusion-minimal pieces are listed by midpoint,
+    max(1, _BLOCK_ENTRIES // N^2) per block; each kink is integrated once.
     """
     kinks = window_starts(sched, T)
-    if sched.periodic:  # the last interval ends at the period, whose integrals are those at 0
-        left, right, ends = kinks, kinks[1:] + kinks[:1], kinks[1:] + [sched.period]
-    else:  # a lone kink (T equal to the horizon) is an interval of one point
-        left, right, ends = kinks[:-1] or kinks, kinks[1:] or kinks, kinks[1:] or kinks
+    # the last interval of a period ends at the period, whose integrals are
+    # those at 0; a lone kink (T equal to the horizon) is a one-point interval
+    wrap = sched.periodic or len(kinks) == 1
+    pts = np.array(kinks + [sched.period if sched.periodic else kinks[0]] * wrap)
     rows, cols = np.triu_indices(sched.node_count, 1)
     block = max(1, _BLOCK_ENTRIES // sched.node_count ** 2)
-    scans = zip(_window_integrals(sched, left, T), _window_integrals(sched, right, T))
-    for (lo, at_a), (_, at_b) in scans:
-        ia = at_a[:, rows, cols]
-        slope = at_b[:, rows, cols] - ia
-        a = np.array(left[lo:lo + len(ia)])
-        span = np.array(ends[lo:lo + len(ia)]) - a
+    scan = (stack[:, rows, cols] for _, stack in _window_integrals(sched, kinks, T))
+    first, prev, lo = next(scan), None, 0  # prev: last row of the previous block
+    for vals in itertools.chain([first], scan, [first[:1]] * wrap):
+        seq = vals if prev is None else np.concatenate([prev, vals])
+        prev, ia, slope = seq[-1:], seq[:-1], seq[1:] - seq[:-1]
+        a, span = pts[lo:lo + len(ia)], np.diff(pts[lo:lo + len(ia) + 1])
+        lo += len(ia)
         cross = np.divide(delta - ia, slope, out=np.ones_like(slope), where=slope != 0.0)
-        # per interval: 0, the crossing fractions in ascending order, 1
-        cuts = np.pad(np.sort(cross.clip(0.0, 1.0), axis=1), ((0, 0), (1, 1)),
-                      constant_values=(0.0, 1.0))
-        r, c = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+        # per interval: 0, the crossing fractions in ascending order, 1, with
+        # the rising crossings first and the falling last at equal fractions
+        frac, sign = cross.clip(0.0, 1.0), np.sign(slope)
+        order = np.lexsort((-sign, frac))
+        cuts, sign = (np.pad(np.take_along_axis(v, order, 1), ((0, 0), (1, 1)),
+                             constant_values=(0.0, 1.0)) for v in (frac, sign))
+        r, c = np.nonzero((cuts[:, 1:] > cuts[:, :-1])
+                          & ((cuts[:, :-1] == 0.0) | (sign[:, :-1] < 0.0))  # drops an edge
+                          & ((cuts[:, 1:] == 1.0) | (sign[:, 1:] > 0.0)))  # adds an edge
         mid = (cuts[r, c] + cuts[r, c + 1]) / 2.0
         for k in range(0, len(mid), block):
             rr, f = r[k:k + block], mid[k:k + block]
@@ -483,8 +483,8 @@ def check_joint_connectivity(sched, delta, T):
 
     The edges with int_s^{s+T} a_ij dt >= delta form the threshold graph of
     the window start s.  The certificate lists the windows of
-    :func:`_deciding_windows`, one per piece of constant threshold graph,
-    so its verdict holds for every s >= 0.  Connectivity is decided exactly
+    :func:`_deciding_windows`, whose graphs each other start's graph
+    contains, so its verdict holds for every s >= 0.  Connectivity is decided exactly
     by union-find, with the algebraic connectivity of the unweighted
     threshold Laplacian reported as evidence (one stacked call per block).
     """

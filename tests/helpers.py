@@ -301,6 +301,20 @@ def reference_connectivity(sched, delta, T, starts=None):
     return "connected"
 
 
+def uncovered_starts(sched, delta, T, cert, starts=None):
+    """Starts of ``starts`` (default :func:`scan_starts`) whose threshold
+    graph contains no listed window's graph.  An exact certificate leaves
+    none: a graph holding a connected one is connected."""
+    listed = [set(w.edges) for w in cert.windows]
+    out = []
+    for s in scan_starts(sched, T) if starts is None else starts:
+        acc = integrated_weights(sched, s, T)
+        edges = {(i, j) for i, j in edge_pairs(sched.node_count) if acc[i, j] >= delta}
+        if not any(g <= edges for g in listed):
+            out.append(float(s))
+    return out
+
+
 def reference_uniform_bounds(sched, delta_obs, starts=None, positive_tol=1e-10):
     """alpha1/alpha2 of a dense scan, one eigvalsh call per start of
     ``starts`` (default :func:`scan_starts`)."""

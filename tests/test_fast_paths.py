@@ -53,6 +53,7 @@ from helpers import (
     reference_window_energies,
     reference_write_json,
     scan_starts,
+    uncovered_starts,
     weights,
 )
 
@@ -333,6 +334,7 @@ def assert_certificate_exact(sched, delta, T, cert):
     failing = [w.start for w in cert.windows if not w.connected]
     assert cert.counterexample_window == (failing[0] if failing else None)
     assert cert.verdict == reference_connectivity(sched, delta, T)
+    assert uncovered_starts(sched, delta, T, cert) == []
 
 
 def assert_bounds_exact(sched, T, bounds):
@@ -367,7 +369,8 @@ def sliding_schedule(rng, n):
 
     With T = 40, on each unit interval between kinks one edge leaves the
     window and the next enters it, so for delta = 4 each interval is cut at
-    its two delta-crossings into three pieces.
+    its two delta-crossings into three pieces; the middle one, holding
+    neither edge, is inclusion-minimal.
     """
     pairs = edge_pairs(n)
     return WeightSchedule([(float(k), k + 1.0, weights(n, (*pairs[k], 5.0))) for k in range(100)],
@@ -395,7 +398,8 @@ def test_window_checks_match_reference_over_several_blocks(kind, n, monkeypatch)
         assert_certificate_exact(sched, delta, T, cert)
         verdicts.append(cert.verdict)
         if kind == "distinct" and delta == 4.0:
-            assert len(cert.windows) == 3 * 100
+            assert len(cert.windows) == 100  # the middle piece of each kink interval
+            assert {w.connected for w in cert.windows} == {True, False}
     assert_bounds_exact(sched, T, uniform_bounds_check(sched, T))
     assert verdicts[-1] == "not_connected"
 
@@ -467,10 +471,10 @@ def test_json_report_bytes_match_reference_writer(tmp_path):
     for name in GOLDENS:
         sched = load_scenario(SCENARIOS / f"{name}.json").schedule
         certificates.append(check_joint_connectivity(sched, 0.1, 0.4 * sched.horizon))
-    # the shape of a large report: N = 20, 16 segments, hundreds of windows
+    # the shape of a large report: N = 20, 16 segments, 132 windows
     sched = random_schedule(np.random.default_rng(20), 20, True, segments=16)
     certificates.append(check_joint_connectivity(sched, 0.2, 2.0))
-    assert len(certificates[-1].windows) >= 50
+    assert len(certificates[-1].windows) == 132
     for cert in certificates:
         _write_json(tmp_path / "new.json", cert.as_dict())
         reference_write_json(tmp_path / "old.json", cert.as_dict())

@@ -32,6 +32,7 @@ from helpers import (
     reference_connectivity,
     reference_window,
     signed_triangle_symmetric,
+    uncovered_starts,
     union_find_connected,
     weights,
 )
@@ -217,6 +218,7 @@ class TestJointConnectivity:
             assert cert.verdict == reference_connectivity(sched, delta, T, dense_starts(sched, T))
             for w in cert.windows:
                 assert w == reference_window(sched, delta, T, w.start)
+            assert uncovered_starts(sched, delta, T, cert, dense_starts(sched, T)) == []
 
         check()
 
