@@ -33,7 +33,6 @@ from .graph import (
 )
 from .dynamics import (
     NoiseProcess,
-    StateVector,
     Trajectory,
     TransitionMatrix,
     average_drift,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .graph import check_joint_connectivity, negative_link_assumption_holds
-from .dynamics import StateVector, simulate
+from .dynamics import simulate
 
 __all__ = [
     "RateFit",
@@ -114,19 +114,19 @@ class RobustnessReport:
     errors: np.ndarray
 
 
-def robustness_report(sched, noise, t_end, sample_dt=0.05, consensus_value=0.0):
-    """Run from a consensus initial state and record sup_i,t |x_i - x_ave(t)|.
+def robustness_report(sched, noise, t_end, sample_dt=0.05):
+    """Run from x(0) = 0 and record sup_i,t |x_i - x_ave(t)|.
 
-    The measured supremum is the empirical candidate for the robustness
-    bound C(zeta, B0); boundedness is the claim under joint connectivity,
-    not any particular value.
+    ``noise`` is a NoiseProcess, or None for no noise (then zeta is None,
+    B0 is 0 and the error stays 0).  The measured supremum is the
+    empirical candidate for the robustness bound C(zeta, B0); boundedness
+    is the claim under joint connectivity, not any particular value.
     """
-    x0 = StateVector(0.0, np.full(sched.node_count, float(consensus_value)))
-    traj = simulate(sched, x0, t_end, sample_dt, noise=noise)
+    traj = simulate(sched, np.zeros(sched.node_count), t_end, sample_dt, noise=noise)
     errors = consensus_error(traj)
     return RobustnessReport(
-        zeta=noise.zeta,
-        energy_bound=noise.energy_bound,
+        zeta=None if noise is None else noise.zeta,
+        energy_bound=0.0 if noise is None else noise.energy_bound,
         sup_error=float(errors.max()),
         sample_times=traj.sample_times,
         errors=errors,

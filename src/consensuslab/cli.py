@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, graph, observability
-from .errors import ConsensusLabError, ScenarioError
+from .errors import ConsensusLabError, HorizonError, ScenarioError
 
 OUTPUT_DIR_ENV = "CONSENSUSLAB_OUTPUT_DIR"
 
@@ -78,6 +78,19 @@ POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "zeta
 NOISE_KINDS = ("zero", "table", "windowed-random")
 
 
+def _task_end(name, params):
+    """Latest schedule time a task reads, or None for tasks that read none."""
+    if name in ("simulate", "robustness"):
+        return params["t_end"]
+    if name in ("gramian", "reconstruct"):
+        return params["start"] + params["delta"]
+    if name == "connectivity":
+        return params["T"]
+    if name == "bounds":
+        return params["delta"]
+    return None
+
+
 def _fail(msg):
     raise ScenarioError(msg)
 
@@ -124,6 +137,7 @@ class Scenario:
 
         self.schedule = self._load_schedule(data)
         self.initial_state = self._resolve_initial_state(data)
+        self._table_noise = None  # built once by _validate_noise for table noise
         self.noise_spec = self._validate_noise(data.get("noise"))
         self.tasks = self._validate_tasks(data.get("tasks"))
 
@@ -195,7 +209,7 @@ class Scenario:
             if "breakpoints" not in spec or "values" not in spec:
                 _fail("table noise needs 'breakpoints' and 'values'")
             try:
-                dynamics.NoiseProcess.table(
+                self._table_noise = dynamics.NoiseProcess.table(
                     spec["breakpoints"], spec["values"], spec["zeta"], spec["B0"]
                 )
             except (ConsensusLabError, TypeError, ValueError) as exc:
@@ -237,6 +251,15 @@ class Scenario:
                     _fail(f"task '{name}': missing required parameter '{key}'")
             for key in params:
                 _require_number(params, key, f"task '{name}'")
+            end = _task_end(name, params)
+            if end is not None:
+                try:
+                    self.schedule.segment_index_at(end)
+                except HorizonError as exc:
+                    _fail(f"task '{name}': {exc}")
+            if (name in ("simulate", "robustness") and self._table_noise is not None
+                    and not self._table_noise.covers(0.0, end)):
+                _fail(f"task '{name}': table noise does not cover [0, {end}]")
             if name in ("reconstruct", "rate") and not seen_simulate:
                 _fail(f"task '{name}' needs a preceding simulate task")
             if name == "robustness" and self.noise_spec is None:
@@ -249,13 +272,12 @@ class Scenario:
     # -- noise construction --------------------------------------------------
 
     def build_noise(self, t_end):
+        """The scenario noise up to t_end, or None for none or zero noise."""
         spec = self.noise_spec
         if spec is None or spec["kind"] == "zero":
-            return dynamics.NoiseProcess.zero(self.schedule.node_count)
+            return None
         if spec["kind"] == "table":
-            return dynamics.NoiseProcess.table(
-                spec["breakpoints"], spec["values"], spec["zeta"], spec["B0"]
-            )
+            return self._table_noise
         seed = spec.get("seed")
         return dynamics.NoiseProcess.windowed_random(
             self.schedule.node_count,
@@ -339,13 +361,12 @@ class _Runner:
 
     def task_simulate(self, t_end, sample_dt):
         sc = self.scenario
-        noise = sc.build_noise(t_end) if sc.noise_spec is not None else None
         self.trajectory = dynamics.simulate(
             sc.schedule,
-            dynamics.StateVector(0.0, sc.initial_state),
+            sc.initial_state,
             t_end,
             sample_dt,
-            noise=noise,
+            noise=sc.build_noise(t_end),
         )
         self.trace = None
         self.trajectory.write_csv(self.out_dir / "trajectory.csv")

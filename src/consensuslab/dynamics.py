@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "StateVector",
     "Trajectory",
     "NoiseProcess",
     "TransitionMatrix",
@@ -28,31 +27,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Node states at one instant."""
-
-    time: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        if v.ndim != 1:
-            raise ValueError(f"state must be a 1-D vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state entries must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "time", float(self.time))
-
-
 @dataclass
 class Trajectory:
     """Sampled node states over a strictly increasing time grid."""
 
     sample_times: np.ndarray
     states: np.ndarray
-    initial_average: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.sample_times, dtype=float)
@@ -63,11 +43,6 @@ class Trajectory:
             raise ValueError("trajectory must hold at least one sample")
         if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
             raise ValueError("sample_times must be finite and strictly increasing")
-        mean0 = float(x[0].mean())
-        if self.initial_average is None:
-            self.initial_average = mean0
-        elif abs(self.initial_average - mean0) > 1e-9 * max(1.0, abs(mean0)):
-            raise ValueError("initial_average does not match the first sample")
         self.sample_times = t
         self.states = x
 
@@ -75,11 +50,15 @@ class Trajectory:
     def node_count(self):
         return self.states.shape[1]
 
-    def index_at(self, t, tol=1e-9):
-        """Index of the sample at time t, or None if t is not on the grid."""
+    @property
+    def initial_average(self):
+        return float(self.states[0].mean())
+
+    def index_at(self, t):
+        """Index of the sample within 1e-9 of time t, or None if t is off the grid."""
         k = int(np.searchsorted(self.sample_times, t))
         for idx in (k - 1, k, k + 1):
-            if 0 <= idx < self.sample_times.size and abs(self.sample_times[idx] - t) <= tol:
+            if 0 <= idx < self.sample_times.size and abs(self.sample_times[idx] - t) <= 1e-9:
                 return idx
         return None
 
@@ -108,28 +87,26 @@ def read_trajectory_csv(path):
 
 
 class NoiseProcess:
-    """Deterministic per-node disturbance w(t) with window energy accounting.
+    """Deterministic piecewise-constant per-node disturbance w(t) with
+    window energy accounting.
 
-    Non-zero kinds are piecewise constant over their breakpoints.  At
-    construction every window [s, s + zeta] on the declared grid
-    (s = span start + k * zeta) is verified to carry energy
+    Row k of ``values`` holds w on [breakpoints[k], breakpoints[k + 1]).
+    At construction every window [s, s + zeta] on the declared grid
+    (s = breakpoints[0] + k * zeta) is verified to carry energy
     int w'w dt <= B0; the integrand is piecewise constant so the check is
     exact.
     """
 
-    def __init__(self, kind, node_count, zeta, energy_bound,
-                 breakpoints=None, values=None, seed=None):
-        self.kind = kind
-        self.node_count = int(node_count)
+    def __init__(self, breakpoints, values, zeta, energy_bound):
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 2:
+            raise ConfigurationError(
+                f"noise values must be a table of rows, one value per node; got shape {v.shape}"
+            )
+        self.node_count = v.shape[1]
         self.zeta = None if zeta is None else float(zeta)
         self.energy_bound = float(energy_bound)
-        self.seed = seed
-        if kind == "zero":
-            self.breakpoints = None
-            self.values = None
-            return
         b = np.asarray(breakpoints, dtype=float)
-        v = np.asarray(values, dtype=float)
         if b.ndim != 1 or b.size < 2 or not np.all(np.isfinite(b)) or np.any(np.diff(b) <= 0.0):
             raise ConfigurationError("noise breakpoints must be finite and increasing, length >= 2")
         if v.shape != (b.size - 1, self.node_count):
@@ -151,30 +128,20 @@ class NoiseProcess:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, node_count):
-        return cls("zero", node_count, None, 0.0)
-
-    @classmethod
     def table(cls, breakpoints, values, zeta, energy_bound):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ConfigurationError(
-                f"noise values must be a table of rows, one value per node; got shape {values.shape}"
-            )
-        return cls("table", values.shape[1], zeta, energy_bound,
-                   breakpoints=breakpoints, values=values)
+        return cls(breakpoints, values, zeta, energy_bound)
 
     @classmethod
     def windowed_random(cls, node_count, zeta, energy_bound, seed, t_end,
-                        steps_per_window=4, margin=0.05, t_start=0.0):
-        """Seeded piecewise-constant noise with each full zeta-window scaled
-        to carry exactly (1 - margin) * B0 of energy."""
+                        steps_per_window=4, margin=0.05):
+        """Seeded noise from t = 0 over whole zeta-windows reaching t_end,
+        each scaled to carry exactly (1 - margin) * B0 of energy."""
         if zeta <= 0.0:
             raise ConfigurationError("zeta must be positive")
         rng = np.random.default_rng(seed)
-        n_windows = max(1, math.ceil((t_end - t_start) / zeta))
+        n_windows = max(1, math.ceil(t_end / zeta))
         step = zeta / steps_per_window
-        breaks = t_start + step * np.arange(n_windows * steps_per_window + 1)
+        breaks = step * np.arange(n_windows * steps_per_window + 1)
         rows = []
         target = energy_bound * (1.0 - margin)
         for _ in range(n_windows):
@@ -182,27 +149,16 @@ class NoiseProcess:
             energy = float(np.sum(block * block)) * step
             scale = math.sqrt(target / energy) if energy > 0.0 and target > 0.0 else 0.0
             rows.append(block * scale)
-        return cls("windowed-random", node_count, zeta, energy_bound,
-                   breakpoints=breaks, values=np.vstack(rows), seed=seed)
+        return cls(breaks, np.vstack(rows), zeta, energy_bound)
 
     # -- evaluation ---------------------------------------------------------
 
-    @property
-    def span(self):
-        if self.kind == "zero":
-            return None
-        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
     def covers(self, t0, t1):
-        if self.kind == "zero":
-            return True
         tol = 1e-9 * max(1.0, abs(t1))
         return self.breakpoints[0] <= t0 + tol and t1 <= self.breakpoints[-1] + tol
 
     def values_at(self, t):
         """Noise vector at time t (right-continuous at breakpoints)."""
-        if self.kind == "zero":
-            return np.zeros(self.node_count)
         if not self.covers(t, t):
             raise ConfigurationError(f"noise is undefined at t = {t}")
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
@@ -215,10 +171,8 @@ class NoiseProcess:
         intervals, each inside one window and one constant row, so every
         window energy is a short sum of length * |w|^2 terms.
         """
-        if self.kind == "zero":
-            return []
         b, v = self.breakpoints, self.values
-        t0, t1 = self.span
+        t0, t1 = float(b[0]), float(b[-1])
         # starts by repeated addition s <- s + zeta, so window k ends exactly
         # where window k + 1 begins
         count = math.ceil((t1 - t0) / self.zeta) + 2
@@ -266,18 +220,18 @@ def _phi1(z):
 
 
 def simulate(sched, x0, t_end, sample_dt, noise=None):
-    """Integrate dx/dt = -L(t) x + w(t) over [x0.time, t_end].
+    """Integrate dx/dt = -L(t) x + w(t) over [0, t_end].
 
     Parameters
     ----------
     sched : WeightSchedule
-    x0 : StateVector or array_like
-        Initial state; a bare vector means time 0.
+    x0 : array_like
+        Initial state x(0), one finite entry per node.
     t_end, sample_dt : float
         Samples are emitted on the sample_dt grid plus every segment
         boundary (the vector field is discontinuous there).
     noise : NoiseProcess, optional
-        Defaults to zero.  Each segment piece is split at the noise
+        None means no noise.  Each segment piece is split at the noise
         breakpoints; on a sub-piece [u0, u1] with constant w the
         eigen-coordinates c = Q'x at every sample time t in (u0, u1] are
         c(t) = e^{-lam tau} c(u0) + tau phi_1(-lam tau) Q'w, tau = t - u0,
@@ -289,34 +243,33 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     -------
     Trajectory
     """
-    if not isinstance(x0, StateVector):
-        x0 = StateVector(0.0, np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1:
+        raise ValueError(f"state must be a 1-D vector, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("state entries must be finite")
     n = sched.node_count
-    if x0.values.size != n:
+    if x0.size != n:
         raise ConfigurationError(
-            f"initial state has {x0.values.size} entries for a {n}-node schedule"
+            f"initial state has {x0.size} entries for a {n}-node schedule"
         )
-    if x0.time < 0.0:
-        raise ValueError("initial time must be nonnegative")
-    if t_end <= x0.time:
-        raise ValueError("t_end must exceed the initial time")
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
     if sample_dt <= 0.0:
         raise ValueError("sample_dt must be positive")
-    if noise is None:
-        noise = NoiseProcess.zero(n)
-    if noise.node_count != n:
-        raise ConfigurationError("noise node count does not match the schedule")
-    if not noise.covers(x0.time, t_end):
-        raise ConfigurationError(
-            "noise window grid does not cover the simulation horizon "
-            f"[{x0.time}, {t_end}]"
-        )
+    if noise is not None:
+        if noise.node_count != n:
+            raise ConfigurationError("noise node count does not match the schedule")
+        if not noise.covers(0.0, t_end):
+            raise ConfigurationError(
+                "noise window grid does not cover the simulation horizon "
+                f"[0.0, {t_end}]"
+            )
 
-    t0 = x0.time
-    n_steps = int(math.floor((t_end - t0) / sample_dt + 1e-9))
-    base = t0 + sample_dt * np.arange(n_steps + 1)
-    pieces = sched.pieces(t0, t_end)
-    anchors = [t0, t_end] + [tb for _, tb, _ in pieces[:-1]]
+    n_steps = int(math.floor(t_end / sample_dt + 1e-9))
+    base = sample_dt * np.arange(n_steps + 1)
+    pieces = sched.pieces(0.0, t_end)
+    anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
     grid = _merge_grid(anchors, base, tol=1e-6 * sample_dt)
     if pieces and pieces[-1][1] < grid[-1]:
         # a non-periodic schedule ends at most its horizon tolerance before
@@ -324,37 +277,35 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
         ta, _, k = pieces[-1]
         pieces[-1] = (ta, float(grid[-1]), k)
 
-    zero_noise = noise.kind == "zero"
-    if zero_noise and np.ptp(x0.values) == 0.0:
+    if noise is None and np.ptp(x0) == 0.0:
         # consensus states are equilibria of the noiseless dynamics
-        states = np.tile(x0.values, (grid.size, 1))
-        return Trajectory(grid, states, float(x0.values.mean()))
+        return Trajectory(grid, np.tile(x0, (grid.size, 1)))
 
     states = np.empty((grid.size, n))
-    states[0] = x0.values
-    if not zero_noise:
+    states[0] = x0
+    if noise is not None:
         breaks, rows = noise.breakpoints, noise.values
         # breakpoints strictly inside each piece, and the noise row at its start
         first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right")
         last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left")
-    x = x0.values
+    x = x0
     for p, (ta, tb, k) in enumerate(pieces):
         lam, q = sched.spectrum(k)
         c = q.T @ x
-        cuts = [ta, tb] if zero_noise else [ta, *breaks[first[p]:last[p]], tb]
+        cuts = [ta, tb] if noise is None else [ta, *breaks[first[p]:last[p]], tb]
         bounds = np.searchsorted(grid, cuts, side="right")
         for i, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
             # samples in (u0, u1] in one product, then the state at u1
             tau = np.append(grid[bounds[i]:bounds[i + 1]] - u0, u1 - u0)
             z = -lam * tau[:, None]
             coords = np.exp(z) * c
-            if not zero_noise:
+            if noise is not None:
                 w = rows[min(max(first[p] - 1 + i, 0), rows.shape[0] - 1)]
                 coords += tau[:, None] * _phi1(z) * (q.T @ w)
             states[bounds[i]:bounds[i + 1]] = coords[:-1] @ q.T
             c = coords[-1]
         x = q @ c
-    return Trajectory(grid, states, float(x0.values.mean()))
+    return Trajectory(grid, states)
 
 
 @dataclass(frozen=True)

@@ -540,10 +540,9 @@ class NegativeLinkReport:
             )
 
 
-def negative_link_assumption_holds(sched, tol=None):
-    """Check lambda_min(L_k) >= -tol for every segment of the schedule."""
-    if tol is None:
-        tol = 1e-9 * sched.node_count * sched.weight_bound
+def negative_link_assumption_holds(sched):
+    """Check lambda_min(L_k) >= -1e-9 N A* for every segment of the schedule."""
+    tol = 1e-9 * sched.node_count * sched.weight_bound
     worst = np.inf
     worst_idx = 0
     for k in range(len(sched.segments)):

@@ -34,6 +34,9 @@ __all__ = [
     "read_edge_signals_csv",
 ]
 
+# uniform_bounds_check calls a schedule observable when alpha1 exceeds this
+POSITIVE_TOL = 1e-10
+
 
 @dataclass
 class EdgeSignalTrace:
@@ -193,7 +196,7 @@ class UniformBounds:
     observable: bool
 
 
-def uniform_bounds_check(sched, delta_obs, *, positive_tol=1e-10):
+def uniform_bounds_check(sched, delta_obs):
     """Extremal eigenvalues of int_s^{s+delta} (L + 11'/N) dt over starts s.
 
     The integral is exact segment-wise and affine in s between the kinks
@@ -201,7 +204,7 @@ def uniform_bounds_check(sched, delta_obs, *, positive_tol=1e-10):
     eigenvalue is concave and its largest convex: alpha1 and alpha2 over
     the kinks alone are the extremes over all s >= 0 (the first kink
     attaining alpha1 is the worst window).  The verdict flag is
-    alpha1 > positive_tol.  Windows go through stacked blocks.
+    alpha1 > POSITIVE_TOL.  Windows go through stacked blocks.
     """
     if delta_obs <= 0.0:
         raise ValueError("delta_obs must be positive")
@@ -224,7 +227,7 @@ def uniform_bounds_check(sched, delta_obs, *, positive_tol=1e-10):
         alpha1=alpha1,
         alpha2=alpha2,
         worst_window_start=worst,
-        observable=bool(alpha1 > positive_tol),
+        observable=bool(alpha1 > POSITIVE_TOL),
     )
 
 

@@ -199,18 +199,17 @@ def _reference_phi1(z):
     return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
 
 
-def reference_simulate(sched, x0_time, x0_values, t_end, sample_dt, noise=None):
+def reference_simulate(sched, x0_values, t_end, sample_dt, noise=None):
     """(grid, states) from one exact spectral step per sample interval,
     each split at the noise breakpoints inside it."""
     import math
 
     x0_values = np.asarray(x0_values, dtype=float)
-    t0 = float(x0_time)
-    n_steps = int(math.floor((t_end - t0) / sample_dt + 1e-9))
-    base = t0 + sample_dt * np.arange(n_steps + 1)
-    anchors = [t0, t_end] + [tb for _, tb, _ in sched.pieces(t0, t_end)[:-1]]
+    n_steps = int(math.floor(t_end / sample_dt + 1e-9))
+    base = sample_dt * np.arange(n_steps + 1)
+    anchors = [0.0, t_end] + [tb for _, tb, _ in sched.pieces(0.0, t_end)[:-1]]
     grid = reference_merge_grid(anchors, base, tol=1e-6 * sample_dt)
-    noisy = noise is not None and noise.kind != "zero"
+    noisy = noise is not None
     states = np.empty((grid.size, x0_values.size))
     states[0] = x0_values
     for step in range(grid.size - 1):
@@ -315,7 +314,7 @@ def uncovered_starts(sched, delta, T, cert, starts=None):
     return out
 
 
-def reference_uniform_bounds(sched, delta_obs, starts=None, positive_tol=1e-10):
+def reference_uniform_bounds(sched, delta_obs, starts=None):
     """alpha1/alpha2 of a dense scan, one eigvalsh call per start of
     ``starts`` (default :func:`scan_starts`)."""
     n = sched.node_count
@@ -327,7 +326,7 @@ def reference_uniform_bounds(sched, delta_obs, starts=None, positive_tol=1e-10):
             alpha1, worst = float(eigs[0]), float(s)
         alpha2 = max(alpha2, float(eigs[-1]))
     return UniformBounds(alpha1=alpha1, alpha2=alpha2, worst_window_start=worst,
-                         observable=bool(alpha1 > positive_tol))
+                         observable=bool(alpha1 > 1e-10))
 
 
 def _jsonable(obj):

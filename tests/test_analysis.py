@@ -109,7 +109,7 @@ class TestRateFit:
 
 class TestRobustness:
     def test_zero_noise(self):
-        rep = robustness_report(alternating_schedule(), NoiseProcess.zero(3), 10.0)
+        rep = robustness_report(alternating_schedule(), None, 10.0)
         assert rep.sup_error == 0.0
 
     def test_bounded_and_reproducible_under_seeded_noise(self):

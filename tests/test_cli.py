@@ -86,7 +86,7 @@ def test_package_exports_exactly_the_submodule_names():
     expected |= {name for name, value in vars(errors).items()
                  if isinstance(value, type) and issubclass(value, Exception)}
     assert exported == expected
-    assert len(exported) == 50
+    assert len(exported) == 49
 
 
 def _valid_scenario():
@@ -212,6 +212,55 @@ def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err, (label, err)
         assert not (case_dir / "bad_out").exists(), label
+
+
+def _horizon_scenario(tasks, noise=None):
+    """A 3-node non-periodic schedule with horizon 4 and the given tasks."""
+    data = {
+        "schedule": {"nodes": 3, "segments": [
+            {"t0": 0.0, "t1": 2.0, "edges": [{"i": 1, "j": 2, "w": 1.0}]},
+            {"t0": 2.0, "t1": 4.0, "edges": [{"i": 2, "j": 3, "w": 1.0}]}]},
+        "initial_state": [1.0, 0.0, -1.0],
+        "output_dir": "out",
+        "tasks": tasks,
+    }
+    if noise is not None:
+        data["noise"] = noise
+    return data
+
+
+@pytest.mark.parametrize("data,message", [
+    (_horizon_scenario([{"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}]),
+     "exceeds the horizon"),
+    (_horizon_scenario([{"task": "gramian", "start": 3.0, "delta": 2.0}]),
+     "exceeds the horizon"),
+    (_horizon_scenario([{"task": "connectivity", "delta": 0.5, "T": 5.0}]),
+     "exceeds the horizon"),
+    (_horizon_scenario([{"task": "simulate", "t_end": 3.0, "sample_dt": 0.1}],
+                       noise={"kind": "table", "zeta": 1.0, "B0": 1.0,
+                              "breakpoints": [0.0, 2.0], "values": [[0.1, 0.0, 0.0]]}),
+     "table noise does not cover [0, 3.0]"),
+], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
+        "table-noise-too-short"])
+def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
+    scn = tmp_path / "range.json"
+    scn.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        assert main([command, str(scn)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and message in err, (command, err)
+        assert not (tmp_path / "out").exists(), command
+
+
+def test_zero_noise_robustness_report(tmp_path):
+    scn = tmp_path / "zero.json"
+    scn.write_text(json.dumps(_horizon_scenario(
+        [{"task": "robustness", "t_end": 4.0, "sample_dt": 0.5}], noise={"kind": "zero"})))
+    assert main(["run", str(scn)]) == 0
+    report = json.loads((tmp_path / "out" / "robustness.json").read_text())
+    assert report["zeta"] is None
+    assert report["B0"] == 0.0
+    assert report["sup_error"] == 0.0
 
 
 def _too_few_samples_for_rate():

@@ -4,7 +4,6 @@ import pytest
 from consensuslab import (
     ConfigurationError,
     NoiseProcess,
-    StateVector,
     WeightSchedule,
     average_drift,
     incidence,
@@ -262,6 +261,11 @@ class TestTrajectoryCsv:
         assert path.read_text().splitlines()[0] == "t,x1,x2,x3"
 
 
-def test_state_vector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        StateVector(0.0, [1.0, np.inf])
+def test_simulate_rejects_bad_initial_state():
+    sched = k3_schedule()
+    with pytest.raises(ValueError, match="finite"):
+        simulate(sched, [1.0, np.inf, 0.0], 1.0, 0.1)
+    with pytest.raises(ValueError, match="1-D"):
+        simulate(sched, [[1.0, 0.0, -1.0]], 1.0, 0.1)
+    with pytest.raises(ConfigurationError, match="2 entries for a 3-node"):
+        simulate(sched, [1.0, -1.0], 1.0, 0.1)

@@ -21,7 +21,6 @@ import pytest
 from consensuslab import (
     EdgeSignalTrace,
     NoiseProcess,
-    StateVector,
     Trajectory,
     WeightSchedule,
     edge_signals,
@@ -62,9 +61,9 @@ GOLDENS = ["alternating_triangle", "disconnected_noise", "five_node_reconstruct"
            "isolated_node", "k2_constant", "robust_noise", "signed_triangle"]
 
 
-def assert_matches_reference(sched, x0_time, x0, t_end, sample_dt, noise=None):
-    traj = simulate(sched, StateVector(x0_time, x0), t_end, sample_dt, noise=noise)
-    grid, states = reference_simulate(sched, x0_time, x0, t_end, sample_dt, noise)
+def assert_matches_reference(sched, x0, t_end, sample_dt, noise=None):
+    traj = simulate(sched, x0, t_end, sample_dt, noise=noise)
+    grid, states = reference_simulate(sched, x0, t_end, sample_dt, noise)
     assert np.array_equal(traj.sample_times, grid)
     scale = max(1.0, float(np.abs(states).max()))
     assert np.abs(traj.states - states).max() <= 1e-12 * scale
@@ -96,7 +95,7 @@ def test_golden_runs_match_reference(name):
             x0 = np.zeros(sc.schedule.node_count)  # robustness starts at consensus
         else:
             continue
-        assert_matches_reference(sc.schedule, 0.0, x0, params["t_end"],
+        assert_matches_reference(sc.schedule, x0, params["t_end"],
                                  params.get("sample_dt", 0.05), noise)
         runs += 1
     assert runs == 1
@@ -110,10 +109,9 @@ def test_random_schedules_match_reference(n, periodic, noisy):
     sched = random_schedule(rng, n, periodic)
     horizon = 13.7 if periodic else sched.horizon
     noise = NoiseProcess.windowed_random(n, 0.6, 2.0, seed=n, t_end=horizon) if noisy else None
-    for x0_time, t_end, sample_dt in [(0.0, horizon, 0.05),
-                                      (0.83, horizon, 0.1),        # x0.time > 0
-                                      (0.0, horizon - 0.0123, 0.07)]:  # t_end off the grid
-        assert_matches_reference(sched, x0_time, rng.standard_normal(n), t_end, sample_dt, noise)
+    # t_end on the sample grid, then off it
+    for t_end, sample_dt in [(horizon, 0.05), (horizon - 0.0123, 0.07)]:
+        assert_matches_reference(sched, rng.standard_normal(n), t_end, sample_dt, noise)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -127,7 +125,7 @@ def test_boundaries_within_tolerance_of_samples(noisy):
         [(a, b, w1 if k % 2 == 0 else w2) for k, (a, b) in enumerate(zip(edges[:-1], edges[1:]))]
     )
     noise = NoiseProcess.windowed_random(3, 0.5, 1.0, seed=4, t_end=4.0) if noisy else None
-    traj = assert_matches_reference(sched, 0.0, np.array([1.0, -2.0, 0.5]), 4.0 - 2e-8, 0.1, noise)
+    traj = assert_matches_reference(sched, np.array([1.0, -2.0, 0.5]), 4.0 - 2e-8, 0.1, noise)
     for b in edges[1:-1]:
         assert b in traj.sample_times
     assert traj.sample_times[-1] == 4.0 - 2e-8
@@ -137,7 +135,7 @@ def test_run_ending_just_past_a_nonperiodic_horizon():
     # t_end may pass the horizon by its 1e-9 relative tolerance, which is more
     # than the merge tolerance: the last segment carries the final sample
     sched = WeightSchedule([(0.0, 6.0, weights(3, (0, 1, 0.2), (1, 2, 0.1)))])
-    traj = assert_matches_reference(sched, 0.0, np.array([3.0, 1.0, -1.0]), 6.0 + 5e-9, 0.001)
+    traj = assert_matches_reference(sched, np.array([3.0, 1.0, -1.0]), 6.0 + 5e-9, 0.001)
     assert traj.sample_times[-1] == 6.0 + 5e-9 and traj.sample_times[-2] <= 6.0
 
 
@@ -160,7 +158,7 @@ def test_merge_grid_matches_reference():
 
 @pytest.mark.parametrize("zeta,t_end,steps", [(1.0, 10.0, 4), (0.7, 40.3, 3), (0.25, 9.9, 1)])
 def test_windowed_random_energies_match_reference(zeta, t_end, steps):
-    noise = NoiseProcess.windowed_random(4, zeta, 2.0, seed=9, t_end=t_end, t_start=0.5,
+    noise = NoiseProcess.windowed_random(4, zeta, 2.0, seed=9, t_end=t_end,
                                          steps_per_window=steps)
     fast, slow = noise.window_energies(), reference_window_energies(noise)
     assert len(fast) == len(slow)
@@ -169,13 +167,15 @@ def test_windowed_random_energies_match_reference(zeta, t_end, steps):
 
 def test_table_energies_match_reference():
     rng = np.random.default_rng(2)
-    breaks = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.9, 300))))
-    values = rng.standard_normal((breaks.size - 1, 3))
-    for zeta in (0.33, 1.0, 2.5, float(breaks[-1]) * 2.0):
-        noise = NoiseProcess.table(breaks, values, zeta, energy_bound=1e6)
-        fast, slow = noise.window_energies(), reference_window_energies(noise)
-        assert len(fast) == len(slow)
-        assert np.abs(np.subtract(fast, slow)).max() <= 1e-12 * max(slow)
+    steps = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.9, 300))))
+    values = rng.standard_normal((steps.size - 1, 3))
+    # a first breakpoint past 0 shifts the whole window grid
+    for breaks in (steps, 0.5 + steps):
+        for zeta in (0.33, 1.0, 2.5, float(breaks[-1]) * 2.0):
+            noise = NoiseProcess.table(breaks, values, zeta, energy_bound=1e6)
+            fast, slow = noise.window_energies(), reference_window_energies(noise)
+            assert len(fast) == len(slow)
+            assert np.abs(np.subtract(fast, slow)).max() <= 1e-12 * max(slow)
 
 
 # -- edge-signal row ranges ----------------------------------------------------

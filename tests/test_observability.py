@@ -18,7 +18,7 @@ from consensuslab import (
     simulate,
     uniform_bounds_check,
 )
-from consensuslab.observability import _simpson
+from consensuslab.observability import POSITIVE_TOL, _simpson
 from helpers import (
     alternating_schedule,
     dense_starts,
@@ -176,10 +176,12 @@ class TestUniformBounds:
         assert ub.alpha2 == pytest.approx(2.0, abs=1e-12)
         assert ub.observable
 
-    def test_tolerance_is_keyword_only(self):
+    def test_verdict_uses_the_fixed_tolerance(self):
         with pytest.raises(TypeError):
             uniform_bounds_check(k2_schedule(), 1.0, 0.5)
-        assert not uniform_bounds_check(k2_schedule(), 1.0, positive_tol=1.5).observable
+        for sched in (k2_schedule(), empty_schedule(3, horizon=5.0)):
+            ub = uniform_bounds_check(sched, 1.0)
+            assert ub.observable == (ub.alpha1 > POSITIVE_TOL)
 
     def test_empty_graph(self):
         ub = uniform_bounds_check(empty_schedule(3, horizon=5.0), 1.0)
