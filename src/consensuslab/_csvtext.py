@@ -1,0 +1,246 @@
+"""Exact ``'%.17g'`` text for blocks of float64 values, built by numpy.
+
+``lines(table)`` returns the bytes of ``",".join('%.17g' % v for v in row)``
+plus a newline for every row of a 2-D table, byte for byte.  Each nonzero
+value in [1e-280, 1e280] is scaled to a 17-digit integer in double-double
+arithmetic (Dekker's two-product with an exact table of powers of ten) and
+written from lookup tables.  Zeros are written as ``0`` / ``-0`` directly.
+Values within ``_TIE_MARGIN`` of a decimal tie, magnitudes outside
+[1e-280, 1e280] (subnormals included) and non-finite values are formatted
+by ``'%.17g'`` one at a time.
+
+``dynamics`` imports this module on its first CSV write, so neither the
+module nor its tables (about 2 ms to build) cost anything on
+``import consensuslab``.
+
+Each value gets one 48-byte row, a superset of every text '%.17g' can give
+it, and a keep mask picks that text out of the row:
+
+  bytes 0-5    "-0.000"   the sign, and "0." plus the zeros of 1e-4 <= |v| < 1
+  bytes 6-39   the 17 significant digits, each followed by a point slot
+  bytes 40-44  "e+ddd" / "e-ddd"
+  byte  45     the separator, "," or "\\n"
+
+The mask depends only on the code (sign, layout, kept digits): layout
+d + 4 for fixed notation (-4 <= d <= 16, d the decimal exponent), 21 for a
+two-digit exponent and 22 for a three-digit one; kept digits 1-17 after the
+trailing zeros are dropped.  Row words 1-4 hold the 16 low digits as four
+4-digit words, each read from a table of "d.d.d.d." strings.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# values per block: the block's temporaries stay under 2 MB (1.3 MB measured)
+BLOCK_VALUES = 4096
+
+_POW_MIN, _POW_MAX = -270, 300  # 10**k for every k = 16 - d of the fast range
+_EXP_MAX = 300  # the exponent tables cover |d| <= _EXP_MAX
+_LAYOUTS = 23
+_ROW = 48
+_SEP_COL = 45
+# The double-double hi + lo is within 1e-14 of |v| * 10**(16 - d) < 1e17:
+# the table's 10**k is off by at most 2**-106 relative (1.3e-15 absolute at
+# 1e17), and v * pow_lo and the error sum add at most 2**-53 * 24 < 3e-15
+# in rounding.  A fraction within 1e-12 of one half may be a decimal tie
+# either way, so it is sent to '%.17g'.
+_TIE_MARGIN = 1e-12
+
+
+def _split(x):
+    """Dekker's split of a double into two halves of at most 26 bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _powers_of_ten():
+    """10**k = hi + lo for k in [_POW_MIN, _POW_MAX], lo the rounded exact
+    remainder, from Python integers: 10**m - hi, and
+    10**-m - num/den = (den - num * 10**m) / (den * 10**m)."""
+    tens = [1]
+    for _ in range(max(-_POW_MIN, _POW_MAX)):
+        tens.append(tens[-1] * 10)
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        p = tens[abs(k)]
+        if k >= 0:
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:
+            hi.append(1 / p)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * p) / (den * p))
+    return np.array(hi), np.array(lo)
+
+
+def _digit_tables():
+    """Row words "d.d.d.d." and trailing-zero counts (4 for 0) by 4-digit word."""
+    digit_bytes = np.full((10000, 8), ord("."), np.uint8)
+    digit_bytes[:, 0::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+    zeros = np.zeros((10,) * 4, np.int64)  # indexed by the 4 digits of the word
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[..., 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    return digit_bytes.view(np.uint64).ravel(), zeros.ravel()
+
+
+def _lead_words():
+    """Row word 0, "-0.000" then the leading digit and its point slot, by digit."""
+    lead_bytes = np.tile(np.frombuffer(b"-0.0000.", np.uint8), (10, 1))
+    lead_bytes[:, 6] += np.arange(10, dtype=np.uint8)
+    return lead_bytes.view(np.uint64).ravel()
+
+
+def _separator_words():
+    """Row word 5 holding only the separator byte: "," and "\\n"."""
+    sep_bytes = np.zeros((2, 8), np.uint8)
+    sep_bytes[:, _SEP_COL % 8] = (ord(","), ord("\n"))
+    return sep_bytes.view(np.uint64).ravel()
+
+
+def _exponent_tables():
+    """Row words "e+ddd" and layout code offsets (layout - 4) * 17, by d + _EXP_MAX."""
+    d = np.arange(-_EXP_MAX, _EXP_MAX + 1)
+    exp_bytes = np.zeros((d.size, 8), np.uint8)
+    exp_bytes[:, 0] = ord("e")
+    exp_bytes[:, 1] = np.where(d < 0, ord("-"), ord("+"))
+    exp_bytes[:, 2:5] = np.abs(d)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    layout = np.where((d >= -4) & (d <= 16), d + 4, np.where(np.abs(d) >= 100, 22, 21))
+    return exp_bytes.view(np.uint64).ravel(), (layout - 4) * 17
+
+
+def _keep_masks():
+    """Keep mask by code (sign * _LAYOUTS + layout) * 17 + kept - 1."""
+    sign, layout, kept = (a.reshape(-1, 1) for a in np.indices((2, _LAYOUTS, 17)))
+    kept = kept + 1
+    col = np.arange(_ROW)
+    digit = (col - 6) // 2  # the digit in a digit slot, or before a point slot
+    in_digits = (col >= 6) & (col < 40)
+    digit_slot = in_digits & (col % 2 == 0)
+    point_slot = in_digits & (col % 2 == 1)
+    d = layout - 4
+    fixed = layout < 21
+    whole = fixed & (d >= 0)  # digits 0..d before the point
+    small = fixed & (d < 0)  # "0." and -d - 1 zeros before the digits
+    shown = np.where(whole, np.maximum(kept, d + 1), kept)
+    point_after = np.where(whole, d, 0)
+    return (((col == 0) & (sign == 1))
+            | (digit_slot & (digit < shown))
+            | (point_slot & (digit == point_after) & (kept > point_after + 1) & ~small)
+            | (small & (col >= 1) & (col < 2 - d))
+            | (~fixed & ((col == 40) | (col == 41) | (col == 43) | (col == 44)))
+            | ((layout == 22) & (col == 42))
+            | (col == _SEP_COL))
+
+
+_POW_HI, _POW_LO = _powers_of_ten()
+_POW_HI_HI, _POW_HI_LO = _split(_POW_HI)
+_DIGIT_WORDS, _WORD_ZEROS = _digit_tables()
+_LEAD_WORDS = _lead_words()
+_EXP_WORDS, _LAYOUT_CODES = _exponent_tables()
+_MASKS = _keep_masks()
+# keep mask of a left-aligned '%.17g' text, by its length
+_TEXT_MASKS = (np.arange(_ROW) < np.arange(_ROW)[:, None]) | (np.arange(_ROW) == _SEP_COL)
+_COMMA_WORD, _NEWLINE_WORD = _separator_words()
+
+
+def _scaled(v, d):
+    """v * 10**(16 - d) as a double-double hi + lo (Dekker's two-product)."""
+    k = 16 - d - _POW_MIN
+    ph, pl = np.take(_POW_HI_HI, k), np.take(_POW_HI_LO, k)
+    p = v * np.take(_POW_HI, k)
+    vh, vl = _split(v)
+    err = ((vh * ph - p) + vh * pl + vl * ph) + vl * pl  # p + err = v * pow_hi exactly
+    lo = err + v * np.take(_POW_LO, k)
+    hi = p + lo
+    return hi, lo - (hi - p)
+
+
+def _decade_shift(hi, lo):
+    """+1 where hi + lo >= 1e17, -1 where it is below 1e16, else 0."""
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    return above.astype(np.int64) - below
+
+
+def _decimal(v):
+    """17-digit integers ``num`` and exponents ``d`` of positive finite
+    values, v = num * 10**(d - 16) rounded to nearest; ``exact`` is False
+    where the rounding is too close to a tie to trust."""
+    d = np.floor(np.log10(v)).astype(np.int64)
+    hi, lo = _scaled(v, d)
+    shift = _decade_shift(hi, lo)
+    exact = np.ones(v.size, bool)
+    redo = np.flatnonzero(shift)
+    if redo.size:  # log10 was one decade off next to a power of ten
+        d[redo] += shift[redo]
+        hi[redo], lo[redo] = _scaled(v[redo], d[redo])
+        exact[redo] = _decade_shift(hi[redo], lo[redo]) == 0
+    # hi >= 1e16 > 2**53 is a whole number, so only lo needs rounding
+    floor = np.floor(lo)
+    frac = lo - floor
+    exact &= np.abs(frac - 0.5) > _TIE_MARGIN
+    num = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = num == 10 ** 17  # rounded up into the next decade
+    num[carry] = 10 ** 16
+    return num, d + carry, exact
+
+
+def _fill_digits(rows, code, pick, v):
+    """Write the digits and exponents of the positive values ``v`` (the
+    entries ``pick`` of the block) into their rows and codes; return the
+    indices into ``v`` that are too close to a tie to trust.  A function of
+    its own, so its temporaries are freed before the block's masks are
+    gathered."""
+    num, d, exact = _decimal(v)
+    lead = num // 10 ** 16
+    low = num - lead * 10 ** 16
+    words = []
+    for p in (10 ** 12, 10 ** 8, 10 ** 4):
+        w = low // p
+        low = low - w * p
+        words.append(w)
+    words.append(low)
+    zeros = np.take(_WORD_ZEROS, words[0])
+    for w in words[1:]:
+        zeros = np.where(w == 0, zeros + 4, np.take(_WORD_ZEROS, w))
+    code[pick] += np.take(_LAYOUT_CODES, d + _EXP_MAX) + 16 - zeros
+    rows[pick, 0] = np.take(_LEAD_WORDS, lead)
+    for c, w in enumerate(words, 1):
+        rows[pick, c] = np.take(_DIGIT_WORDS, w)
+    rows[pick, 5] |= np.take(_EXP_WORDS, d + _EXP_MAX)
+    return np.flatnonzero(~exact)
+
+
+def lines(table):
+    """The ASCII bytes of a 2-D float64 table, one comma-separated line per row."""
+    flat = table.ravel()
+    n = flat.size
+    rows = np.empty((n, 6), np.uint64)
+    seps = rows.reshape(table.shape + (6,))[:, :, 5]
+    seps[:, :-1] = _COMMA_WORD
+    seps[:, -1] = _NEWLINE_WORD
+    mag = np.abs(flat)
+    code = np.where(np.signbit(flat), (_LAYOUTS + 4) * 17, 4 * 17)  # "0" / "-0" until set below
+    fast = (mag >= 1e-280) & (mag <= 1e280)
+    pick = slice(None)
+    slow = np.empty(0, np.int64)
+    if not fast.all():
+        rows[:, 0] = _LEAD_WORDS[0]
+        pick = np.flatnonzero(fast)
+        slow = np.flatnonzero(~fast & (mag != 0.0))
+    v = mag[pick]
+    if v.size:
+        inexact = _fill_digits(rows, code, pick, v)
+        if inexact.size:
+            slow = np.concatenate((slow, np.arange(n)[pick][inexact]))
+    mask = np.take(_MASKS, code, axis=0)
+    text = rows.view(np.uint8)
+    for i, x in zip(slow.tolist(), flat[slow].tolist()):
+        s = ("%.17g" % x).encode("ascii")
+        text[i, :len(s)] = np.frombuffer(s, np.uint8)
+        mask[i] = _TEXT_MASKS[len(s)]
+    return np.compress(mask.ravel(), text.ravel())

@@ -231,7 +231,7 @@ class Scenario:
     def _validate_tasks(self, tasks):
         if not isinstance(tasks, list) or not tasks:
             _fail("scenario needs a non-empty 'tasks' list")
-        seen_simulate = False
+        sim_end = None  # t_end of the latest simulate task: the trace the later tasks read
         validated = []
         for entry in tasks:
             if not isinstance(entry, dict) or "task" not in entry:
@@ -260,12 +260,18 @@ class Scenario:
             if (name in ("simulate", "robustness") and self._table_noise is not None
                     and not self._table_noise.covers(0.0, end)):
                 _fail(f"task '{name}': table noise does not cover [0, {end}]")
-            if name in ("reconstruct", "rate") and not seen_simulate:
+            if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
+            if name == "reconstruct" and not 0.0 <= params["start"] <= end <= sim_end:
+                _fail(f"task 'reconstruct': window [{params['start']}, {end}] is not inside "
+                      f"the simulated [0, {sim_end}]")
+            if name == "rate" and params.get("skip_time", 0.0) >= sim_end:
+                _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
+                      f"simulated t_end {sim_end}")
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
-                seen_simulate = True
+                sim_end = end
             validated.append((name, params))
         return validated
 

@@ -69,16 +69,23 @@ class Trajectory:
 
 
 def _write_csv_rows(path, header, times, values):
-    """Write ``header`` and one ``t,v1,...,vM`` line per row, 17 digits each.
+    """Write ``header`` and one ``t,v1,...,vM`` line per row, each value as
+    ``'%.17g' % v`` writes it.
 
-    Each line is a single %-format call on a ``%.17g`` template, which
-    gives the same text as formatting every value with ``f"{v:.17g}"``.
-    Rows are formatted one at a time, so no copy of the array is made.
+    The rows go through ``_csvtext.lines`` in blocks of about
+    ``_csvtext.BLOCK_VALUES`` values, so the text is built by numpy and the
+    memory held stays under 2 MB whatever the table size.  ``_csvtext`` is
+    imported here, on the first write, so ``import consensuslab`` neither
+    compiles it nor builds its tables.
     """
-    line = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % (t, *row.tolist()) for t, row in zip(times.tolist(), values))
+    from . import _csvtext
+
+    rows_per_block = max(1, _csvtext.BLOCK_VALUES // (values.shape[1] + 1))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for r in range(0, times.size, rows_per_block):
+            block = np.column_stack((times[r:r + rows_per_block], values[r:r + rows_per_block]))
+            fh.write(_csvtext.lines(block))
 
 
 def read_trajectory_csv(path):

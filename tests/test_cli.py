@@ -229,6 +229,9 @@ def _horizon_scenario(tasks, noise=None):
     return data
 
 
+_SIMULATE_TO_2 = {"task": "simulate", "t_end": 2.0, "sample_dt": 0.1}
+
+
 @pytest.mark.parametrize("data,message", [
     (_horizon_scenario([{"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}]),
      "exceeds the horizon"),
@@ -240,8 +243,16 @@ def _horizon_scenario(tasks, noise=None):
                        noise={"kind": "table", "zeta": 1.0, "B0": 1.0,
                               "breakpoints": [0.0, 2.0], "values": [[0.1, 0.0, 0.0]]}),
      "table noise does not cover [0, 3.0]"),
+    # inside the horizon, but past the simulated trace the task reads
+    (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": 3.0, "delta": 1.0}]),
+     "window [3.0, 4.0] is not inside the simulated [0, 2.0]"),
+    (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": 1.5, "delta": 1.0}]),
+     "window [1.5, 2.5] is not inside the simulated [0, 2.0]"),
+    (_horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "skip_time": 2.0}]),
+     "skip_time 2.0 is not before the simulated t_end 2.0"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
-        "table-noise-too-short"])
+        "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
+        "rate-skips-whole-trace"])
 def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
     scn = tmp_path / "range.json"
     scn.write_text(json.dumps(data))

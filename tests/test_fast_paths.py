@@ -3,7 +3,7 @@
 ``simulate`` propagates all samples of a constant sub-piece in one product,
 the sample grid is merged with ``searchsorted``, noise window energies are
 summed over elementary intervals, edge-signal rows are located by
-``searchsorted`` ranges, CSV rows are formatted by one %-format call, window
+``searchsorted`` ranges, CSV values are formatted by numpy in blocks, window
 scans integrate and diagonalise stacked blocks of windows taken only at the
 schedule's kinks and delta-crossings, the incidence matrix is filled by
 index arrays, and JSON reports are streamed by ``json.dump``.  Each is
@@ -13,6 +13,10 @@ with a dense scan of starts and with each listed window recomputed alone.
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +30,10 @@ from consensuslab import (
     edge_signals,
     simulate,
 )
-from consensuslab import graph, observability
+import consensuslab
+from consensuslab import _csvtext, graph, observability
 from consensuslab.cli import _write_json, load_scenario, main
-from consensuslab.dynamics import _merge_grid
+from consensuslab.dynamics import _merge_grid, _write_csv_rows
 from consensuslab.graph import (
     _window_integrals,
     check_joint_connectivity,
@@ -265,6 +270,120 @@ def test_edge_signal_csv_bytes_match_fstrings(tmp_path):
     header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in pairs)
     expected = reference_csv_text(header, times, signals).encode()
     assert (tmp_path / "z.csv").read_bytes() == expected
+
+
+def assert_csv_matches_reference(path, table):
+    """Write a table whose first column is the time column; compare with the f-strings."""
+    header = "t," + ",".join(f"v{i + 1}" for i in range(table.shape[1] - 1))
+    _write_csv_rows(path, header, table[:, 0], table[:, 1:])
+    expected = reference_csv_text(header, table[:, 0], table[:, 1:]).encode()
+    assert path.read_bytes() == expected
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate((values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)))
+
+
+def adversarial_values():
+    rng = np.random.default_rng(11)
+    # 18 significant digits ending in 5, exact in binary: ties at 17 digits
+    ties = np.concatenate((rng.integers(10 ** 15, 2 ** 51, 40) + 0.25,
+                           rng.integers(10 ** 15, 2 ** 51, 40) + 0.75,
+                           rng.integers(10 ** 14, 2 ** 50, 40) + 0.125,
+                           [1000000000000000.25, 123456789012345675.0]))
+    # powers of ten, some stored just below 10**k, whose 17 digits round up
+    # into the next decade; and the edges of the fixed layout (d = -5/-4
+    # and 16/17) and of the fast range
+    edges = [float(f"1e{k}") for k in range(-300, 301)] + [
+        9.9999999999999991e-05, 1.2345678901234567e-05, 1.2345678901234567e-04,
+        9.9999999999999998e16, 1.2345678901234567e16, 1.2345678901234567e17,
+        99999999999999999.0, 0.99999999999999999, 9.9999999999999999e22]
+    special = [2.0 ** 53 - 1, 2.0 ** 53 + 1, 2.0 ** 53 + 2, 1e22, 1e23, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0,
+               float("nan"), float("inf")]
+    pool = np.concatenate((ties, with_neighbours(edges), special))
+    return np.concatenate((pool, -pool))
+
+
+@pytest.mark.parametrize("width", [2, 7, 101])
+def test_csv_text_matches_reference_on_adversarial_values(tmp_path, width):
+    values = adversarial_values()
+    table = np.resize(values, (-(-values.size // width), width))
+    assert_csv_matches_reference(tmp_path / "a.csv", table)
+
+
+def test_csv_text_matches_reference_across_blocks(tmp_path):
+    rows = _csvtext.BLOCK_VALUES // 101
+    rng = np.random.default_rng(12)
+    zero_free = rng.standard_normal((rows, 101)) * 10.0 ** rng.integers(-30, 30, (rows, 101))
+    mixed = np.where(rng.random((rows, 101)) < 0.5, 0.0, zero_free[::-1])
+    mixed[rng.random((rows, 101)) < 0.2] = -0.0
+    table = np.concatenate((np.zeros((rows, 101)), zero_free, mixed, mixed[::-1],
+                            zero_free[: rows // 2], np.zeros((3, 101))))
+    assert_csv_matches_reference(tmp_path / "b.csv", table)
+
+
+def test_csv_text_matches_reference_on_generated_tables(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    elements = (st.floats()  # subnormals, signed zeros, NaN and infinities included
+                | st.floats(-1e3, 1e3)
+                | st.integers(-10 ** 18, 10 ** 18).map(float)
+                | st.tuples(st.integers(-10 ** 17, 10 ** 17), st.integers(0, 40)).map(
+                    lambda p: p[0] / 10.0 ** p[1])
+                | st.sampled_from(adversarial_values().tolist()))
+    tables = arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(2, 9)),
+                    elements=elements)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(table=tables)
+    def check(table):
+        assert_csv_matches_reference(tmp_path / "g.csv", table)
+
+    check()
+
+
+def test_power_table_matches_exact_rationals():
+    from fractions import Fraction
+
+    for k, hi, lo in zip(range(_csvtext._POW_MIN, _csvtext._POW_MAX + 1),
+                         _csvtext._POW_HI.tolist(), _csvtext._POW_LO.tolist()):
+        exact = Fraction(10) ** k
+        assert (hi, lo) == (float(exact), float(exact - Fraction(hi))), k
+
+
+def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
+    rng = np.random.default_rng(13)
+    times = np.linspace(0.0, 400.0, 8001)
+    states = rng.standard_normal((8001, 100))
+    tracemalloc.start()
+    try:
+        _write_csv_rows(tmp_path / "big.csv", "t", times, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
+
+
+# imports the package and checks that the formatter and its tables were not loaded
+_IMPORT_ONLY = """
+import sys
+import consensuslab
+assert "consensuslab._csvtext" not in sys.modules
+assert "fractions" not in sys.modules
+"""
+
+
+def test_import_leaves_the_formatter_tables_unbuilt():
+    src = str(Path(consensuslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- window scans --------------------------------------------------------------
