@@ -265,13 +265,27 @@ class Scenario:
             if name == "reconstruct" and not 0.0 <= params["start"] <= end <= sim_end:
                 _fail(f"task 'reconstruct': window [{params['start']}, {end}] is not inside "
                       f"the simulated [0, {sim_end}]")
+            if name == "reconstruct":
+                # reconstruct reads the trace at both window ends and needs
+                # two samples on every segment piece of the window
+                start, tol = params["start"], 1e-6 * sim_dt
+                for t in (start, end):
+                    if not dynamics._on_sample_grid(self.schedule, t, sim_end, sim_dt):
+                        _fail(f"task 'reconstruct': window end {t} is not on the simulated "
+                              f"sample grid (multiples of sample_dt {sim_dt}, segment "
+                              f"boundaries and t_end {sim_end})")
+                if (len(self.schedule.pieces(start, min(start + tol, end))) > 1
+                        or len(self.schedule.pieces(max(end - tol, start), end)) > 1):
+                    _fail(f"task 'reconstruct': window [{start}, {end}] has a segment boundary "
+                          f"within the sample grid's tolerance {tol} of an end, which leaves "
+                          "a piece with a single sample")
             if name == "rate" and params.get("skip_time", 0.0) >= sim_end:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
                       f"simulated t_end {sim_end}")
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
-                sim_end = end
+                sim_end, sim_dt = end, params["sample_dt"]
             validated.append((name, params))
         return validated
 

@@ -72,20 +72,16 @@ def _write_csv_rows(path, header, times, values):
     """Write ``header`` and one ``t,v1,...,vM`` line per row, each value as
     ``'%.17g' % v`` writes it.
 
-    The rows go through ``_csvtext.lines`` in blocks of about
-    ``_csvtext.BLOCK_VALUES`` values, so the text is built by numpy and the
-    memory held stays under 2 MB whatever the table size.  ``_csvtext`` is
-    imported here, on the first write, so ``import consensuslab`` neither
-    compiles it nor builds its tables.
+    ``_csvtext.write_rows`` builds the text with numpy a block of rows at a
+    time, so the memory held stays under 2 MB whatever the table size.
+    ``_csvtext`` is imported here, on the first write, so ``import
+    consensuslab`` neither compiles it nor builds its tables.
     """
     from . import _csvtext
 
-    rows_per_block = max(1, _csvtext.BLOCK_VALUES // (values.shape[1] + 1))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for r in range(0, times.size, rows_per_block):
-            block = np.column_stack((times[r:r + rows_per_block], values[r:r + rows_per_block]))
-            fh.write(_csvtext.lines(block))
+        _csvtext.write_rows(fh, times, values)
 
 
 def read_trajectory_csv(path):
@@ -218,6 +214,17 @@ def _merge_grid(anchors, base, tol):
             j -= 1
         keep[i] = merged[i] - merged[j] > tol
     return merged[keep]
+
+
+def _on_sample_grid(sched, t, t_end, sample_dt):
+    """Whether a run of ``simulate`` to t_end samples at time t: t lies
+    within the grid's merge tolerance 1e-6 * sample_dt of a multiple of
+    sample_dt, of a segment boundary or of t_end."""
+    tol = 1e-6 * sample_dt
+    k = np.clip(np.rint(t / sample_dt), 0.0, np.floor(t_end / sample_dt + 1e-9))
+    if abs(t - k * sample_dt) <= tol or abs(t - t_end) <= tol:
+        return True
+    return len(sched.pieces(max(t - tol, 0.0), min(t + tol, t_end))) > 1  # a boundary near t
 
 
 def _phi1(z):

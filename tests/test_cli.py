@@ -230,6 +230,7 @@ def _horizon_scenario(tasks, noise=None):
 
 
 _SIMULATE_TO_2 = {"task": "simulate", "t_end": 2.0, "sample_dt": 0.1}
+_SIMULATE_TO_4 = {"task": "simulate", "t_end": 4.0, "sample_dt": 0.5}
 
 
 @pytest.mark.parametrize("data,message", [
@@ -250,9 +251,20 @@ _SIMULATE_TO_2 = {"task": "simulate", "t_end": 2.0, "sample_dt": 0.1}
      "window [1.5, 2.5] is not inside the simulated [0, 2.0]"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "skip_time": 2.0}]),
      "skip_time 2.0 is not before the simulated t_end 2.0"),
+    # inside the trace, but off its sample grid: a piece [1.9, 2.0] with one
+    # sample, and window ends between samples
+    (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 1.9, "delta": 0.2}]),
+     "window end 1.9 is not on the simulated sample grid"),
+    (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 0.25, "delta": 1.0}]),
+     "window end 0.25 is not on the simulated sample grid"),
+    # on the grid within its tolerance 5e-7, but just before the boundary 2.0
+    (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 2.0 - 2e-7,
+                                         "delta": 1.0}]),
+     "has a segment boundary within the sample grid's tolerance"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
-        "rate-skips-whole-trace"])
+        "rate-skips-whole-trace", "reconstruct-piece-between-samples",
+        "reconstruct-ends-between-samples", "reconstruct-starts-just-before-a-boundary"])
 def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
     scn = tmp_path / "range.json"
     scn.write_text(json.dumps(data))
@@ -261,6 +273,19 @@ def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err, (command, err)
         assert not (tmp_path / "out").exists(), command
+
+
+def test_reconstruct_window_from_a_boundary_off_the_sample_steps_runs(tmp_path):
+    # the boundary 1.3 is a sample of the run, though not a multiple of 0.5
+    data = _horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 1.3, "delta": 1.2}])
+    edges = [{"i": 1, "j": 2, "w": 1.0}, {"i": 2, "j": 3, "w": 1.0}]
+    data["schedule"]["segments"] = [{"t0": 0.0, "t1": 1.3, "edges": edges},
+                                    {"t0": 1.3, "t1": 4.0, "edges": edges}]
+    scn = tmp_path / "boundary.json"
+    scn.write_text(json.dumps(data))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0
+    assert (tmp_path / "out" / "reconstruction.json").is_file()
 
 
 def test_zero_noise_robustness_report(tmp_path):

@@ -346,6 +346,59 @@ def test_csv_text_matches_reference_on_generated_tables(tmp_path):
     check()
 
 
+# values the zero template must splice in: -0.0 and the '%.17g' fallbacks
+ZERO_TABLE_EXCEPTIONS = [-0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
+                         1000000000000000.25, -123456789012345675.0]
+
+
+def test_csv_text_matches_reference_on_mostly_zero_tables(tmp_path):
+    rng = np.random.default_rng(14)
+    exceptions = np.array(ZERO_TABLE_EXCEPTIONS)
+    rows_per_chunk = _csvtext.BLOCK_VALUES // 191
+    # 190 value columns: sparse rows, all-zero rows, a run of all-zero rows
+    # longer than a block, and a dense stretch between mostly-zero ones
+    sparse = np.where(rng.random((1200, 190)) < 0.03, rng.standard_normal((1200, 190)), 0.0)
+    picks = rng.random((1200, 190)) < 0.01
+    sparse[picks] = rng.choice(exceptions, picks.sum())
+    sparse[::7] = 0.0
+    sparse[5:1200:97, 0] = rng.choice(exceptions, 13)
+    sparse[9:1200:89, -1] = rng.choice(exceptions, 14)
+    dense = rng.standard_normal((3 * rows_per_chunk, 190))
+    zero_rows = 40 * rows_per_chunk
+    table = np.concatenate((sparse[:400], np.zeros((zero_rows, 190)), sparse[400:800],
+                            dense, sparse[800:]))
+    times = np.linspace(0.0, 50.0, table.shape[0])
+    times[::5] = 0.0
+    times[3::11] = rng.choice(exceptions, times[3::11].size)
+    times[400:400 + zero_rows] = 0.0
+    assert_csv_matches_reference(tmp_path / "z.csv", np.column_stack((times, table)))
+    # narrow tables: the exceptions in the first and the last column
+    for width in (2, 3):
+        narrow = np.zeros((300, width))
+        narrow[::4, 0] = rng.choice(exceptions, 75)
+        narrow[1::5, -1] = rng.choice(exceptions, 60)
+        assert_csv_matches_reference(tmp_path / "n.csv", narrow)
+
+
+def test_csv_text_matches_reference_on_generated_mostly_zero_tables(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    elements = st.floats() | st.sampled_from(ZERO_TABLE_EXCEPTIONS + [0.0, -1.5, 2.0 ** 60])
+    shapes = st.tuples(st.integers(1, 40), st.integers(2, 200))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(table=shapes.flatmap(lambda s: arrays(np.float64, s, elements=elements)),
+           share=st.integers(0, 49), seed=st.integers(0, 2 ** 32 - 1))
+    def check(table, share, seed):
+        # keep under half of the values, so that the table is mostly +0.0
+        table[np.random.default_rng(seed).random(table.shape) * 100 >= share] = 0.0
+        assert_csv_matches_reference(tmp_path / "g.csv", table)
+
+    check()
+
+
 def test_power_table_matches_exact_rationals():
     from fractions import Fraction
 
@@ -362,6 +415,19 @@ def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
     tracemalloc.start()
     try:
         _write_csv_rows(tmp_path / "big.csv", "t", times, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
+
+
+def test_csv_writer_memory_stays_flat_on_mostly_zero_tables(tmp_path):
+    rng = np.random.default_rng(15)
+    times = np.linspace(0.0, 400.0, 8001)
+    signals = np.where(rng.random((8001, 190)) < 0.02, rng.standard_normal((8001, 190)), 0.0)
+    tracemalloc.start()
+    try:
+        _write_csv_rows(tmp_path / "sparse.csv", "t", times, signals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
