@@ -155,7 +155,7 @@ class Scenario:
             if not path.is_file():
                 _fail(f"schedule file not found: {path}")
             return graph.load_schedule(path)
-        except ConsensusLabError as exc:
+        except (ConsensusLabError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"invalid schedule: {exc}") from exc
 
     def _seed_child(self, index):
@@ -468,18 +468,18 @@ def load_scenario(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"scenario is not valid UTF-8 JSON: {exc}") from exc
     return Scenario(data, path.parent)
 
 
 def _resolve_output_dir(scenario, flag_value):
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return scenario.base_dir / scenario.output_dir
+    out = Path(flag_value or os.environ.get(OUTPUT_DIR_ENV)
+               or scenario.base_dir / scenario.output_dir)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ScenarioError(f"output directory {out}: {path} exists and is not a directory")
+    return out
 
 
 def list_tasks(task=None):

@@ -216,6 +216,8 @@ class WeightSchedule:
         The final instant of a non-periodic schedule maps to the last segment.
         """
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"time {t} is not finite")
         if t < 0.0:
             raise HorizonError(f"time {t} is before the schedule start")
         if self.periodic:
@@ -234,6 +236,8 @@ class WeightSchedule:
         refer to the base segments.
         """
         t0, t1 = float(t0), float(t1)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(f"window [{t0}, {t1}] must have finite ends")
         if t1 < t0:
             raise ValueError(f"window end {t1} precedes start {t0}")
         tiny = 1e-12 * max(1.0, abs(t1))
@@ -346,23 +350,6 @@ def lambda2(matrix):
     return float(np.linalg.eigvalsh((m + m.T) / 2.0)[1])
 
 
-def _components_connected(node_count, edges):
-    # union-find; exact, no tolerances involved
-    parent = list(range(node_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(v) for v in range(node_count)}) == 1
-
-
 def window_starts(sched, window_length):
     """Kink starts of the windows [s, s + window_length] over all s >= 0.
 
@@ -391,12 +378,13 @@ def window_starts(sched, window_length):
 
 @dataclass(frozen=True)
 class WindowEvidence:
-    """Threshold graph of one checked window [start, start + T]."""
+    """Threshold graph of one checked window [start, start + T] and the
+    witness of its verdict, a tree or a cut (see check_joint_connectivity)."""
 
     start: float
-    edges: tuple
-    lambda2: float
+    edge_count: int
     connected: bool
+    witness: tuple
 
 
 @dataclass(frozen=True)
@@ -425,12 +413,9 @@ class ConnectivityCertificate:
             "verdict": self.verdict,
             "counterexample_window": self.counterexample_window,
             "windows": [
-                {
-                    "start": w.start,
-                    "edges": [[i + 1, j + 1] for i, j in w.edges],
-                    "lambda2": w.lambda2,
-                    "connected": w.connected,
-                }
+                {"start": w.start, "connected": w.connected, "edge_count": w.edge_count,
+                 **({"tree": [[i + 1, j + 1] for i, j in w.witness]} if w.connected
+                    else {"cut": [v + 1 for v in w.witness]})}
                 for w in self.windows
             ],
         }
@@ -484,37 +469,50 @@ def check_joint_connectivity(sched, delta, T):
     The edges with int_s^{s+T} a_ij dt >= delta form the threshold graph of
     the window start s.  The certificate lists the windows of
     :func:`_deciding_windows`, whose graphs each other start's graph
-    contains, so its verdict holds for every s >= 0.  Connectivity is decided exactly
-    by union-find, with the algebraic connectivity of the unweighted
-    threshold Laplacian reported as evidence (one stacked call per block).
+    contains, so its verdict holds for every s >= 0.  One breadth-first
+    search from node 0, stacked over each block of windows, decides each
+    listed graph and leaves a witness.  A connected window's is a spanning
+    tree: the pair (i, j), i < j, of each node 1..N-1 and its parent, in node
+    order; a reader checks that each pair's integral is >= delta and that the
+    N - 1 pairs reach every node.  A failing window's is a cut: the sorted
+    nodes the search reached; a reader checks that it holds node 0 but not
+    every node and that each edge leaving it has an integral < delta.  Both
+    checks only compare integrals with delta, so no eigenvalue (lambda2) is
+    needed as evidence.
     """
-    if delta <= 0.0 or T <= 0.0:
+    if not delta > 0.0 or not T > 0.0:
         raise ValueError("delta and T must be positive")
     n = sched.node_count
-    pairs = edge_pairs(n)
     rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
+    child = np.arange(1, n)
     evidence = []
-    counterexample = None
     for starts, mask in _deciding_windows(sched, delta, T):
-        thresh = np.zeros((len(mask), n, n))
-        thresh[:, rows, cols] = mask
-        thresh[:, cols, rows] = mask
-        lap = _laplacians(thresh)
-        assert np.array_equal(lap, lap.transpose(0, 2, 1)), "threshold Laplacians must be symmetric"
-        lam2 = np.linalg.eigvalsh(lap)[:, 1].tolist()
-        for s, m, l2 in zip(starts.tolist(), mask, lam2):
-            edges = tuple(pairs[e] for e in np.flatnonzero(m).tolist())
-            connected = _components_connected(n, edges)
-            evidence.append(WindowEvidence(start=s, edges=edges, lambda2=l2, connected=connected))
-            if not connected and counterexample is None:
-                counterexample = s
-    verdict = "connected" if counterexample is None else "not_connected"
+        adj = np.zeros((len(mask), n, n), dtype=bool)
+        adj[:, rows, cols] = adj[:, cols, rows] = mask
+        reached = np.zeros((len(mask), n), dtype=bool)
+        reached[:, 0] = True
+        parent = np.zeros((len(mask), n), dtype=int)
+        frontier = reached.copy()
+        while frontier.any():
+            # each new node's parent: the lowest linked node of the last level
+            links = frontier[:, :, None] & adj
+            new = links.any(axis=1) & ~reached
+            parent[new] = links.argmax(axis=1)[new]
+            reached |= new
+            frontier = new
+        trees = np.stack([np.minimum(parent[:, 1:], child), np.maximum(parent[:, 1:], child)], 2)
+        counts, connected = mask.sum(axis=1).tolist(), reached.all(axis=1).tolist()
+        for k, s in enumerate(starts.tolist()):
+            witness = (tuple(map(tuple, trees[k].tolist())) if connected[k]
+                       else tuple(np.flatnonzero(reached[k]).tolist()))
+            evidence.append(WindowEvidence(s, counts[k], connected[k], witness))
+    failing = [w.start for w in evidence if not w.connected]
     return ConnectivityCertificate(
         delta=float(delta),
         T=float(T),
-        verdict=verdict,
+        verdict="not_connected" if failing else "connected",
         windows=tuple(evidence),
-        counterexample_window=counterexample,
+        counterexample_window=failing[0] if failing else None,
     )
 
 

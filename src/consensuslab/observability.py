@@ -111,16 +111,16 @@ def edge_signals(traj, sched):
     pairs = tuple(edge_pairs(sched.node_count))
     times = traj.sample_times
     tol = _grid_tolerance(times)
-    pieces = sched.pieces(times[0], times[-1])
-    if not pieces:
-        k = sched.segment_index_at(times[0])
-        return EdgeSignalTrace(times.copy(), traj.states @ sched.incidence(k), pairs)
-    out_t, out_z = [], []
-    for ta, tb, k in pieces:
-        lo, hi = _rows_within(times, ta, tb, tol)
-        out_t.append(times[lo:hi])
-        out_z.append(traj.states[lo:hi] @ sched.incidence(k))
-    return EdgeSignalTrace(np.concatenate(out_t), np.vstack(out_z), pairs)
+    pieces = (sched.pieces(times[0], times[-1])
+              or [(times[0], times[-1], sched.segment_index_at(times[0]))])
+    ranges = [(*_rows_within(times, ta, tb, tol), k) for ta, tb, k in pieces]
+    # one table, each piece's product written into its rows
+    z = np.empty((sum(hi - lo for lo, hi, _ in ranges), len(pairs)))
+    r = 0
+    for lo, hi, k in ranges:
+        np.matmul(traj.states[lo:hi], sched.incidence(k), out=z[r:r + hi - lo])
+        r += hi - lo
+    return EdgeSignalTrace(np.concatenate([times[lo:hi] for lo, hi, _ in ranges]), z, pairs)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def gramian(sched, s, delta):
     read-only), so asking again for the same window, as a reconstruction
     followed by a report of its Gramian does, builds it once.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     start, delta = float(s), float(delta)
     last = sched._last_gramian
@@ -206,7 +206,7 @@ def uniform_bounds_check(sched, delta_obs):
     attaining alpha1 is the worst window).  The verdict flag is
     alpha1 > POSITIVE_TOL.  Windows go through stacked blocks.
     """
-    if delta_obs <= 0.0:
+    if not delta_obs > 0.0:
         raise ValueError("delta_obs must be positive")
     n = sched.node_count
     shift = delta_obs * (np.ones((n, n)) / n)
@@ -286,7 +286,7 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     of regularizing: a near-singular window means joint connectivity fails
     on it.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     if not sched.is_nonnegative:
         raise SignedGraphError("reconstruction from edge signals needs nonnegative weights")

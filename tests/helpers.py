@@ -10,8 +10,6 @@ from consensuslab.graph import (
     edge_pairs,
     integrated_laplacian,
     integrated_weights,
-    lambda2,
-    laplacian,
 )
 
 
@@ -277,17 +275,71 @@ def scan_starts(sched, T, count=401):
     return np.linspace(0.0, sched.horizon - T, count)
 
 
+def threshold_edges(sched, delta, T, s):
+    """Edges (i, j), i < j, of the threshold graph of the window [s, s + T]."""
+    acc = integrated_weights(sched, s, T)
+    return {(i, j) for i, j in edge_pairs(sched.node_count) if acc[i, j] >= delta}
+
+
 def reference_window(sched, delta, T, s):
     """Evidence of the window [s, s + T], recomputed on its own: one
-    integral, threshold graph, union-find and lambda2 call."""
+    integral, its threshold graph and a plain breadth-first search from
+    node 0 that visits one level at a time, each new node taking as parent
+    the lowest linked node of the level before."""
     n = sched.node_count
-    acc = integrated_weights(sched, s, T)
-    edges = tuple((i, j) for i, j in edge_pairs(n) if acc[i, j] >= delta)
-    thresh = np.zeros((n, n))
-    for i, j in edges:
-        thresh[i, j] = thresh[j, i] = 1.0
-    return WindowEvidence(start=float(s), edges=edges, lambda2=lambda2(laplacian(thresh)),
-                          connected=union_find_connected(n, thresh))
+    edges = threshold_edges(sched, delta, T, s)
+    parent, level = {0: None}, [0]
+    while level:
+        nxt = []
+        for v in sorted(set(range(n)) - set(parent)):
+            linked = [u for u in level if (min(u, v), max(u, v)) in edges]
+            if linked:
+                parent[v] = linked[0]
+                nxt.append(v)
+        level = nxt
+    connected = len(parent) == n
+    if connected:
+        witness = tuple((min(parent[v], v), max(parent[v], v)) for v in range(1, n))
+    else:
+        witness = tuple(sorted(parent))
+    return WindowEvidence(start=float(s), edge_count=len(edges), connected=connected,
+                          witness=witness)
+
+
+def check_certificate(sched, delta, T, cert):
+    """Check a certificate.json dict against the schedule alone, with
+    integrated_weights and plain Python: each window's edge count, each
+    tree (N - 1 threshold edges that reach all N nodes) and each cut (node
+    1 and not every node, no threshold edge leaving it), and the verdict
+    and counterexample these windows give."""
+    assert (cert["delta"], cert["T"]) == (delta, T)
+    n = sched.node_count
+    nodes = set(range(1, n + 1))
+    failing = []
+    for w in cert["windows"]:
+        acc = integrated_weights(sched, w["start"], T).tolist()
+        edges = {(i, j) for i in nodes for j in nodes if i < j and acc[i - 1][j - 1] >= delta}
+        assert w["edge_count"] == len(edges)
+        if w["connected"]:
+            assert sorted(w) == ["connected", "edge_count", "start", "tree"]
+            tree = [tuple(e) for e in w["tree"]]
+            assert len(tree) == n - 1 and set(tree) <= edges
+            reached, grown = {1}, True
+            while grown:
+                grown = False
+                for i, j in tree:
+                    if (i in reached) != (j in reached):
+                        reached |= {i, j}
+                        grown = True
+            assert reached == nodes
+        else:
+            assert sorted(w) == ["connected", "cut", "edge_count", "start"]
+            cut = set(w["cut"])
+            assert w["cut"] == sorted(cut) and 1 in cut and cut < nodes
+            assert not any((i in cut) != (j in cut) for i, j in edges)
+            failing.append(w["start"])
+    assert cert["verdict"] == ("not_connected" if failing else "connected")
+    assert cert["counterexample_window"] == (failing[0] if failing else None)
 
 
 def reference_connectivity(sched, delta, T, starts=None):
@@ -302,13 +354,14 @@ def reference_connectivity(sched, delta, T, starts=None):
 
 def uncovered_starts(sched, delta, T, cert, starts=None):
     """Starts of ``starts`` (default :func:`scan_starts`) whose threshold
-    graph contains no listed window's graph.  An exact certificate leaves
-    none: a graph holding a connected one is connected."""
-    listed = [set(w.edges) for w in cert.windows]
+    graph contains the graph of no listed window, each recomputed from the
+    window's start alone.  An exact certificate leaves none: a start whose
+    graph contains a connected window's graph contains its tree, so it is
+    connected."""
+    listed = [threshold_edges(sched, delta, T, w.start) for w in cert.windows]
     out = []
     for s in scan_starts(sched, T) if starts is None else starts:
-        acc = integrated_weights(sched, s, T)
-        edges = {(i, j) for i, j in edge_pairs(sched.node_count) if acc[i, j] >= delta}
+        edges = threshold_edges(sched, delta, T, s)
         if not any(g <= edges for g in listed):
             out.append(float(s))
     return out

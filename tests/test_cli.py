@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import consensuslab
-from consensuslab.cli import list_tasks, main
+from consensuslab.cli import list_tasks, load_scenario, main
 from consensuslab.errors import ScenarioError
+from helpers import check_certificate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -47,6 +48,8 @@ def test_five_node_reconstruction_report(tmp_path):
     assert report["lambda_min"] > 1e-8
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "connected"
+    check_certificate(load_scenario(tmp_path / "five_node_reconstruct.json").schedule, 0.9, 2.0,
+                      cert)
     assert (out / "edge_signals.csv").is_file()
 
 
@@ -57,6 +60,9 @@ def test_alternating_reports(tmp_path):
     assert rate["converged"] and rate["alpha"] > 0.0
     bounds = json.loads((out / "bounds.json").read_text())
     assert bounds["observable"] and bounds["alpha1"] > 0.0
+    cert = json.loads((out / "certificate.json").read_text())
+    check_certificate(load_scenario(tmp_path / "alternating_triangle.json").schedule, 1.0, 2.0,
+                      cert)
     manifest = json.loads((out / "manifest.json").read_text())
     assert "trajectory.csv" in manifest["artifacts"]
 
@@ -212,6 +218,48 @@ def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err, (label, err)
         assert not (case_dir / "bad_out").exists(), label
+
+
+def _file_scenario_bytes():
+    data = _valid_scenario()
+    data["schedule_file"] = "schedule.json"
+    return json.dumps(data.pop("schedule")).encode(), json.dumps(data).encode()
+
+
+# (schedule file bytes, scenario bytes) that no JSON parser reads, and the message
+UNREADABLE = {
+    "scenario-invalid-utf8": (lambda sched, scn: (sched, scn.replace(b'"bad_out"', b'"bad\xff"')),
+                              "scenario is not valid UTF-8 JSON"),
+    "schedule-invalid-json": (lambda sched, scn: (sched[:-1], scn), "invalid schedule: Expecting"),
+    "schedule-invalid-utf8": (lambda sched, scn: (sched.replace(b'"segments"', b'"\xffs"'), scn),
+                              "invalid schedule: 'utf-8' codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_exits_2_without_outputs(tmp_path, capsys, case):
+    garble, message = UNREADABLE[case]
+    sched, scn = garble(*_file_scenario_bytes())
+    (tmp_path / "schedule.json").write_bytes(sched)
+    (tmp_path / "scenario.json").write_bytes(scn)
+    for command in ("validate", "run"):
+        assert main([command, str(tmp_path / "scenario.json")]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and message in err, err
+        assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "schedule.json"]
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+def test_output_path_through_a_file_exits_2_without_outputs(tmp_path, capsys, below):
+    shutil.copy(SCENARIOS / "k2_constant.json", tmp_path / "k2.json")
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["run", str(tmp_path / "k2.json"), "--output-dir", str(taken.joinpath(*below))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "not a directory" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.json", "taken"]
+    assert taken.read_text() == "kept"
 
 
 def _horizon_scenario(tasks, noise=None):
@@ -456,3 +504,4 @@ def test_flags_live_in_json_not_exit_code(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "not_connected"
     assert cert["counterexample_window"] is not None
+    check_certificate(load_scenario(tmp_path / "isolated_node.json").schedule, 0.01, 20.0, cert)

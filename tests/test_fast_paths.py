@@ -44,6 +44,7 @@ from consensuslab.graph import (
 )
 from consensuslab.observability import _piece_node_rows, _rows_within, uniform_bounds_check
 from helpers import (
+    check_certificate,
     five_node_schedule,
     random_weights,
     reference_connectivity,
@@ -224,7 +225,25 @@ def test_edge_signals_bit_identical_to_masks(sample_dt):
         out_z.append(traj.states[mask] @ incidence(sched.segments[k].weights).entries)
     trace = edge_signals(traj, sched)
     assert np.array_equal(trace.sample_times, np.concatenate(out_t))
-    assert np.array_equal(trace.signals, np.vstack(out_z))
+    # on the int64 view, so that -0.0 and +0.0 count as different
+    assert np.array_equal(trace.signals.view(np.int64), np.vstack(out_z).view(np.int64))
+
+
+def test_edge_signals_hold_one_copy_of_the_trace():
+    rng = np.random.default_rng(5)
+    sched = WeightSchedule([(float(k), k + 1.0, random_weights(rng, 20, density=0.2))
+                            for k in range(16)], periodic=True)
+    traj = simulate(sched, rng.standard_normal(20), 16.0, 1 / 104)
+    for k in range(len(sched)):
+        sched.incidence(k)  # cached before the measurement: not part of the trace
+    tracemalloc.start()
+    try:
+        trace = edge_signals(traj, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.signals.shape == (1680, 190)
+    assert peak <= 1.25 * trace.signals.nbytes, peak / trace.signals.nbytes
 
 
 def test_nan_sample_times_are_refused():
@@ -513,11 +532,11 @@ def test_window_integrals_match_over_several_blocks(n, kind):
 
 
 def assert_certificate_exact(sched, delta, T, cert):
-    """Every listed window recomputed alone, and the verdict of a dense scan."""
+    """Every listed window recomputed alone, every witness checked against
+    the schedule, and the verdict of a dense scan."""
     for w in cert.windows:
         assert w == reference_window(sched, delta, T, w.start)
-    failing = [w.start for w in cert.windows if not w.connected]
-    assert cert.counterexample_window == (failing[0] if failing else None)
+    check_certificate(sched, delta, T, cert.as_dict())
     assert cert.verdict == reference_connectivity(sched, delta, T)
     assert uncovered_starts(sched, delta, T, cert) == []
 

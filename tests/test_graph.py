@@ -7,8 +7,10 @@ from consensuslab import (
     InvalidSnapshotError,
     SignedGraphError,
     WeightSchedule,
+    WindowEvidence,
     check_joint_connectivity,
     edge_pairs,
+    gramian,
     incidence,
     integrated_laplacian,
     integrated_weights,
@@ -18,10 +20,12 @@ from consensuslab import (
     negative_link_assumption_holds,
     save_schedule,
     schedule_from_dict,
+    transition_matrix,
     window_starts,
 )
 from helpers import (
     alternating_schedule,
+    check_certificate,
     dense_starts,
     five_node_schedule,
     isolated_schedule,
@@ -156,14 +160,17 @@ class TestJointConnectivity:
         cert = check_joint_connectivity(k3_schedule(), 0.5, 1.0)
         assert cert.connected
         assert cert.counterexample_window is None
-        assert all(w.lambda2 > 0.5 for w in cert.windows)
+        # every window holds all three edges; the search from node 0 reaches both others
+        assert all(w.edge_count == 3 and w.witness == ((0, 1), (0, 2)) for w in cert.windows)
+        check_certificate(k3_schedule(), 0.5, 1.0, cert.as_dict())
 
     def test_alternating_certificate(self):
         cert = check_joint_connectivity(alternating_schedule(), 1.0, 2.0)
         assert cert.verdict == "connected"
-        # every window accrues exactly 1.0 per edge
+        # every window accrues exactly 1.0 per edge: its two edges are its tree
         for w in cert.windows:
-            assert set(w.edges) == {(0, 1), (1, 2)}
+            assert w.connected and w.edge_count == 2 and w.witness == ((0, 1), (1, 2))
+        check_certificate(alternating_schedule(), 1.0, 2.0, cert.as_dict())
 
     def test_isolated_node(self):
         cert = check_joint_connectivity(isolated_schedule(), 0.01, 20.0)
@@ -185,6 +192,7 @@ class TestJointConnectivity:
         cert = check_joint_connectivity(sched, 0.04, 1.92)
         assert cert.verdict == "not_connected"
         assert cert.counterexample_window == pytest.approx(0.03)  # the middle of (0.01, 0.05)
+        check_certificate(sched, 0.04, 1.92, cert.as_dict())
 
     @pytest.mark.parametrize("delta", [0.52, 0.51, 0.505])
     def test_two_edges_absent_together_between_kinks(self, delta):
@@ -202,7 +210,9 @@ class TestJointConnectivity:
         assert cert.counterexample_window == first and 1.03 - delta < first < delta + 0.03
         assert 2.06 - delta < second < delta + 1.06
         for s in (first, second):
-            assert reference_window(sched, delta, 1.0, s).edges == ((1, 2),)
+            # the cut {node 0} and one edge: that edge is (1, 2)
+            assert reference_window(sched, delta, 1.0, s) == WindowEvidence(s, 1, False, (0,))
+        check_certificate(sched, delta, 1.0, cert.as_dict())
 
     def test_verdict_matches_a_dense_scan(self):
         pytest.importorskip("hypothesis")
@@ -218,6 +228,7 @@ class TestJointConnectivity:
             assert cert.verdict == reference_connectivity(sched, delta, T, dense_starts(sched, T))
             for w in cert.windows:
                 assert w == reference_window(sched, delta, T, w.start)
+            check_certificate(sched, delta, T, cert.as_dict())
             assert uncovered_starts(sched, delta, T, cert, dense_starts(sched, T)) == []
 
         check()
@@ -375,3 +386,22 @@ def test_laplacian_annihilates_ones_both_sides():
         ones = np.ones(n)
         assert np.abs(lap @ ones).max() < 1e-13 * n
         assert np.abs(ones @ lap).max() < 1e-13 * n
+
+
+NON_FINITE_CALLS = {
+    "connectivity-delta": lambda s: check_joint_connectivity(s, np.nan, 1.0),
+    "connectivity-T": lambda s: check_joint_connectivity(s, 0.5, np.nan),
+    "gramian": lambda s: gramian(s, 0.0, np.nan),
+    "integrated-weights": lambda s: integrated_weights(s, 0.0, np.nan),
+    "transition-matrix": lambda s: transition_matrix("raw", s, 0.0, np.nan),
+    "segment-index": lambda s: s.segment_index_at(np.nan),
+    "pieces-inf": lambda s: s.pieces(0.0, np.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_times_raise(name):
+    sched = alternating_schedule()
+    with pytest.raises(ValueError):
+        NON_FINITE_CALLS[name](sched)
+    assert sched._last_gramian is None  # nothing memoised
