@@ -72,8 +72,9 @@ TASKS = {
     ),
 }
 
-# parameters that are lengths of time or steps, wherever they appear
-POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "zeta")
+# parameters that must be positive wherever they appear: lengths of time or
+# steps, and the Gramian eigenvalue cutoff
+POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "zeta", "cond_tol")
 
 NOISE_KINDS = ("zero", "table", "windowed-random")
 

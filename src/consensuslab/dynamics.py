@@ -118,8 +118,12 @@ class NoiseProcess:
             )
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("noise values must be finite")
-        if self.zeta is None or self.zeta <= 0.0:
-            raise ConfigurationError("noise needs a positive window length zeta")
+        if self.zeta is None or not (self.zeta > 0.0 and math.isfinite(self.zeta)):
+            raise ConfigurationError("noise needs a positive, finite window length zeta")
+        if not (self.energy_bound >= 0.0 and math.isfinite(self.energy_bound)):
+            raise ConfigurationError(
+                f"noise energy bound B0 must be finite and nonnegative, got {self.energy_bound}"
+            )
         self.breakpoints = b
         self.values = v
         worst = max(self.window_energies(), default=0.0)
@@ -139,8 +143,8 @@ class NoiseProcess:
                         steps_per_window=4, margin=0.05):
         """Seeded noise from t = 0 over whole zeta-windows reaching t_end,
         each scaled to carry exactly (1 - margin) * B0 of energy."""
-        if zeta <= 0.0:
-            raise ConfigurationError("zeta must be positive")
+        if not (zeta > 0.0 and math.isfinite(zeta)):
+            raise ConfigurationError(f"zeta must be positive and finite, got {zeta}")
         rng = np.random.default_rng(seed)
         n_windows = max(1, math.ceil(t_end / zeta))
         step = zeta / steps_per_window
@@ -267,10 +271,9 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
         raise ConfigurationError(
             f"initial state has {x0.size} entries for a {n}-node schedule"
         )
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if sample_dt <= 0.0:
-        raise ValueError("sample_dt must be positive")
+    for name, v in (("t_end", t_end), ("sample_dt", sample_dt)):
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     if noise is not None:
         if noise.node_count != n:
             raise ConfigurationError("noise node count does not match the schedule")

@@ -8,7 +8,6 @@ arrays; node counts are desk scale.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -286,51 +285,10 @@ def integrated_weights(sched, s, duration):
     return acc
 
 
-# windows go through the stacked kernels in blocks of about this many matrix
-# entries per (windows, N, N) array, so memory stays flat in the window count
+# the window checks stack their integrals in blocks of about this many matrix
+# entries, max(1, _BLOCK_ENTRIES // N^2) kinks a block, so memory stays flat
+# in the number of kinks and of listed windows
 _BLOCK_ENTRIES = 1 << 16
-
-
-def _window_integrals(sched, starts, duration):
-    """Yield (lo, stack): integrated_weights for starts[lo:lo + len(stack)].
-
-    Each block stacks at most max(1, _BLOCK_ENTRIES // N^2) windows, and
-    no other array of the scan is larger than one block.  A window's pieces
-    are added in their own order, padded to the block's widest window with
-    zero durations, so every slice is bit-identical to
-    :func:`integrated_weights` (adding +-0.0 is exact).
-    """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
-    n = sched.node_count
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    seg_weights = [seg.weights for seg in sched.segments]
-    for lo in range(0, len(starts), block):
-        pieces = [sched.pieces(s, s + duration) for s in starts[lo:lo + block]]
-        width = max(map(len, pieces))
-        dur = np.array([[tb - ta for ta, tb, _ in p] + [0.0] * (width - len(p)) for p in pieces])
-        idx = np.array([[k for _, _, k in p] + [0] * (width - len(p)) for p in pieces], dtype=int)
-        acc = np.zeros((len(pieces), n, n))
-        term = np.empty_like(acc)
-        for c in range(width):
-            np.stack([seg_weights[k] for k in idx[:, c].tolist()], out=term)
-            term *= dur[:, c, None, None]
-            acc += term
-        yield lo, acc
-
-
-def _laplacians(w):
-    """Laplacians of a (windows, N, N) weight stack, laid out like laplacian().
-
-    Built as diag(row sums) minus W by subtraction from zeros, so absent
-    edges hold +0.0 exactly as in np.diag(d) - w (a negated W would leave
-    -0.0 there, which changes the last bits LAPACK returns).
-    """
-    lap = np.zeros(w.shape)
-    diag = np.arange(w.shape[1])
-    lap[:, diag, diag] = w.sum(axis=2)
-    lap -= w
-    return lap
 
 
 def integrated_laplacian(sched, s, duration):
@@ -358,8 +316,8 @@ def window_starts(sched, window_length):
     is affine in s.  Periodic schedules give one period of kinks, the
     others the kinks in [0, horizon - window_length], both ends included.
     """
-    if window_length < 0.0:
-        raise ValueError("window length must be nonnegative")
+    if not (window_length >= 0.0 and math.isfinite(window_length)):
+        raise ValueError(f"window length must be finite and nonnegative, got {window_length}")
     bounds = [seg.t_start for seg in sched.segments] + [sched.horizon]
     tol = 1e-9 * max(1.0, sched.horizon)
     vals = bounds + [b - window_length for b in bounds]
@@ -430,23 +388,24 @@ def _deciding_windows(sched, delta, T):
     the crossings cut [a, b] into pieces of constant threshold graph.  As the
     test is closed, a cut's graph holds the edges on both sides, and a piece
     whose left cut only adds edges (or right cut only drops them) holds its
-    neighbour's.  The other, inclusion-minimal pieces are listed by midpoint,
-    max(1, _BLOCK_ENTRIES // N^2) per block; each kink is integrated once.
+    neighbour's.  The other, inclusion-minimal pieces are listed by midpoint.
+    Kink intervals go in blocks of max(1, _BLOCK_ENTRIES // N^2), each
+    integral exactly :func:`integrated_weights`; the kink that closes a
+    block opens the next and is integrated again.
     """
     kinks = window_starts(sched, T)
     # the last interval of a period ends at the period, whose integrals are
     # those at 0; a lone kink (T equal to the horizon) is a one-point interval
     wrap = sched.periodic or len(kinks) == 1
     pts = np.array(kinks + [sched.period if sched.periodic else kinks[0]] * wrap)
+    ends = kinks + kinks[:1] * wrap  # not the period: pieces(P, P + T) rounds differently
     rows, cols = np.triu_indices(sched.node_count, 1)
     block = max(1, _BLOCK_ENTRIES // sched.node_count ** 2)
-    scan = (stack[:, rows, cols] for _, stack in _window_integrals(sched, kinks, T))
-    first, prev, lo = next(scan), None, 0  # prev: last row of the previous block
-    for vals in itertools.chain([first], scan, [first[:1]] * wrap):
-        seq = vals if prev is None else np.concatenate([prev, vals])
-        prev, ia, slope = seq[-1:], seq[:-1], seq[1:] - seq[:-1]
+    for lo in range(0, len(ends) - 1, block):
+        seq = np.stack([integrated_weights(sched, s, T)[rows, cols]
+                        for s in ends[lo:lo + block + 1]])
+        ia, slope = seq[:-1], seq[1:] - seq[:-1]
         a, span = pts[lo:lo + len(ia)], np.diff(pts[lo:lo + len(ia) + 1])
-        lo += len(ia)
         cross = np.divide(delta - ia, slope, out=np.ones_like(slope), where=slope != 0.0)
         # per interval: 0, the crossing fractions in ascending order, 1, with
         # the rising crossings first and the falling last at equal fractions

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SignedGraphError, UnobservableWindowError
-from .graph import (
-    _laplacians,
-    _window_integrals,
-    edge_pairs,
-    negative_link_assumption_holds,
-    window_starts,
-)
+from . import graph
+from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
 from .dynamics import _disagreement_flow, _write_csv_rows
 
 __all__ = [
@@ -204,18 +199,22 @@ def uniform_bounds_check(sched, delta_obs):
     eigenvalue is concave and its largest convex: alpha1 and alpha2 over
     the kinks alone are the extremes over all s >= 0 (the first kink
     attaining alpha1 is the worst window).  The verdict flag is
-    alpha1 > POSITIVE_TOL.  Windows go through stacked blocks.
+    alpha1 > POSITIVE_TOL.  The kinks go in blocks of
+    max(1, graph._BLOCK_ENTRIES // N^2), each window exactly
+    :func:`consensuslab.graph.integrated_laplacian` plus the shift, with one
+    eigvalsh call per block.
     """
     if not delta_obs > 0.0:
         raise ValueError("delta_obs must be positive")
     n = sched.node_count
     shift = delta_obs * (np.ones((n, n)) / n)
     starts = window_starts(sched, delta_obs)
+    block = max(1, graph._BLOCK_ENTRIES // (n * n))
     alpha1 = np.inf
     alpha2 = -np.inf
     worst = 0.0
-    for lo, acc in _window_integrals(sched, starts, delta_obs):
-        lap = _laplacians(acc)
+    for lo in range(0, len(starts), block):
+        lap = np.stack([integrated_laplacian(sched, s, delta_obs) for s in starts[lo:lo + block]])
         lap += shift
         eigs = np.linalg.eigvalsh(lap)
         r = int(np.argmin(eigs[:, 0]))
@@ -288,6 +287,8 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
+    if not cond_tol > 0.0:
+        raise ValueError("cond_tol must be positive")
     if not sched.is_nonnegative:
         raise SignedGraphError("reconstruction from edge signals needs nonnegative weights")
     n = sched.node_count

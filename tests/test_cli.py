@@ -122,6 +122,10 @@ def _set(keys, value):
     return mutate
 
 
+def _append_task(task):
+    return lambda data: data["tasks"].append(task)
+
+
 def _drop_nodes(data):
     del data["schedule"]["nodes"]
 
@@ -199,6 +203,12 @@ MALFORMED = [
      "noise breakpoints must be finite"),
     ("object table values", _set(["noise"], _table_noise([0.0, 4.0], {"a": 1})),
      "invalid table noise"),
+    ("negative cond_tol",
+     _append_task({"task": "reconstruct", "start": 0.0, "delta": 2.0, "cond_tol": -1.0}),
+     "'cond_tol' must be positive"),
+    ("zero cond_tol",
+     _append_task({"task": "reconstruct", "start": 0.0, "delta": 2.0, "cond_tol": 0.0}),
+     "'cond_tol' must be positive"),
 ]
 
 

@@ -35,11 +35,9 @@ from consensuslab import _csvtext, graph, observability
 from consensuslab.cli import _write_json, load_scenario, main
 from consensuslab.dynamics import _merge_grid, _write_csv_rows
 from consensuslab.graph import (
-    _window_integrals,
     check_joint_connectivity,
     edge_pairs,
     incidence,
-    integrated_weights,
     window_starts,
 )
 from consensuslab.observability import _piece_node_rows, _rows_within, uniform_bounds_check
@@ -57,7 +55,6 @@ from helpers import (
     reference_window,
     reference_window_energies,
     reference_write_json,
-    scan_starts,
     uncovered_starts,
     weights,
 )
@@ -490,45 +487,8 @@ SCHEDULE_KINDS = {"periodic": lambda rng, n: random_schedule(rng, n, True),
                   "signed": lambda rng, n: random_signed_schedule(rng, n, True)}
 
 
-def block_size(n):
-    return max(1, graph._BLOCK_ENTRIES // (n * n))
-
-
 def golden_schedules():
     return [load_scenario(SCENARIOS / f"{name}.json").schedule for name in GOLDENS]
-
-
-def assert_integrals_match(sched, starts, duration):
-    """Compare every stacked slice with integrated_weights; return the block count."""
-    covered = blocks = 0
-    for lo, stack in _window_integrals(sched, starts, duration):
-        assert lo == covered and 1 <= len(stack) <= block_size(sched.node_count)
-        for r, s in enumerate(starts[lo:lo + len(stack)]):
-            assert np.array_equal(stack[r], integrated_weights(sched, s, duration))
-        covered += len(stack)
-        blocks += 1
-    assert covered == len(starts)
-    return blocks
-
-
-@pytest.mark.parametrize("sched", golden_schedules(), ids=GOLDENS)
-def test_window_integrals_match_on_goldens(sched):
-    for frac in (0.3, 0.5):
-        T = frac * sched.horizon
-        assert_integrals_match(sched, window_starts(sched, T) + list(scan_starts(sched, T, 17)), T)
-
-
-@pytest.mark.parametrize("n", [3, 10, 30])
-@pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
-def test_window_integrals_match_over_several_blocks(n, kind):
-    rng = np.random.default_rng([n, len(kind)])
-    sched = SCHEDULE_KINDS[kind](rng, n)
-    T = 0.4 * sched.horizon
-    starts = window_starts(sched, T) + list(scan_starts(sched, T, 3 * block_size(n) // 2))
-    assert len(starts) > block_size(n)
-    assert assert_integrals_match(sched, starts, T) >= 2
-    # windows with no piece at all stack to zeros
-    assert assert_integrals_match(sched, starts[:3], 0.0) == 1
 
 
 def assert_certificate_exact(sched, delta, T, cert):
@@ -606,6 +566,26 @@ def test_window_checks_match_reference_over_several_blocks(kind, n, monkeypatch)
             assert {w.connected for w in cert.windows} == {True, False}
     assert_bounds_exact(sched, T, uniform_bounds_check(sched, T))
     assert verdicts[-1] == "not_connected"
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "nonperiodic"])
+def test_block_seam_integrates_its_kink_twice(periodic, monkeypatch):
+    # the kink that closes a block opens the next one and is integrated
+    # again; a period's last interval closes with the integrals at 0
+    n = 5
+    sched = random_schedule(np.random.default_rng(12), n, periodic, segments=6)
+    T = 0.4 * sched.horizon
+    kinks = window_starts(sched, T)
+    intervals = len(kinks) - 1 + periodic
+    blocks = -(-intervals // 2)
+    assert blocks >= 3
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 2 * n * n)  # two kink intervals per block
+    starts, pieces = [], WeightSchedule.pieces
+    monkeypatch.setattr(WeightSchedule, "pieces",
+                        lambda self, t0, t1: starts.append(t0) or pieces(self, t0, t1))
+    check_joint_connectivity(sched, 0.1 * T, T)
+    assert len(starts) == len(kinks) + periodic + blocks - 1
+    assert set(starts) == set(kinks)
 
 
 def test_worst_window_is_the_first_minimum(monkeypatch):

@@ -5,6 +5,7 @@ from consensuslab import (
     ConfigurationError,
     HorizonError,
     InvalidSnapshotError,
+    NoiseProcess,
     SignedGraphError,
     WeightSchedule,
     WindowEvidence,
@@ -20,6 +21,7 @@ from consensuslab import (
     negative_link_assumption_holds,
     save_schedule,
     schedule_from_dict,
+    simulate,
     transition_matrix,
     window_starts,
 )
@@ -405,3 +407,27 @@ def test_non_finite_times_raise(name):
     with pytest.raises(ValueError):
         NON_FINITE_CALLS[name](sched)
     assert sched._last_gramian is None  # nothing memoised
+
+
+# lengths of time that are NaN or infinite, each refused with the class its
+# call raises for any other bad value of that argument
+NON_FINITE_LENGTHS = {
+    "window-starts-nan": (ValueError, lambda s: window_starts(s, np.nan)),
+    "window-starts-inf": (ValueError, lambda s: window_starts(s, np.inf)),
+    "noise-bound-nan": (ConfigurationError,
+                        lambda s: NoiseProcess([0.0, 1.0], [[0.1] * 3], 1.0, np.nan)),
+    "noise-zeta-inf": (ConfigurationError,
+                       lambda s: NoiseProcess([0.0, 1.0], [[0.1] * 3], np.inf, 1.0)),
+    "random-noise-zeta-nan": (ConfigurationError,
+                              lambda s: NoiseProcess.windowed_random(3, np.nan, 1.0, 0, 4.0)),
+    "simulate-t-end-inf": (ValueError, lambda s: simulate(s, [1.0, 0.0, -1.0], np.inf, 0.1)),
+    "simulate-t-end-nan": (ValueError, lambda s: simulate(s, [1.0, 0.0, -1.0], np.nan, 0.1)),
+    "simulate-sample-dt-nan": (ValueError, lambda s: simulate(s, [1.0, 0.0, -1.0], 2.0, np.nan)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_LENGTHS))
+def test_non_finite_lengths_raise(name):
+    error, call = NON_FINITE_LENGTHS[name]
+    with pytest.raises(error, match="finite"):
+        call(alternating_schedule())

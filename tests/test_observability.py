@@ -313,6 +313,14 @@ class TestReconstruct:
             reconstruct(trace, sched, 0.0, 5.0)
         assert err.value.lambda_min < 1e-8
 
+    @pytest.mark.parametrize("cond_tol", [-1.0, 0.0, np.nan])
+    def test_cond_tol_must_be_positive(self, cond_tol):
+        # a cutoff at or below zero would invert the isolated node's singular Gramian
+        sched = isolated_schedule(horizon=10.0)
+        trace = edge_signals(simulate(sched, [0.3, -0.7, 0.4], 5.0, 0.01), sched)
+        with pytest.raises(ValueError, match="cond_tol must be positive"):
+            reconstruct(trace, sched, 0.0, 5.0, cond_tol=cond_tol)
+
     def test_edge_order_mismatch(self):
         sched = k2_schedule()
         traj = simulate(sched, [1.0, -1.0], 1.0, 0.01)
