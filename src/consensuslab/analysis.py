@@ -71,6 +71,8 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     period: log e(t) of a switched system carries a periodic modulation,
     and sampling the fit at period multiples removes it from the residual.
     """
+    if fit_dt is not None and not (fit_dt > 0.0 and np.isfinite(fit_dt)):
+        raise ValueError(f"fit_dt must be positive and finite, got {fit_dt}")
     e = consensus_error(traj)
     t = traj.sample_times
     t0 = t[0]
@@ -83,8 +85,10 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     tail = eligible[eligible.size // 2:]
     mask = t[tail] >= t0 + skip_time
     if fit_dt is not None:
-        steps = (t[tail] - t0) / fit_dt
-        mask &= np.abs(steps - np.round(steps)) <= 1e-9 * max(1.0, abs(t[-1]) / fit_dt)
+        # on the grid t0 + m * fit_dt, tested in time units: a huge fit_dt
+        # keeps at most the sample at t0
+        off = t[tail] - t0
+        mask &= np.abs(off - np.round(off / fit_dt) * fit_dt) <= 1e-9 * max(1.0, abs(t[-1]))
     tail = tail[mask]
     if tail.size < 2:
         raise ValueError("fit window is empty; relax skip_time or fit_dt")

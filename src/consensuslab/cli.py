@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import os
 import shutil
 import sys
@@ -283,6 +284,16 @@ class Scenario:
             if name == "rate" and params.get("skip_time", 0.0) >= sim_end:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
                       f"simulated t_end {sim_end}")
+            if name == "rate" and "fit_dt" in params:
+                # the fit reads the samples on the multiples of fit_dt; a
+                # fit_dt so small that t_end / fit_dt overflows has plenty
+                skip, fit_dt = float(params.get("skip_time", 0.0)), float(params["fit_dt"])
+                tol = 1e-9 * max(1.0, sim_end)
+                last = (sim_end + tol) / fit_dt
+                first = max(0.0, (skip - tol) / fit_dt)
+                if math.isfinite(last) and math.floor(last) - math.ceil(first) < 1:
+                    _fail(f"task 'rate': fewer than two multiples of fit_dt {fit_dt} lie in "
+                          f"[skip_time {skip}, t_end {sim_end}]; the fit needs two")
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":

@@ -145,6 +145,8 @@ class NoiseProcess:
         each scaled to carry exactly (1 - margin) * B0 of energy."""
         if not (zeta > 0.0 and math.isfinite(zeta)):
             raise ConfigurationError(f"zeta must be positive and finite, got {zeta}")
+        if not math.isfinite(t_end):
+            raise ConfigurationError(f"t_end must be finite, got {t_end}")
         rng = np.random.default_rng(seed)
         n_windows = max(1, math.ceil(t_end / zeta))
         step = zeta / steps_per_window
@@ -252,10 +254,16 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
         None means no noise.  Each segment piece is split at the noise
         breakpoints; on a sub-piece [u0, u1] with constant w the
         eigen-coordinates c = Q'x at every sample time t in (u0, u1] are
-        c(t) = e^{-lam tau} c(u0) + tau phi_1(-lam tau) Q'w, tau = t - u0,
-        one matrix product for all of them.  This is exact, so the whole
-        run is exact up to rounding, and its cost is linear in the number
-        of samples, segments and noise breakpoints.
+        c(t) = e^{-lam tau} c(u0) + tau phi_1(-lam tau) Q'w, tau = t - u0.
+        This is exact, so the whole run is exact up to rounding, and its
+        cost is linear in the number of samples, segments and noise
+        breakpoints.
+
+    The run takes three passes.  A loop over the sub-pieces carries only
+    c from each sub-piece's start to its end (and x = Qc to the next
+    piece).  One elementwise pass then writes the c(t) of every sample,
+    in blocks of rows, straight into the state table, and one matrix
+    product per sub-piece turns its rows into x(t) = Q c(t).
 
     Returns
     -------
@@ -288,7 +296,10 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     pieces = sched.pieces(0.0, t_end)
     anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
     grid = _merge_grid(anchors, base, tol=1e-6 * sample_dt)
-    if pieces and pieces[-1][1] < grid[-1]:
+    if not pieces:
+        # a horizon within pieces' tolerance of 0 can still hold samples
+        pieces = [(0.0, float(grid[-1]), sched.segment_index_at(0.0))]
+    elif pieces[-1][1] < grid[-1]:
         # a non-periodic schedule ends at most its horizon tolerance before
         # t_end; its last segment carries the run to the final sample
         ta, _, k = pieces[-1]
@@ -300,29 +311,89 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
 
     states = np.empty((grid.size, n))
     states[0] = x0
+    spans, coords, drives = _carry(sched, pieces, grid, x0, noise)
+    _fill_coordinates(sched, states, grid, spans, coords, drives)
+    for a, b, k, _ in spans:
+        states[a:b] = states[a:b] @ sched.spectrum(k)[1].T
+    return Trajectory(grid, states)
+
+
+def _carry(sched, pieces, grid, x, noise):
+    """Carry the eigen-coordinates through every sub-piece of the run.
+
+    Returns the sub-pieces that hold samples, as (first row, end row,
+    segment index, start time), with their start coordinates c and, under
+    noise, their drives Q'w (else None for the drives).  The coordinates at
+    a sub-piece end take the same operations as a sample there would.
+    """
+    spans, coords = [], []
+    drives = None if noise is None else []
+    steps = {}  # e^{-lam h} and h phi_1(-lam h) by (segment index, h)
+    # the sample rows in (u0, u1] of a sub-piece are [row of u0, row of u1);
+    # a piece starts where the one before ended, so the gap pieces() leaves
+    # around a skipped sliver of a segment holds no unwritten row
+    end_rows = np.searchsorted(grid, [tb for _, tb, _ in pieces], side="right").tolist()
+    start_rows = [1] + end_rows[:-1]
     if noise is not None:
         breaks, rows = noise.breakpoints, noise.values
         # breakpoints strictly inside each piece, and the noise row at its start
-        first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right")
-        last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left")
-    x = x0
+        first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right").tolist()
+        last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left").tolist()
+        break_rows = np.searchsorted(grid, breaks, side="right").tolist()
     for p, (ta, tb, k) in enumerate(pieces):
         lam, q = sched.spectrum(k)
         c = q.T @ x
-        cuts = [ta, tb] if noise is None else [ta, *breaks[first[p]:last[p]], tb]
-        bounds = np.searchsorted(grid, cuts, side="right")
-        for i, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
-            # samples in (u0, u1] in one product, then the state at u1
-            tau = np.append(grid[bounds[i]:bounds[i + 1]] - u0, u1 - u0)
-            z = -lam * tau[:, None]
-            coords = np.exp(z) * c
+        if noise is None:
+            cuts, bounds = (ta, tb), (start_rows[p], end_rows[p])
+        else:
+            cuts = [ta, *breaks[first[p]:last[p]].tolist(), tb]
+            bounds = [start_rows[p], *break_rows[first[p]:last[p]], end_rows[p]]
+        for i in range(len(cuts) - 1):
+            u0, h = cuts[i], cuts[i + 1] - cuts[i]
             if noise is not None:
-                w = rows[min(max(first[p] - 1 + i, 0), rows.shape[0] - 1)]
-                coords += tau[:, None] * _phi1(z) * (q.T @ w)
-            states[bounds[i]:bounds[i + 1]] = coords[:-1] @ q.T
-            c = coords[-1]
+                qw = q.T @ rows[min(max(first[p] - 1 + i, 0), rows.shape[0] - 1)]
+            if bounds[i] < bounds[i + 1]:
+                spans.append((bounds[i], bounds[i + 1], k, u0))
+                coords.append(c)
+                if noise is not None:
+                    drives.append(qw)
+            step = steps.get((k, h))
+            if step is None:
+                z = -lam * h
+                step = steps[(k, h)] = (np.exp(z), None if noise is None else h * _phi1(z))
+            c = step[0] * c
+            if noise is not None:
+                c += step[1] * qw
         x = q @ c
-    return Trajectory(grid, states)
+    return spans, coords, drives
+
+
+def _fill_coordinates(sched, states, grid, spans, coords, drives):
+    """Write c(t) of every sample row of the spans into ``states``.
+
+    The spans cover rows 1, 2, ... in order.  Rows go in blocks of about
+    2**16 entries; each row takes its sub-piece's lam, start coordinates
+    and drive by a gather, and every entry takes the operations of
+    :func:`_carry`'s end coordinates.
+    """
+    counts = [b - a for a, b, _, _ in spans]
+    owner = np.repeat(np.arange(len(spans)), counts)  # sub-piece of each row
+    tau = grid[1:] - np.repeat([u0 for _, _, _, u0 in spans], counts)
+    lams = np.array([sched.spectrum(k)[0] for _, _, k, _ in spans])
+    coords = np.array(coords)
+    if drives is not None:
+        drives = np.array(drives)
+    step = max(1, (1 << 16) // states.shape[1])
+    for r in range(0, owner.size, step):
+        own, t = owner[r:r + step], tau[r:r + step, None]
+        z = lams[own]
+        np.negative(z, out=z)
+        z *= t
+        out = states[r + 1:r + 1 + own.size]
+        np.exp(z, out=out)
+        out *= coords[own]
+        if drives is not None:
+            out += t * _phi1(z) * drives[own]
 
 
 @dataclass(frozen=True)

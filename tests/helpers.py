@@ -225,6 +225,51 @@ def reference_simulate(sched, x0_values, t_end, sample_dt, noise=None):
     return grid, states
 
 
+def per_piece_simulate(sched, x0, t_end, sample_dt, noise=None):
+    """``simulate``'s states from one pass per constant sub-piece: the
+    samples in (u0, u1] and the state at u1 in one elementwise block, then
+    one matrix product for the samples.  The same operations per entry as
+    the three-pass kernel, so its states must agree bit for bit."""
+    import math
+
+    from consensuslab.dynamics import _merge_grid, _phi1
+
+    x0 = np.asarray(x0, dtype=float)
+    n_steps = int(math.floor(t_end / sample_dt + 1e-9))
+    base = sample_dt * np.arange(n_steps + 1)
+    pieces = sched.pieces(0.0, t_end)
+    anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
+    grid = _merge_grid(anchors, base, tol=1e-6 * sample_dt)
+    if pieces and pieces[-1][1] < grid[-1]:
+        ta, _, k = pieces[-1]
+        pieces[-1] = (ta, float(grid[-1]), k)
+    if noise is None and np.ptp(x0) == 0.0:
+        return np.tile(x0, (grid.size, 1))
+    states = np.empty((grid.size, x0.size))
+    states[0] = x0
+    if noise is not None:
+        breaks, rows = noise.breakpoints, noise.values
+        first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right")
+        last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left")
+    x = x0
+    for p, (ta, tb, k) in enumerate(pieces):
+        lam, q = sched.spectrum(k)
+        c = q.T @ x
+        cuts = [ta, tb] if noise is None else [ta, *breaks[first[p]:last[p]], tb]
+        bounds = np.searchsorted(grid, cuts, side="right")
+        for i, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
+            tau = np.append(grid[bounds[i]:bounds[i + 1]] - u0, u1 - u0)
+            z = -lam * tau[:, None]
+            coords = np.exp(z) * c
+            if noise is not None:
+                w = rows[min(max(first[p] - 1 + i, 0), rows.shape[0] - 1)]
+                coords += tau[:, None] * _phi1(z) * (q.T @ w)
+            states[bounds[i]:bounds[i + 1]] = coords[:-1] @ q.T
+            c = coords[-1]
+        x = q @ c
+    return states
+
+
 def reference_window_energies(noise):
     """Window energies by overlapping every zeta-window with every row."""
     b, v = noise.breakpoints, noise.values

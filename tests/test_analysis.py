@@ -106,6 +106,16 @@ class TestRateFit:
         rho = np.sort(np.abs(np.linalg.eigvals(monodromy)))[-1]
         assert fit.alpha == pytest.approx(-np.log(rho) / 2.0, abs=1e-6)
 
+    def test_fit_grid_is_tested_in_time_units(self):
+        # a huge fit_dt has one multiple, t0, in the run: no grid to fit on
+        traj = simulate(alternating_schedule(), [1.0, 0.0, -2.0], 20.0, 0.1)
+        assert fit_exponential_rate(traj).sample_count > 2
+        with pytest.raises(ValueError, match="fit window is empty"):
+            fit_exponential_rate(traj, fit_dt=1e300)
+        for fit_dt in (float("inf"), float("nan"), 0.0, -2.0):
+            with pytest.raises(ValueError, match="fit_dt must be positive and finite"):
+                fit_exponential_rate(traj, fit_dt=fit_dt)
+
 
 class TestRobustness:
     def test_zero_noise(self):

@@ -309,6 +309,11 @@ _SIMULATE_TO_4 = {"task": "simulate", "t_end": 4.0, "sample_dt": 0.5}
      "window [1.5, 2.5] is not inside the simulated [0, 2.0]"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "skip_time": 2.0}]),
      "skip_time 2.0 is not before the simulated t_end 2.0"),
+    # a fit_dt grid with one point in [skip_time, t_end]: 0, and 3.0
+    (_horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "fit_dt": 1e300}]),
+     "fewer than two multiples of fit_dt 1e+300 lie in [skip_time 0.0, t_end 2.0]"),
+    (_horizon_scenario([_SIMULATE_TO_4, {"task": "rate", "skip_time": 1.0, "fit_dt": 3.0}]),
+     "fewer than two multiples of fit_dt 3.0 lie in [skip_time 1.0, t_end 4.0]"),
     # inside the trace, but off its sample grid: a piece [1.9, 2.0] with one
     # sample, and window ends between samples
     (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 1.9, "delta": 0.2}]),
@@ -321,7 +326,8 @@ _SIMULATE_TO_4 = {"task": "simulate", "t_end": 4.0, "sample_dt": 0.5}
      "has a segment boundary within the sample grid's tolerance"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
-        "rate-skips-whole-trace", "reconstruct-piece-between-samples",
+        "rate-skips-whole-trace", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
+        "reconstruct-piece-between-samples",
         "reconstruct-ends-between-samples", "reconstruct-starts-just-before-a-boundary"])
 def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
     scn = tmp_path / "range.json"
@@ -331,6 +337,16 @@ def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err, (command, err)
         assert not (tmp_path / "out").exists(), command
+
+
+@pytest.mark.parametrize("fit_dt", [1.0, 5e-324])
+def test_rate_fit_grid_of_two_points_or_more_validates(tmp_path, fit_dt):
+    # multiples 1.0 and 2.0 in [1.0, 2.0]; and more than a float can count
+    data = _horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "skip_time": 1.0,
+                                               "fit_dt": fit_dt}])
+    scn = tmp_path / "rate.json"
+    scn.write_text(json.dumps(data))
+    assert main(["validate", str(scn)]) == 0
 
 
 def test_reconstruct_window_from_a_boundary_off_the_sample_steps_runs(tmp_path):

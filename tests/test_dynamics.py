@@ -41,6 +41,15 @@ class TestSimulate:
         assert np.abs(traj.states[:, 0] - (0.5 + traj.sample_times)).max() < 1e-12
         assert np.abs(traj.states[:, 1:]).max() < 1e-12
 
+    def test_horizon_shorter_than_the_piece_tolerance(self):
+        # t_end 1e-13 is below the 1e-12 of WeightSchedule.pieces, which
+        # returns no piece; the ten samples still follow the closed form
+        traj = simulate(k2_schedule(), [1.0, -1.0], 1e-13, 1e-14)
+        assert traj.sample_times.size == 11
+        expected = np.exp(-2.0 * traj.sample_times)
+        assert np.abs(traj.states[:, 0] - expected).max() < 1e-15
+        assert np.abs(traj.states[:, 1] + expected).max() < 1e-15
+
     def test_samples_include_boundaries(self):
         traj = simulate(alternating_schedule(), [1.0, 0.0, -1.0], 4.0, 0.3)
         for boundary in (1.0, 2.0, 3.0):
@@ -238,6 +247,11 @@ class TestNoiseProcess:
                                    zeta=1.0, energy_bound=9.0)
         assert noise.values_at(1.0)[0] == 3.0
         assert noise.values_at(0.999)[0] == 1.0
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), float("-inf")])
+    def test_windowed_random_refuses_a_non_finite_horizon(self, t_end):
+        with pytest.raises(ConfigurationError, match="t_end must be finite"):
+            NoiseProcess.windowed_random(3, 1.0, 1.0, seed=0, t_end=t_end)
 
     def test_same_seed_reproducible(self):
         a = NoiseProcess.windowed_random(2, 1.0, 1.0, seed=7, t_end=5.0)

@@ -1,9 +1,11 @@
 """The linear-time kernels against the slow references they replace.
 
-``simulate`` propagates all samples of a constant sub-piece in one product,
-the sample grid is merged with ``searchsorted``, noise window energies are
-summed over elementary intervals, edge-signal rows are located by
-``searchsorted`` ranges, CSV values are formatted by numpy in blocks, window
+``simulate`` carries the eigen-coordinates piece by piece, then fills the
+samples in one elementwise pass and one product per constant sub-piece
+(bit for bit the states of one pass per sub-piece), the sample grid is
+merged with ``searchsorted``, noise window energies are summed over
+elementary intervals, edge-signal rows are located by ``searchsorted``
+ranges, CSV values are formatted by numpy in blocks, window
 scans integrate and diagonalise stacked blocks of windows taken only at the
 schedule's kinks and delta-crossings, the incidence matrix is filled by
 index arrays, and JSON reports are streamed by ``json.dump``.  Each is
@@ -44,6 +46,7 @@ from consensuslab.observability import _piece_node_rows, _rows_within, uniform_b
 from helpers import (
     check_certificate,
     five_node_schedule,
+    per_piece_simulate,
     random_weights,
     reference_connectivity,
     reference_csv_text,
@@ -70,7 +73,15 @@ def assert_matches_reference(sched, x0, t_end, sample_dt, noise=None):
     assert np.array_equal(traj.sample_times, grid)
     scale = max(1.0, float(np.abs(states).max()))
     assert np.abs(traj.states - states).max() <= 1e-12 * scale
+    assert_matches_per_piece(traj, sched, x0, t_end, sample_dt, noise)
     return traj
+
+
+def assert_matches_per_piece(traj, sched, x0, t_end, sample_dt, noise):
+    """The three passes of ``simulate`` give the per-sub-piece states bit for
+    bit (on the int64 view, so -0.0 and +0.0 differ)."""
+    expected = per_piece_simulate(sched, x0, t_end, sample_dt, noise)
+    assert np.array_equal(traj.states.view(np.int64), expected.view(np.int64))
 
 
 def random_schedule(rng, n, periodic, segments=4):
@@ -115,6 +126,43 @@ def test_random_schedules_match_reference(n, periodic, noisy):
     # t_end on the sample grid, then off it
     for t_end, sample_dt in [(horizon, 0.05), (horizon - 0.0123, 0.07)]:
         assert_matches_reference(sched, rng.standard_normal(n), t_end, sample_dt, noise)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("seed", range(32))
+def test_short_segments_match_per_piece_products(seed, noisy):
+    # segments from 0.2 to 4 sample steps long: pieces holding 0, 1 or a few
+    # samples, so the products of neighbouring pieces differ in row count
+    rng = np.random.default_rng([seed, 21])
+    n = int(rng.choice([2, 3, 5, 10, 20]))
+    sample_dt = 0.05
+    ends = np.cumsum(rng.uniform(0.2, 4.0, int(rng.integers(2, 9))) * sample_dt)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    sched = WeightSchedule([(a, b, random_weights(rng, n, density=0.6))
+                            for a, b in zip(starts, ends)], periodic=True)
+    t_end = float(rng.uniform(3.0, 6.0))
+    noise = (NoiseProcess.windowed_random(n, float(rng.uniform(0.02, 0.3)), 1.0, seed=seed,
+                                          t_end=t_end) if noisy else None)
+    x0 = rng.standard_normal(n)
+    traj = simulate(sched, x0, t_end, sample_dt, noise=noise)
+    assert_matches_per_piece(traj, sched, x0, t_end, sample_dt, noise)
+
+
+def test_simulate_memory_is_the_states_and_one_product():
+    # one N = 100 segment to t_end 400: besides the states, the kernel holds
+    # one product of the samples and blocks of about 2**16 entries
+    rng = np.random.default_rng(3)
+    sched = WeightSchedule([(0.0, 400.0, random_weights(rng, 100, density=0.1))])
+    sched.spectrum(0)  # cached before the measurement: not part of the run
+    x0 = rng.standard_normal(100)
+    tracemalloc.start()
+    try:
+        traj = simulate(sched, x0, 400.0, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (8001, 100)
+    assert peak <= 2.5 * traj.states.nbytes, peak / traj.states.nbytes
 
 
 @pytest.mark.parametrize("noisy", [False, True])
