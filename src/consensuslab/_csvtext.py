@@ -9,25 +9,22 @@ Values within ``_TIE_MARGIN`` of a decimal tie, magnitudes outside
 [1e-280, 1e280] (subnormals included) and non-finite values are formatted
 by ``'%.17g'`` one at a time.
 
-``sparse_lines(table)`` gives the same bytes for a table that is mostly
-+0.0, such as the edge signals, where only the edges of the current
-segment carry a signal.  Its +0.0 cells are written straight from a
-template, "0," for every cell and "0\\n" for the last of a row; only the
-other values, -0.0 and the fallbacks included, go through the 48-byte rows
-below, and each one's text is spliced in over its cell.  ``write_rows``
-cuts a table into blocks for the two: a run of mostly-zero rows is one
-block, sized by its digit-bearing values (every value but +0.0), and the
-other rows go in blocks of ``BLOCK_VALUES`` values.
+``write_rows`` writes a table in blocks.  A table with no support goes to
+``lines`` in blocks of ``BLOCK_VALUES`` values.  The edge signals carry
+their support: in each piece of rows only the edges of that segment can
+be nonzero, and every other cell is +0.0.  For such a table only the
+times and the supported cells go through the 48-byte rows below, and
+each line is its piece's template: the slots of those texts, and
+between them runs of separators and "0," cells.
 
 ``dynamics`` imports this module on its first CSV write, so neither the
 module nor its tables (about 2 ms to build) cost anything on
 ``import consensuslab``.
 
 Each value gets one 48-byte row, a superset of every text '%.17g' can give
-it, and a keep mask picks that text out of the row.  ``lines`` sets the
-other bytes to NUL and deletes the NULs in one ``bytes.translate``, with
-no index array; ``sparse_lines``, which needs a NUL to end each text,
-compresses by the mask.  The row:
+it, and a keep mask picks that text out of the row.  The other bytes are
+set to NUL, and one ``bytes.translate`` deletes the NULs, with no index
+array.  The row:
 
   bytes 0-5    "-0.000"   the sign, and "0." plus the zeros of 1e-4 <= |v| < 1
   bytes 6-39   the 17 significant digits, each followed by a point slot
@@ -45,8 +42,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# values per chunk, and the weight of a block (see write_rows): the block's
-# temporaries stay under 2 MB (1.2 MB measured, dense or 98 % zeros)
+# values per block (see write_rows): the block's temporaries stay under
+# 2 MB (0.75 MB measured on an 8001 x 101 dense table, at most 0.76 MB on
+# 8001 x 191 edge-signal tables written from their support)
 BLOCK_VALUES = 4096
 
 _POW_MIN, _POW_MAX = -270, 300  # 10**k for every k = 16 - d of the fast range
@@ -231,7 +229,8 @@ def _fill_digits(rows, code, pick, v):
 
 def _text_rows(rows, flat):
     """Fill the 48-byte rows of the values ``flat``, whose word 5 already
-    holds each value's separator byte, and return their keep masks."""
+    holds each value's separator byte (or NUL for none), and return their
+    keep masks."""
     mag = np.abs(flat)
     code = np.where(np.signbit(flat), (_LAYOUTS + 4) * 17, 4 * 17)  # "0" / "-0" until set below
     fast = (mag >= 1e-280) & (mag <= 1e280)
@@ -269,61 +268,90 @@ def lines(table):
     return text.tobytes().translate(None, b"\0")
 
 
-def sparse_lines(table):
-    """``lines(table)`` for a table that is mostly +0.0: a template of "0,"
-    cells ("0\\n" at the end of a line), with the text of every other value
-    spliced in over its cell."""
-    flat = table.ravel()
-    cells = np.flatnonzero(flat.view(np.int64) != 0)  # +0.0: the one double with all bits 0
-    rows = np.empty((cells.size, 6), np.uint64)
-    rows[:, 5] = 0  # so a NUL ends each value's text
-    mask = _text_rows(rows, flat[cells])
-    text = np.compress(mask.ravel(), rows.view(np.uint8).ravel())
-    ends = np.flatnonzero(text == 0)
-    zeros = np.tile(np.frombuffer(b"0," * (table.shape[1] - 1) + b"0\n", np.uint16), table.shape[0])
-    text[ends] = zeros.view(np.uint8)[2 * cells + 1]  # each NUL becomes its cell's separator
-    # the output alternates runs of template bytes (the +0.0 cells between
-    # two listed ones) and a listed value's text with its separator
-    runs = np.empty(2 * cells.size + 1, np.int64)
-    runs[0::2] = 2 * (np.diff(cells, prepend=-1, append=flat.size) - 1)
-    runs[1::2] = np.diff(ends, prepend=-1)
-    is_text = np.repeat(np.arange(runs.size) % 2 == 1, runs)
-    out = np.empty(is_text.size, np.uint8)
-    out[is_text] = text
-    out[~is_text] = np.delete(zeros, cells).view(np.uint8)
-    return out
+def _line_layout(cols, width):
+    """Template words of a line of ``width`` values that are +0.0 outside
+    the columns ``cols``, and the words of its text rows.
+
+    The line is the time's 48-byte row, then for each listed column the run
+    up to it and the column's row, then the run to the end of the line.  A
+    run holds the separators, so the texts go in without theirs: the ","
+    after a text, "0," for each +0.0 cell up to the next text, and "\\n"
+    instead of the last ",".  Each run is padded with NULs to whole words.
+    """
+    line = bytearray(_ROW)
+    slots = [0]
+    prev = -1
+    for c in cols.tolist() + [width]:
+        run = b",0" * (c - prev - 1) + (b"," if c < width else b"\n")
+        line += run + bytes(-len(run) % 8)
+        if c < width:
+            slots.append(len(line) // 8)
+            line += bytes(_ROW)
+        prev = c
+    slots = (np.array(slots)[:, None] + np.arange(_ROW // 8)).ravel()
+    return np.frombuffer(bytes(line), np.uint64), slots
 
 
-def write_rows(fh, times, values):
+def _support_lines(times, values, chunks):
+    """The lines of the rows [a, b) of every chunk (a, b, cols, layout) in
+    turn: one digit pass over the times and the listed cells, whose texts
+    then go into each chunk's copies of its template."""
+    counts = [(b - a) * (cols.size + 1) for a, b, cols, _ in chunks]
+    flat = np.empty(sum(counts))
+    v = 0
+    for (a, b, cols, _), count in zip(chunks, counts):
+        cells = flat[v:v + count].reshape(b - a, cols.size + 1)
+        cells[:, 0] = times[a:b]
+        cells[:, 1:] = values[a:b, cols]
+        v += count
+    rows = np.empty((flat.size, 6), np.uint64)
+    rows[:, 5] = 0  # no separator: the runs hold them
+    text = rows.view(np.uint8)
+    text *= _text_rows(rows, flat).view(np.uint8)
+    out = np.empty(sum((b - a) * words.size for a, b, _, (words, _) in chunks), np.uint64)
+    o = v = 0
+    for (a, b, _, (words, slots)), count in zip(chunks, counts):
+        chunk_lines = out[o:o + (b - a) * words.size].reshape(b - a, words.size)
+        chunk_lines[:] = words
+        chunk_lines[:, slots] = rows[v:v + count].reshape(b - a, -1)
+        o += chunk_lines.size
+        v += count
+    return out.tobytes().translate(None, b"\0")
+
+
+def write_rows(fh, times, values, support=None):
     """Write the lines of the table ``t, v1, ..., vM`` (``times`` beside the
     rows of ``values``) to the binary file ``fh``, a block of rows at a time.
 
-    The rows are read in chunks of about ``BLOCK_VALUES`` cells.  A chunk
-    that is mostly +0.0 joins the run of such chunks before it, written by
-    ``sparse_lines`` as one block while its digit-bearing values (every
-    value but +0.0) plus a sixteenth of its cells stay within
-    ``BLOCK_VALUES``: a "0" of the template holds about a sixteenth of the
-    memory of a value's 48-byte row.  Any other chunk is a block of its
-    own, written by ``lines``.
+    With no ``support``, each block is about ``BLOCK_VALUES`` cells, written
+    by ``lines``.  ``support`` lists pieces (first row, end row, columns)
+    that tile the rows, each piece's values +0.0 outside its columns; then
+    only the times and the listed cells are formatted, and each line is
+    its piece's template with their texts in place.  Pieces go in chunks
+    of rows, and the chunks in blocks weighed as formatted values plus a
+    sixth of the template words: a word of template holds a sixth of the
+    memory of a value's 48-byte row.
     """
-    width = values.shape[1] + 1
-    step = max(1, BLOCK_VALUES // width)
-    spans = []  # [first row, end row, mostly +0.0]
-    held = 0.0  # weight of the last span
-    for r in range(0, times.size, step):
-        stop = min(r + step, times.size)
-        cells = (stop - r) * width
-        # +0.0 is the one double whose bits are all zero
-        digits = (np.count_nonzero(times[r:stop].view(np.int64))
-                  + np.count_nonzero(values[r:stop].view(np.int64)))
-        sparse = 2 * digits < cells
-        weight = digits + cells / 16
-        if sparse and spans and spans[-1][2] and held + weight <= BLOCK_VALUES:
-            spans[-1][1] = stop
-            held += weight
-        else:
-            spans.append([r, stop, sparse])
-            held = weight
-    for a, b, sparse in spans:
-        table = np.column_stack((times[a:b], values[a:b]))
-        fh.write(sparse_lines(table) if sparse else lines(table))
+    if support is None:
+        step = max(1, BLOCK_VALUES // (values.shape[1] + 1))
+        for r in range(0, times.size, step):
+            fh.write(lines(np.column_stack((times[r:r + step], values[r:r + step]))))
+        return
+    layouts = {}
+    block, held = [], 0.0
+    for r, s, cols in support:
+        key = cols.tobytes()
+        if key not in layouts:
+            layouts[key] = _line_layout(cols, values.shape[1])
+        layout = layouts[key]
+        weight = cols.size + 1 + layout[0].size / 6  # of one line
+        step = max(1, int(BLOCK_VALUES // weight))
+        for a in range(r, s, step):
+            b = min(a + step, s)
+            if block and held + (b - a) * weight > BLOCK_VALUES:
+                fh.write(_support_lines(times, values, block))
+                block, held = [], 0.0
+            block.append((a, b, cols, layout))
+            held += (b - a) * weight
+    if block:
+        fh.write(_support_lines(times, values, block))

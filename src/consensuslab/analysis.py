@@ -61,6 +61,22 @@ class RateFit:
         return self.alpha > 0.0
 
 
+def _fit_mask(t, rows, skip_time, fit_dt):
+    """Which samples t[rows] a fit may use: those from skip_time after t[0]
+    on and, given fit_dt, on the grid t[0] + m * fit_dt.  The grid is tested
+    in time units, within 1e-9 * max(1, |t[-1]|): a huge fit_dt keeps at
+    most the sample at t[0], and a fit_dt of at most twice that tolerance,
+    whose multiples are closer than it to every time, keeps every sample.
+    """
+    t0 = t[0]
+    mask = t[rows] >= t0 + skip_time
+    tol = 1e-9 * max(1.0, abs(t[-1]))
+    if fit_dt is not None and fit_dt > 2.0 * tol:
+        off = t[rows] - t0
+        mask &= np.abs(off - np.round(off / fit_dt) * fit_dt) <= tol
+    return mask
+
+
 def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     """Least-squares line through (t, log e(t)) on the trajectory tail.
 
@@ -83,13 +99,7 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
             f"need at least 10 samples above the error floor, found {eligible.size}"
         )
     tail = eligible[eligible.size // 2:]
-    mask = t[tail] >= t0 + skip_time
-    if fit_dt is not None:
-        # on the grid t0 + m * fit_dt, tested in time units: a huge fit_dt
-        # keeps at most the sample at t0
-        off = t[tail] - t0
-        mask &= np.abs(off - np.round(off / fit_dt) * fit_dt) <= 1e-9 * max(1.0, abs(t[-1]))
-    tail = tail[mask]
+    tail = tail[_fit_mask(t, tail, skip_time, fit_dt)]
     if tail.size < 2:
         raise ValueError("fit window is empty; relax skip_time or fit_dt")
     tt = t[tail] - t0

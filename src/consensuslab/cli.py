@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import math
 import os
 import shutil
 import sys
@@ -285,19 +284,20 @@ class Scenario:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
                       f"simulated t_end {sim_end}")
             if name == "rate" and "fit_dt" in params:
-                # the fit reads the samples on the multiples of fit_dt; a
-                # fit_dt so small that t_end / fit_dt overflows has plenty
+                # the fit reads the samples of the run on the multiples of
+                # fit_dt, so count them on the grid the run will sample
                 skip, fit_dt = float(params.get("skip_time", 0.0)), float(params["fit_dt"])
-                tol = 1e-9 * max(1.0, sim_end)
-                last = (sim_end + tol) / fit_dt
-                first = max(0.0, (skip - tol) / fit_dt)
-                if math.isfinite(last) and math.floor(last) - math.ceil(first) < 1:
+                if sim_grid is None:
+                    sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
+                if np.count_nonzero(analysis._fit_mask(sim_grid, slice(None), skip, fit_dt)) < 2:
                     _fail(f"task 'rate': fewer than two multiples of fit_dt {fit_dt} lie in "
-                          f"[skip_time {skip}, t_end {sim_end}]; the fit needs two")
+                          f"[skip_time {skip}, t_end {sim_end}] on the simulated sample grid "
+                          f"(multiples of sample_dt {sim_dt}, segment boundaries and t_end); "
+                          "the fit needs two")
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
-                sim_end, sim_dt = end, params["sample_dt"]
+                sim_end, sim_dt, sim_grid = end, params["sample_dt"], None
             validated.append((name, params))
         return validated
 

@@ -68,20 +68,22 @@ class Trajectory:
         _write_csv_rows(path, header, self.sample_times, self.states)
 
 
-def _write_csv_rows(path, header, times, values):
+def _write_csv_rows(path, header, times, values, support=None):
     """Write ``header`` and one ``t,v1,...,vM`` line per row, each value as
     ``'%.17g' % v`` writes it.
 
     ``_csvtext.write_rows`` builds the text with numpy a block of rows at a
-    time, so the memory held stays under 2 MB whatever the table size.
-    ``_csvtext`` is imported here, on the first write, so ``import
-    consensuslab`` neither compiles it nor builds its tables.
+    time, so the memory held stays under 2 MB whatever the table size;
+    ``support`` lists the (first row, end row, columns) outside of which
+    the values are +0.0 (see ``_csvtext.write_rows``).  ``_csvtext`` is
+    imported here, on the first write, so ``import consensuslab`` neither
+    compiles it nor builds its tables.
     """
     from . import _csvtext
 
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        _csvtext.write_rows(fh, times, values)
+        _csvtext.write_rows(fh, times, values, support)
 
 
 def read_trajectory_csv(path):
@@ -190,12 +192,19 @@ class NoiseProcess:
         if starts.size == 0:
             return []
         end = starts[-1] + self.zeta
-        cuts = np.unique(np.concatenate((b, starts, [end])))
+        cuts = _sorted_distinct(np.concatenate((b, starts, [end])))
         cuts = cuts[cuts <= end]
         # |w|^2 of each row, and zero past the last breakpoint
         row_energy = np.append(np.einsum("ij,ij->i", v, v), 0.0)
         pieces = np.diff(cuts) * row_energy[np.searchsorted(b, cuts[:-1], side="right") - 1]
         return np.add.reduceat(pieces, np.searchsorted(cuts, starts)).tolist()
+
+
+def _sorted_distinct(values):
+    """``np.unique`` of finite floats, by its own sort and neighbour test,
+    without the numpy.ma import (about 15 ms) its first call makes."""
+    v = np.sort(np.asarray(values, dtype=float))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 def _merge_grid(anchors, base, tol):
@@ -205,7 +214,7 @@ def _merge_grid(anchors, base, tol):
     exact; among points still within tol of the last kept one, the earlier
     stays.
     """
-    anchors = np.unique(np.asarray(anchors, dtype=float))
+    anchors = _sorted_distinct(anchors)
     k = np.searchsorted(anchors, base)
     near = (np.abs(base - anchors[np.maximum(k - 1, 0)]) <= tol) | (
         np.abs(base - anchors[np.minimum(k, anchors.size - 1)]) <= tol
@@ -220,6 +229,17 @@ def _merge_grid(anchors, base, tol):
             j -= 1
         keep[i] = merged[i] - merged[j] > tol
     return merged[keep]
+
+
+def _sample_grid(sched, t_end, sample_dt):
+    """Sample times of a run to t_end, and the schedule's pieces of [0, t_end]:
+    the multiples of sample_dt merged with 0, t_end and every segment
+    boundary within 1e-6 * sample_dt."""
+    n_steps = int(math.floor(t_end / sample_dt + 1e-9))
+    base = sample_dt * np.arange(n_steps + 1)
+    pieces = sched.pieces(0.0, t_end)
+    anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
+    return _merge_grid(anchors, base, tol=1e-6 * sample_dt), pieces
 
 
 def _on_sample_grid(sched, t, t_end, sample_dt):
@@ -291,11 +311,7 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
                 f"[0.0, {t_end}]"
             )
 
-    n_steps = int(math.floor(t_end / sample_dt + 1e-9))
-    base = sample_dt * np.arange(n_steps + 1)
-    pieces = sched.pieces(0.0, t_end)
-    anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
-    grid = _merge_grid(anchors, base, tol=1e-6 * sample_dt)
+    grid, pieces = _sample_grid(sched, t_end, sample_dt)
     if not pieces:
         # a horizon within pieces' tolerance of 0 can still hold samples
         pieces = [(0.0, float(grid[-1]), sched.segment_index_at(0.0))]

@@ -160,6 +160,7 @@ class WeightSchedule:
         self._starts = [s.t_start for s in segs]
         self._spectra = {}
         self._incidences = {}
+        self._full_pieces = {}  # kept by observability._piece_factors, one entry per segment
         self._last_gramian = None  # kept by observability.gramian
 
     def __len__(self):
@@ -524,7 +525,14 @@ def negative_link_assumption_holds(sched):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """Whether v is a finite int or float; an int beyond the float range
+    (JSON allows any number of digits) counts as non-finite."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def schedule_from_dict(data, name=None):

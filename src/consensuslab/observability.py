@@ -47,6 +47,11 @@ class EdgeSignalTrace:
     signals: np.ndarray
     edge_order: tuple
 
+    # (signals, pieces) for a trace built by edge_signals: each piece's row
+    # range [r, s) and the columns its incidence matrix leaves nonzero; every
+    # other cell of the rows is +0.0.  Not a field, so == ignores it.
+    _support = None
+
     def __post_init__(self):
         t = np.asarray(self.sample_times, dtype=float)
         z = np.asarray(self.signals, dtype=float)
@@ -61,8 +66,13 @@ class EdgeSignalTrace:
         self.edge_order = tuple(tuple(p) for p in self.edge_order)
 
     def write_csv(self, path):
+        """Write the trace as CSV; a trace from :func:`edge_signals` whose
+        signals were not replaced since passes its support to the writer,
+        which then formats only the supported cells."""
         header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in self.edge_order)
-        _write_csv_rows(path, header, self.sample_times, self.signals)
+        support = self._support
+        pieces = support[1] if support is not None and support[0] is self.signals else None
+        _write_csv_rows(path, header, self.sample_times, self.signals, pieces)
 
 
 def read_edge_signals_csv(path):
@@ -95,7 +105,11 @@ def edge_signals(traj, sched):
     """Extract z(t_k) = H' x(t_k) from a trajectory.
 
     Requires nonnegative weights (the incidence factorization).  Interior
-    segment boundaries produce two rows, one per one-sided limit of H.
+    segment boundaries produce two rows, one per one-sided limit of H.  The
+    trace records its support for the CSV writer: per piece, its rows and
+    the columns of H_k that are nonzero.  With finite states every other
+    column of a row is the product with a zero column, +0.0; a trajectory
+    holding inf or NaN records none.
     """
     if not sched.is_nonnegative:
         raise SignedGraphError(
@@ -111,11 +125,20 @@ def edge_signals(traj, sched):
     ranges = [(*_rows_within(times, ta, tb, tol), k) for ta, tb, k in pieces]
     # one table, each piece's product written into its rows
     z = np.empty((sum(hi - lo for lo, hi, _ in ranges), len(pairs)))
+    columns = {}  # nonzero columns of H_k, by segment
+    support = []
     r = 0
     for lo, hi, k in ranges:
-        np.matmul(traj.states[lo:hi], sched.incidence(k), out=z[r:r + hi - lo])
+        h = sched.incidence(k)
+        np.matmul(traj.states[lo:hi], h, out=z[r:r + hi - lo])
+        if k not in columns:
+            columns[k] = np.flatnonzero(h.any(axis=0))
+        support.append((r, r + hi - lo, columns[k]))
         r += hi - lo
-    return EdgeSignalTrace(np.concatenate([times[lo:hi] for lo, hi, _ in ranges]), z, pairs)
+    trace = EdgeSignalTrace(np.concatenate([times[lo:hi] for lo, hi, _ in ranges]), z, pairs)
+    if np.isfinite(traj.states).all():
+        trace._support = (trace.signals, support)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -143,16 +166,39 @@ def _gramian_increment(lam, q, h):
     return (q * (-0.5 * np.expm1(-2.0 * lam * h))) @ q.T - 0.5 * np.expm1(-2.0 * h) / q.shape[0]
 
 
+def _piece_factors(sched, k, h):
+    """Centred basis Q - mean(Q), Gramian increment and projected flow of a
+    piece of segment k that lasts h.
+
+    A piece whose h equals the segment's own duration, to the bit, is built
+    once and cached read-only on the schedule, one entry per segment like
+    its spectrum.  A partial piece, or a full one whose unwrapped ends put
+    h an ulp off, is built afresh from the same expressions.
+    """
+    seg = sched.segments[k]
+    full = h == seg.t_end - seg.t_start
+    if full and k in sched._full_pieces:
+        return sched._full_pieces[k]
+    lam, q = sched.spectrum(k)
+    factors = (q - q.mean(axis=0), _gramian_increment(lam, q, h), _projected_flow(lam, q, h))
+    if full:
+        for a in factors:
+            a.setflags(write=False)
+        sched._full_pieces[k] = factors
+    return factors
+
+
 def gramian(sched, s, delta):
     """Observability Gramian of the projected system over [s, s + delta].
 
     Exact up to rounding: each constant piece adds Phi' G Phi, where Phi is
     the projected flow from s to the piece start and G the closed-form
-    piece Gramian of :func:`_gramian_increment`.  Refuses a schedule that
-    violates the Negative-Link Assumption, whose L + J has no real output
-    factor D.  The schedule keeps the last window's Gramian (entries
-    read-only), so asking again for the same window, as a reconstruction
-    followed by a report of its Gramian does, builds it once.
+    piece Gramian of :func:`_gramian_increment`; each piece's G and flow
+    come from :func:`_piece_factors`.  Refuses a schedule that violates the
+    Negative-Link Assumption, whose L + J has no real output factor D.  The
+    schedule keeps the last window's Gramian (entries read-only), so asking
+    again for the same window, as a reconstruction followed by a report of
+    its Gramian does, builds it once.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -165,9 +211,9 @@ def gramian(sched, s, delta):
     w = np.zeros((n, n))
     phi = np.eye(n)
     for ta, tb, k in sched.pieces(s, s + delta):
-        lam, q = sched.spectrum(k)
-        w += phi.T @ _gramian_increment(lam, q, tb - ta) @ phi
-        phi = _projected_flow(lam, q, tb - ta) @ phi
+        _, increment, flow = _piece_factors(sched, k, tb - ta)
+        w += phi.T @ increment @ phi
+        phi = flow @ phi
     w = (w + w.T) / 2.0
     w.setflags(write=False)
     eigs = np.linalg.eigvalsh(w)
@@ -325,12 +371,12 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
             )
         sub_t = times[lo:hi].copy()
         sub_t[0], sub_t[-1] = ta, tb
-        lam, q = sched.spectrum(k)
+        lam = sched.spectrum(k)[0]
+        p, _, flow = _piece_factors(sched, k, tb - ta)
         v = z.signals[lo:hi] @ sched.incidence(k).T  # rows: D(t_j) z~(t_j), all in 1-perp
-        p = q - q.mean(axis=0)
         # rows: e^{-(L+J) tau_j} v_j, which is _disagreement_flow(tau_j) v_j
         flowed = (np.exp(-lam * (sub_t - ta)[:, None]) * (v @ p)) @ p.T
         corr += _simpson(flowed, sub_t) @ phi
-        phi = _projected_flow(lam, q, tb - ta) @ phi
+        phi = flow @ phi
     lam_w, q_w = np.linalg.eigh(gram.entries)
     return q_w @ ((q_w.T @ corr) / lam_w)

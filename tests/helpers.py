@@ -295,6 +295,14 @@ def reference_csv_text(header, times, values):
     return "".join(lines)
 
 
+def uncached_piece_factors(sched, k, h):
+    """``observability._piece_factors`` with no cache: every piece built afresh."""
+    from consensuslab.observability import _gramian_increment, _projected_flow
+
+    lam, q = sched.spectrum(k)
+    return q - q.mean(axis=0), _gramian_increment(lam, q, h), _projected_flow(lam, q, h)
+
+
 def reference_piece_mask(times, ta, tb, tol):
     """Indices of the samples within tol of [ta, tb], by a boolean mask."""
     return np.nonzero((times >= ta - tol) & (times <= tb + tol))[0]

@@ -116,6 +116,16 @@ class TestRateFit:
             with pytest.raises(ValueError, match="fit_dt must be positive and finite"):
                 fit_exponential_rate(traj, fit_dt=fit_dt)
 
+    def test_fit_dt_within_the_grid_tolerance_keeps_every_sample(self):
+        # multiples of a fit_dt at most twice the tolerance 1e-9 * 20 lie
+        # within it of every time; 5e-324 overflows off / fit_dt
+        traj = simulate(alternating_schedule(), [1.0, 0.0, -2.0], 20.0, 0.1)
+        plain = fit_exponential_rate(traj, skip_time=1.0)
+        for fit_dt in (5e-324, 1e-12, 3e-8):
+            assert fit_exponential_rate(traj, skip_time=1.0, fit_dt=fit_dt) == plain
+        coarse = fit_exponential_rate(traj, skip_time=1.0, fit_dt=0.2)
+        assert coarse.sample_count < plain.sample_count
+
 
 class TestRobustness:
     def test_zero_noise(self):

@@ -146,6 +146,10 @@ MALFORMED = [
     ("zero sample_dt", _set(["tasks", 0, "sample_dt"], 0.0), "'sample_dt' must be positive"),
     ("boolean t_end", _set(["tasks", 0, "t_end"], True), "'t_end' must be a finite number"),
     ("infinite t_end", _set(["tasks", 0, "t_end"], float("inf")), "finite number"),
+    ("401-digit integer t_end", _set(["tasks", 0, "t_end"], 10 ** 400),
+     "'t_end' must be a finite number"),
+    ("401-digit integer weight", _set(["schedule", "segments", 0, "edges", 0, "w"], -10 ** 400),
+     "weight must be a finite number"),
     ("negative delta", _set(["tasks", 1, "delta"], -0.1), "'delta' must be positive"),
     ("zero T", _set(["tasks", 1, "T"], 0), "'T' must be positive"),
     ("string stride", _set(["tasks", 1, "stride"], "0.25"), "'stride' must be a finite number"),
@@ -291,6 +295,15 @@ _SIMULATE_TO_2 = {"task": "simulate", "t_end": 2.0, "sample_dt": 0.1}
 _SIMULATE_TO_4 = {"task": "simulate", "t_end": 4.0, "sample_dt": 0.5}
 
 
+def _rate_on_quarters(fit_dt):
+    """A periodic 3-node run to t_end 6 sampled every 0.25 s, then a rate fit
+    on the multiples of fit_dt from skip_time 0.5 on."""
+    data = _horizon_scenario([{"task": "simulate", "t_end": 6.0, "sample_dt": 0.25},
+                              {"task": "rate", "skip_time": 0.5, "fit_dt": fit_dt}])
+    data["schedule"]["periodic"] = True
+    return data
+
+
 @pytest.mark.parametrize("data,message", [
     (_horizon_scenario([{"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}]),
      "exceeds the horizon"),
@@ -314,6 +327,10 @@ _SIMULATE_TO_4 = {"task": "simulate", "t_end": 4.0, "sample_dt": 0.5}
      "fewer than two multiples of fit_dt 1e+300 lie in [skip_time 0.0, t_end 2.0]"),
     (_horizon_scenario([_SIMULATE_TO_4, {"task": "rate", "skip_time": 1.0, "fit_dt": 3.0}]),
      "fewer than two multiples of fit_dt 3.0 lie in [skip_time 1.0, t_end 4.0]"),
+    # multiples 0.7 to 5.6 of fit_dt in the run, but only 3.5 is a sample
+    (_rate_on_quarters(0.7),
+     "fewer than two multiples of fit_dt 0.7 lie in [skip_time 0.5, t_end 6.0] on the "
+     "simulated sample grid"),
     # inside the trace, but off its sample grid: a piece [1.9, 2.0] with one
     # sample, and window ends between samples
     (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 1.9, "delta": 0.2}]),
@@ -327,6 +344,7 @@ _SIMULATE_TO_4 = {"task": "simulate", "t_end": 4.0, "sample_dt": 0.5}
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
         "rate-skips-whole-trace", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
+        "rate-fit-grid-of-one-sample",
         "reconstruct-piece-between-samples",
         "reconstruct-ends-between-samples", "reconstruct-starts-just-before-a-boundary"])
 def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
@@ -347,6 +365,26 @@ def test_rate_fit_grid_of_two_points_or_more_validates(tmp_path, fit_dt):
     scn = tmp_path / "rate.json"
     scn.write_text(json.dumps(data))
     assert main(["validate", str(scn)]) == 0
+
+
+@pytest.mark.parametrize("data", [_rate_on_quarters(0.75), _rate_on_quarters(5e-324),
+                                  _horizon_scenario([_SIMULATE_TO_2, {"task": "rate",
+                                                                      "fit_dt": 5e-324}])],
+                         ids=["samples-every-0.75", "tiny-fit-dt", "tiny-fit-dt-to-2"])
+def test_rate_fit_grid_that_validates_runs(tmp_path, data):
+    # a fit_dt below the grid tolerance keeps every sample: a fit without it
+    scn = tmp_path / "rate.json"
+    scn.write_text(json.dumps(data))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0
+    fit = json.loads((tmp_path / "out" / "rate.json").read_text())
+    if data["tasks"][1]["fit_dt"] == 5e-324:
+        del data["tasks"][1]["fit_dt"]
+        scn.write_text(json.dumps(data))
+        assert main(["run", str(scn), "--output-dir", str(tmp_path / "plain")]) == 0
+        assert json.loads((tmp_path / "plain" / "rate.json").read_text()) == fit
+    else:
+        assert fit["sample_count"] >= 2
 
 
 def test_reconstruct_window_from_a_boundary_off_the_sample_steps_runs(tmp_path):

@@ -5,7 +5,9 @@ samples in one elementwise pass and one product per constant sub-piece
 (bit for bit the states of one pass per sub-piece), the sample grid is
 merged with ``searchsorted``, noise window energies are summed over
 elementary intervals, edge-signal rows are located by ``searchsorted``
-ranges, CSV values are formatted by numpy in blocks, window
+ranges, CSV values are formatted by numpy in blocks (an edge-signal trace's
+only where its support says), Gramians and reconstructions reuse the
+cached factors of full segment pieces, window
 scans integrate and diagonalise stacked blocks of windows taken only at the
 schedule's kinks and delta-crossings, the incidence matrix is filled by
 index arrays, and JSON reports are streamed by ``json.dump``.  Each is
@@ -25,12 +27,18 @@ import numpy as np
 import pytest
 
 from consensuslab import (
+    ConsensusLabError,
     EdgeSignalTrace,
     NoiseProcess,
+    ObservabilityGramian,
     Trajectory,
     WeightSchedule,
     edge_signals,
+    gramian,
+    read_edge_signals_csv,
+    reconstruct,
     simulate,
+    transition_matrix,
 )
 import consensuslab
 from consensuslab import _csvtext, graph, observability
@@ -58,6 +66,7 @@ from helpers import (
     reference_window,
     reference_window_energies,
     reference_write_json,
+    uncached_piece_factors,
     uncovered_starts,
     weights,
 )
@@ -498,6 +507,123 @@ def test_csv_writer_memory_stays_flat_on_mostly_zero_tables(tmp_path):
     assert peak <= 2_000_000, peak
 
 
+def supported_trace(rng, rows, width, piece_rows, pool):
+    """Times, values and support of a trace whose pieces of up to piece_rows
+    rows list random columns (none, the first, the last, all or a few) and
+    hold +0.0 elsewhere; a piece may be empty, and a supported stretch all
+    zeros."""
+    values = np.zeros((rows, width))
+    support = []
+    r = 0
+    while r < rows:
+        s = min(rows, r + int(rng.integers(0, piece_rows + 1)))
+        kind = rng.integers(6)
+        if kind == 0:
+            cols = np.arange(0)
+        elif kind == 1:
+            cols = np.array([0, width - 1][rng.integers(2):][:1])
+        elif kind == 2:
+            cols = np.arange(width)
+        else:
+            cols = np.sort(rng.choice(width, int(rng.integers(1, min(width, 8) + 1)),
+                                      replace=False))
+        if rng.random() < 0.8:
+            values[r:s, cols] = rng.choice(pool, (s - r, cols.size))
+        support.append((r, s, cols))
+        r = s
+    times = np.repeat(np.linspace(0.0, 50.0, rows // 2 + 1), 2)[:rows]
+    return times, values, support
+
+
+def assert_supported_csv_matches_reference(path, times, values, support):
+    header = "t," + ",".join(f"v{i + 1}" for i in range(values.shape[1]))
+    _write_csv_rows(path, header, times, values, support)
+    assert path.read_bytes() == reference_csv_text(header, times, values).encode()
+
+
+def test_supported_csv_matches_reference_on_generated_traces(tmp_path):
+    rng = np.random.default_rng(17)
+    # -0.0, subnormals, decimal ties and the '%.17g' fallbacks, among plain values
+    pool = np.concatenate((adversarial_values(), ZERO_TABLE_EXCEPTIONS, [0.0] * 50,
+                           rng.standard_normal(200)))
+    for width in (1, 2, 3, 10, 190):
+        for piece_rows in (1, 5, 40, 3000):
+            times, values, support = supported_trace(rng, 600, width, piece_rows, pool)
+            assert_supported_csv_matches_reference(tmp_path / "s.csv", times, values, support)
+
+
+def test_edge_signal_trace_records_its_support():
+    rng = np.random.default_rng(18)
+    sparse = WeightSchedule([(0.1 * k, 0.1 * (k + 1), random_weights(rng, 6, density=0.3))
+                             for k in range(7)], periodic=True)
+    runs = [(five_node_schedule(), [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, 0.05),
+            (sparse, -rng.random(6), 2.0, 0.03)]
+    for sched, x0, t_end, sample_dt in runs:
+        trace = edge_signals(simulate(sched, x0, t_end, sample_dt), sched)
+        signals, pieces = trace._support
+        assert signals is trace.signals
+        segments = [k for _, _, k in sched.pieces(0.0, t_end)]
+        assert len(pieces) == len(segments)
+        r = 0
+        for (a, b, cols), k in zip(pieces, segments):
+            assert a == r < b
+            h = reference_incidence(sched.segments[k].weights)
+            assert np.array_equal(cols, np.flatnonzero((h != 0.0).any(axis=0)))
+            # every other cell is +0.0, on the int64 view
+            assert not np.delete(trace.signals[a:b], cols, axis=1).view(np.int64).any()
+            r = b
+        assert r == trace.signals.shape[0]
+
+
+def test_trace_without_support_writes_the_same_bytes(tmp_path):
+    sched = five_node_schedule()
+    traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, 0.05)
+    trace = edge_signals(traj, sched)
+    trace.write_csv(tmp_path / "a.csv")
+    header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in trace.edge_order)
+    expected = reference_csv_text(header, trace.sample_times, trace.signals).encode()
+    assert (tmp_path / "a.csv").read_bytes() == expected
+    # read back, a trace carries no support and takes the dense path
+    back = read_edge_signals_csv(tmp_path / "a.csv")
+    assert back._support is None
+    assert np.array_equal(back.signals.view(np.int64), trace.signals.view(np.int64))
+    back.write_csv(tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == expected
+    # new signals drop the support, so a cell set outside it is written
+    trace.signals = trace.signals.copy()
+    cols = trace._support[1][0][2]
+    trace.signals[0, np.setdiff1d(np.arange(trace.signals.shape[1]), cols)[0]] = 1.5
+    trace.write_csv(tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == reference_csv_text(
+        header, trace.sample_times, trace.signals).encode()
+
+
+def test_trajectory_with_non_finite_states_records_no_support(tmp_path):
+    sched = five_node_schedule()
+    traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 3.0, 0.25)
+    traj.states[4, 1] = np.inf  # inf * 0.0 is NaN in every column of the row
+    with np.errstate(invalid="ignore"):
+        trace = edge_signals(traj, sched)
+    assert trace._support is None
+    assert np.isnan(trace.signals[4]).any()
+    trace.write_csv(tmp_path / "n.csv")
+    header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in trace.edge_order)
+    assert (tmp_path / "n.csv").read_bytes() == reference_csv_text(
+        header, trace.sample_times, trace.signals).encode()
+
+
+def test_csv_writer_memory_stays_flat_on_supported_traces(tmp_path):
+    rng = np.random.default_rng(16)
+    times, values, support = supported_trace(rng, 8001, 190, 40, rng.standard_normal(100))
+    tracemalloc.start()
+    try:
+        _write_csv_rows(tmp_path / "supported.csv", "t", times, values, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
+
+
 # imports the package and checks that the formatter and its tables were not loaded
 _IMPORT_ONLY = """
 import sys
@@ -751,6 +877,115 @@ def test_json_writer_matches_reference_on_generated_trees(tmp_path):
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     check()
+
+
+# -- cached piece factors ------------------------------------------------------
+
+
+def tenths_schedule(rng, n, segments=5):
+    """Periodic schedule whose segments end at sums of tenths, such as
+    0.30000000000000004: unwrapped across periods, a full piece can last an
+    ulp more or less than its segment."""
+    ends = np.cumsum(rng.integers(1, 8, segments)) / 10.0
+    starts = np.concatenate(([0.0], ends[:-1]))
+    return WeightSchedule([(a, b, random_weights(rng, n, density=0.7))
+                           for a, b in zip(starts, ends)], periodic=True)
+
+
+def bits(call):
+    """The floats call() returns, as bytes, or its error's class and message."""
+    try:
+        out = call()
+    except (ConsensusLabError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, ObservabilityGramian):
+        return out.entries.tobytes(), out.lambda_min, out.lambda_max
+    return np.asarray(getattr(out, "entries", out)).tobytes()
+
+
+def assert_piece_cache_exact(sched, windows, trace, monkeypatch):
+    """gramian, reconstruct and transition_matrix on sched, whose piece cache
+    fills as they go, equal the uncached factors on a copy of it, bit for bit."""
+    fresh = WeightSchedule([tuple(seg) for seg in sched.segments], periodic=sched.periodic)
+    for s, delta in windows:
+        calls = [lambda sc: gramian(sc, s, delta),
+                 lambda sc: transition_matrix("projected", sc, s, s + delta),
+                 lambda sc: transition_matrix("raw", sc, s, s + delta)]
+        if trace is not None:
+            calls.append(lambda sc: reconstruct(trace, sc, s, delta))
+        for call in calls:
+            fast = bits(lambda: call(sched))
+            with monkeypatch.context() as m:
+                m.setattr(observability, "_piece_factors", uncached_piece_factors)
+                assert bits(lambda: call(fresh)) == fast, (s, delta)
+    assert len(sched._full_pieces) <= len(sched)
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_piece_cache_matches_uncached_factors_on_goldens(name, monkeypatch):
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    sched = scenario.schedule
+    tasks = dict(scenario.tasks)
+    span = sched.horizon * (3 if sched.periodic else 1)
+    windows = [(p["start"], p["delta"]) for t, p in scenario.tasks
+               if t in ("gramian", "reconstruct")]
+    windows += [(span * a / 16, span * d / 16) for a, d in ((0, 16), (1, 5), (3, 11), (7, 9))]
+    trace = None
+    if "simulate" in tasks and sched.is_nonnegative:
+        sim = tasks["simulate"]
+        traj = simulate(sched, scenario.initial_state, sim["t_end"], sim["sample_dt"])
+        trace = edge_signals(traj, sched)
+        # windows with both ends on the sample grid, starting every 7 steps
+        # in the first half of the run, each 5 steps longer than the last
+        step, steps = sim["sample_dt"], int(sim["t_end"] / sim["sample_dt"])
+        windows += [(step * a, step * (3 + 5 * i)) for i, a in enumerate(range(0, steps // 2, 7))
+                    if a + 3 + 5 * i <= steps]
+    assert_piece_cache_exact(sched, windows, trace, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_piece_cache_matches_uncached_factors_on_tenths(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    sched = tenths_schedule(rng, int(rng.integers(3, 7)))
+    period = sched.horizon
+    t_end = 4.0 * period
+    traj = simulate(sched, rng.standard_normal(sched.node_count), t_end, 0.05)
+    trace = edge_signals(traj, sched)
+    windows = []
+    for _ in range(12):
+        # window ends on the sample grid, up to three periods long
+        a, d = rng.integers(0, 20 * period), rng.integers(1, 60 * period)
+        if 0.05 * (a + d) <= t_end:
+            windows.append((0.05 * a, 0.05 * d))
+    windows += [(period, 3.0 * period), (2.0 * period - 0.05, period + 0.05)]
+    assert_piece_cache_exact(sched, windows, trace, monkeypatch)
+
+
+def test_full_pieces_an_ulp_off_are_built_afresh():
+    rng = np.random.default_rng(3)
+    sched = tenths_schedule(rng, 4)
+    off = 0
+    for s in np.arange(0.0, 30.0 * sched.horizon, 0.1):
+        for ta, tb, k in sched.pieces(s, s + 2.0 * sched.horizon):
+            seg = sched.segments[k]
+            length = seg.t_end - seg.t_start
+            if tb - ta != length and abs(tb - ta - length) <= 1e-12:
+                off += 1
+                factors = observability._piece_factors(sched, k, tb - ta)
+                assert all(a.flags.writeable for a in factors)
+                assert factors is not sched._full_pieces.get(k)
+    assert off > 0  # the schedule does unwrap pieces an ulp off
+
+
+def test_piece_cache_holds_at_most_one_entry_per_segment():
+    rng = np.random.default_rng(19)
+    sched = tenths_schedule(rng, 5)
+    for s, delta in zip(rng.uniform(0.0, 50.0 * sched.horizon, 500),
+                        rng.uniform(0.05, 3.0 * sched.horizon, 500)):
+        gramian(sched, s, delta)
+    assert 0 < len(sched._full_pieces) <= len(sched)
+    for k, factors in sched._full_pieces.items():
+        assert not any(a.flags.writeable for a in factors)
 
 
 def test_reconstruct_task_builds_its_gramian_once(tmp_path, monkeypatch):
