@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, graph, observability
-from .errors import ConsensusLabError, HorizonError, ScenarioError
+from .errors import ConfigurationError, ConsensusLabError, HorizonError, ScenarioError
 
 OUTPUT_DIR_ENV = "CONSENSUSLAB_OUTPUT_DIR"
 
@@ -232,7 +232,8 @@ class Scenario:
     def _validate_tasks(self, tasks):
         if not isinstance(tasks, list) or not tasks:
             _fail("scenario needs a non-empty 'tasks' list")
-        sim_end = None  # t_end of the latest simulate task: the trace the later tasks read
+        # the latest simulate task's t_end, and its sample and trace times once needed
+        sim_end = sim_grid = sim_trace = None
         validated = []
         for entry in tasks:
             if not isinstance(entry, dict) or "task" not in entry:
@@ -266,20 +267,16 @@ class Scenario:
             if name == "reconstruct" and not 0.0 <= params["start"] <= end <= sim_end:
                 _fail(f"task 'reconstruct': window [{params['start']}, {end}] is not inside "
                       f"the simulated [0, {sim_end}]")
+            if sim_grid is None and (name == "reconstruct" or "fit_dt" in params):
+                sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
-                # reconstruct reads the trace at both window ends and needs
-                # two samples on every segment piece of the window
-                start, tol = params["start"], 1e-6 * sim_dt
-                for t in (start, end):
-                    if not dynamics._on_sample_grid(self.schedule, t, sim_end, sim_dt):
-                        _fail(f"task 'reconstruct': window end {t} is not on the simulated "
-                              f"sample grid (multiples of sample_dt {sim_dt}, segment "
-                              f"boundaries and t_end {sim_end})")
-                if (len(self.schedule.pieces(start, min(start + tol, end))) > 1
-                        or len(self.schedule.pieces(max(end - tol, start), end)) > 1):
-                    _fail(f"task 'reconstruct': window [{start}, {end}] has a segment boundary "
-                          f"within the sample grid's tolerance {tol} of an end, which leaves "
-                          "a piece with a single sample")
+                if sim_trace is None:  # reconstruct's own check, on the run's trace
+                    sim_trace = observability._trace_rows(self.schedule, sim_grid)[1]
+                try:
+                    observability._window_nodes(sim_trace, self.schedule, params["start"],
+                                                params["delta"])
+                except ConfigurationError as exc:
+                    _fail(f"task 'reconstruct': {exc}")
             if name == "rate" and params.get("skip_time", 0.0) >= sim_end:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
                       f"simulated t_end {sim_end}")
@@ -287,8 +284,6 @@ class Scenario:
                 # the fit reads the samples of the run on the multiples of
                 # fit_dt, so count them on the grid the run will sample
                 skip, fit_dt = float(params.get("skip_time", 0.0)), float(params["fit_dt"])
-                if sim_grid is None:
-                    sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
                 if np.count_nonzero(analysis._fit_mask(sim_grid, slice(None), skip, fit_dt)) < 2:
                     _fail(f"task 'rate': fewer than two multiples of fit_dt {fit_dt} lie in "
                           f"[skip_time {skip}, t_end {sim_end}] on the simulated sample grid "
@@ -297,7 +292,7 @@ class Scenario:
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
-                sim_end, sim_dt, sim_grid = end, params["sample_dt"], None
+                sim_end, sim_dt, sim_grid, sim_trace = end, params["sample_dt"], None, None
             validated.append((name, params))
         return validated
 

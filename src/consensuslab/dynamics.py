@@ -27,9 +27,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Sampled node states over a strictly increasing time grid."""
+    """Sampled node states over a strictly increasing time grid (``==`` is identity)."""
 
     sample_times: np.ndarray
     states: np.ndarray
@@ -240,17 +240,6 @@ def _sample_grid(sched, t_end, sample_dt):
     pieces = sched.pieces(0.0, t_end)
     anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
     return _merge_grid(anchors, base, tol=1e-6 * sample_dt), pieces
-
-
-def _on_sample_grid(sched, t, t_end, sample_dt):
-    """Whether a run of ``simulate`` to t_end samples at time t: t lies
-    within the grid's merge tolerance 1e-6 * sample_dt of a multiple of
-    sample_dt, of a segment boundary or of t_end."""
-    tol = 1e-6 * sample_dt
-    k = np.clip(np.rint(t / sample_dt), 0.0, np.floor(t_end / sample_dt + 1e-9))
-    if abs(t - k * sample_dt) <= tol or abs(t - t_end) <= tol:
-        return True
-    return len(sched.pieces(max(t - tol, 0.0), min(t + tol, t_end))) > 1  # a boundary near t
 
 
 def _phi1(z):

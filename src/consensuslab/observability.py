@@ -33,14 +33,14 @@ __all__ = [
 POSITIVE_TOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class EdgeSignalTrace:
     """Edge signals z(t) = H(t)' x(t) in the fixed lexicographic edge order.
 
     z jumps when the graph switches, so traces produced by
     :func:`edge_signals` carry two rows at every interior segment boundary:
     the left limit first, then the right limit.  Sample times are therefore
-    non-decreasing rather than strictly increasing.
+    non-decreasing rather than strictly increasing.  ``==`` is identity.
     """
 
     sample_times: np.ndarray
@@ -49,7 +49,7 @@ class EdgeSignalTrace:
 
     # (signals, pieces) for a trace built by edge_signals: each piece's row
     # range [r, s) and the columns its incidence matrix leaves nonzero; every
-    # other cell of the rows is +0.0.  Not a field, so == ignores it.
+    # other cell of the rows is +0.0.  Not a field.
     _support = None
 
     def __post_init__(self):
@@ -89,9 +89,7 @@ def read_edge_signals_csv(path):
 def _grid_tolerance(times):
     gaps = np.diff(times)
     positive = gaps[gaps > 0.0]
-    if positive.size == 0:
-        return 1e-12
-    return 1e-6 * float(positive.min())
+    return 1e-6 * float(positive.min()) if positive.size else 1e-12
 
 
 def _rows_within(times, ta, tb, tol):
@@ -99,6 +97,16 @@ def _rows_within(times, ta, tb, tol):
     lo = int(np.searchsorted(times, ta - tol, side="left"))
     hi = int(np.searchsorted(times, tb + tol, side="right"))
     return lo, hi
+
+
+def _trace_rows(sched, times):
+    """Rows (lo, hi, k) of the run sampled at ``times`` within the grid
+    tolerance of each of its pieces, and the edge-signal trace's times."""
+    tol = _grid_tolerance(times)
+    pieces = (sched.pieces(times[0], times[-1])
+              or [(times[0], times[-1], sched.segment_index_at(times[0]))])
+    ranges = [(*_rows_within(times, ta, tb, tol), k) for ta, tb, k in pieces]
+    return ranges, np.concatenate([times[lo:hi] for lo, hi, _ in ranges])
 
 
 def edge_signals(traj, sched):
@@ -118,11 +126,7 @@ def edge_signals(traj, sched):
     if traj.node_count != sched.node_count:
         raise ConfigurationError("trajectory and schedule node counts differ")
     pairs = tuple(edge_pairs(sched.node_count))
-    times = traj.sample_times
-    tol = _grid_tolerance(times)
-    pieces = (sched.pieces(times[0], times[-1])
-              or [(times[0], times[-1], sched.segment_index_at(times[0]))])
-    ranges = [(*_rows_within(times, ta, tb, tol), k) for ta, tb, k in pieces]
+    ranges, trace_times = _trace_rows(sched, traj.sample_times)
     # one table, each piece's product written into its rows
     z = np.empty((sum(hi - lo for lo, hi, _ in ranges), len(pairs)))
     columns = {}  # nonzero columns of H_k, by segment
@@ -135,7 +139,7 @@ def edge_signals(traj, sched):
             columns[k] = np.flatnonzero(h.any(axis=0))
         support.append((r, r + hi - lo, columns[k]))
         r += hi - lo
-    trace = EdgeSignalTrace(np.concatenate([times[lo:hi] for lo, hi, _ in ranges]), z, pairs)
+    trace = EdgeSignalTrace(trace_times, z, pairs)
     if np.isfinite(traj.states).all():
         trace._support = (trace.signals, support)
     return trace
@@ -309,13 +313,36 @@ def _simpson(y, x):
 def _piece_node_rows(times, ta, tb, tol):
     """Row range [lo, hi) of the trace samples on the piece [ta, tb]."""
     lo, hi = _rows_within(times, ta, tb, tol)
-    # duplicated boundary rows: keep the right limit at the piece start and
-    # the left limit at the piece end
-    if hi - lo >= 2 and times[lo + 1] - times[lo] <= tol:
+    # rows duplicated at a boundary, or at a sliver segment's ends: keep the
+    # right limit at the piece start and the left limit at the piece end
+    while hi - lo >= 2 and times[lo + 1] - times[lo] <= tol:
         lo += 1
-    if hi - lo >= 2 and times[hi - 1] - times[hi - 2] <= tol:
+    while hi - lo >= 2 and times[hi - 1] - times[hi - 2] <= tol:
         hi -= 1
     return lo, hi
+
+
+def _window_nodes(times, sched, s, delta):
+    """Each segment piece [ta, tb] of the window [s, s + delta] as (ta, tb,
+    k, lo, hi, nodes): the rows of a trace sampled at ``times`` that
+    reconstruct integrates, and their times with the ends set to ta and tb.
+
+    The one coverage rule, also run by ``validate`` on the trace a run will
+    write: a piece with fewer than two rows, an end row beyond the tolerance
+    or nodes not strictly increasing raises ConfigurationError."""
+    tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
+    out = []
+    for ta, tb, k in sched.pieces(s, s + delta):
+        lo, hi = _piece_node_rows(times, ta, tb, tol)
+        nodes = np.concatenate(([ta], times[lo + 1:hi - 1], [tb]))
+        if (hi - lo < 2 or abs(times[lo] - ta) > tol or abs(times[hi - 1] - tb) > tol
+                or not np.all(np.diff(nodes) > 0.0)):
+            raise ConfigurationError(
+                f"trace does not cover segment piece [{ta}, {tb}] of the window [{s}, {s + delta}]: "
+                f"it keeps {hi - lo} samples there and needs two or more, strictly increasing, "
+                f"the first and last within {tol:.3g} of the piece ends")
+        out.append((ta, tb, k, lo, hi, nodes))
+    return out
 
 
 def reconstruct(z, sched, s, delta, cond_tol=1e-8):
@@ -330,8 +357,8 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     piecewise per segment: halving the trace sampling step halves the
     quadrature step everywhere.
 
-    The trace must sample the whole window including every interior segment
-    boundary (traces written by :func:`edge_signals` do).  A Gramian
+    The trace must sample every segment piece of the window from end to
+    end, as :func:`_window_nodes` checks before any integral.  A Gramian
     eigenvalue at or below cond_tol raises UnobservableWindowError instead
     of regularizing: a near-singular window means joint connectivity fails
     on it.
@@ -347,6 +374,7 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
         raise ConfigurationError(
             "edge order of the trace does not match the schedule's lexicographic order"
         )
+    pieces = _window_nodes(z.sample_times, sched, s, delta)
     gram = gramian(sched, s, delta)
     if gram.lambda_min <= cond_tol:
         raise UnobservableWindowError(
@@ -354,23 +382,9 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
             "the window is not jointly connected enough to invert",
             lambda_min=gram.lambda_min,
         )
-    times = z.sample_times
-    tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
     corr = np.zeros(n)
     phi = np.eye(n)
-    for ta, tb, k in sched.pieces(s, s + delta):
-        lo, hi = _piece_node_rows(times, ta, tb, tol)
-        if hi - lo < 2:
-            raise ConfigurationError(
-                f"trace has {hi - lo} samples inside segment piece [{ta}, {tb}]"
-            )
-        if abs(times[lo] - ta) > tol or abs(times[hi - 1] - tb) > tol:
-            raise ConfigurationError(
-                "trace must sample the window ends and every segment boundary; "
-                f"piece [{ta}, {tb}] is not covered"
-            )
-        sub_t = times[lo:hi].copy()
-        sub_t[0], sub_t[-1] = ta, tb
+    for ta, tb, k, lo, hi, sub_t in pieces:
         lam = sched.spectrum(k)[0]
         p, _, flow = _piece_factors(sched, k, tb - ta)
         v = z.signals[lo:hi] @ sched.incidence(k).T  # rows: D(t_j) z~(t_j), all in 1-perp

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import consensuslab
+from consensuslab import edge_signals, reconstruct, schedule_from_dict, simulate
 from consensuslab.cli import list_tasks, load_scenario, main
-from consensuslab.errors import ScenarioError
+from consensuslab.errors import ConfigurationError, ScenarioError
 from helpers import check_certificate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -304,6 +305,26 @@ def _rate_on_quarters(fit_dt):
     return data
 
 
+_ALTERNATING_EDGES = ([{"i": 1, "j": 2, "w": 1.0}, {"i": 2, "j": 3, "w": 0.5}],
+                      [{"i": 1, "j": 3, "w": 0.8}, {"i": 2, "j": 3, "w": 1.0}])
+
+
+def _reconstruct_scenario(cuts, t_end, sample_dt, start, delta, cond_tol=1e-8):
+    """A 3-node schedule cut at ``cuts`` (its edge sets alternating), a run
+    to t_end from [1, 0, -2], and one reconstruct window."""
+    segments = [{"t0": a, "t1": b, "edges": _ALTERNATING_EDGES[i % 2]}
+                for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
+    return {"schedule": {"nodes": 3, "segments": segments},
+            "initial_state": [1.0, 0.0, -2.0], "output_dir": "out",
+            "tasks": [{"task": "simulate", "t_end": t_end, "sample_dt": sample_dt},
+                      {"task": "reconstruct", "start": start, "delta": delta,
+                       "cond_tol": cond_tol}]}
+
+
+_SLIVER_CUTS = [0.0, 0.5, 0.500000001, 2.0]  # a sliver segment between the samples 0.5, 0.51
+_OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e-6 * 0.25
+
+
 @pytest.mark.parametrize("data,message", [
     (_horizon_scenario([{"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}]),
      "exceeds the horizon"),
@@ -334,19 +355,29 @@ def _rate_on_quarters(fit_dt):
     # inside the trace, but off its sample grid: a piece [1.9, 2.0] with one
     # sample, and window ends between samples
     (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 1.9, "delta": 0.2}]),
-     "window end 1.9 is not on the simulated sample grid"),
+     "trace does not cover segment piece [1.9, 2.0] of the window [1.9, "),
     (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 0.25, "delta": 1.0}]),
-     "window end 0.25 is not on the simulated sample grid"),
-    # on the grid within its tolerance 5e-7, but just before the boundary 2.0
+     "trace does not cover segment piece [0.25, 1.25] of the window [0.25, 1.25]"),
+    # within 5e-7 of the sample 2.0, but a piece [2.0 - 2e-7, 2.0] before it
     (_horizon_scenario([_SIMULATE_TO_4, {"task": "reconstruct", "start": 2.0 - 2e-7,
                                          "delta": 1.0}]),
-     "has a segment boundary within the sample grid's tolerance"),
+     "trace does not cover segment piece [1.9999998, 2.0] of the window [1.9999998, "),
+    # a sliver the run samples once, and window ends 7.5e-8 off the samples
+    # 0.75 and 2.25: within 1e-6 * sample_dt, but not within the trace's 7e-8
+    (_reconstruct_scenario(_SLIVER_CUTS, 2.0, 0.01, 0.0, 1.0),
+     "trace does not cover segment piece [0.5, 0.500000001] of the window [0.0, 1.0]"),
+    (_reconstruct_scenario(_OFF_GRID_CUTS, 3.0, 0.25, 0.749999925, 2.0, cond_tol=1e-300),
+     "trace does not cover segment piece [0.749999925, 2.57] of the window [0.749999925, "),
+    (_reconstruct_scenario(_OFF_GRID_CUTS, 3.0, 0.25, 0.25, 2.000000075),
+     "trace does not cover segment piece [0.25, 2.25000007"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
         "rate-skips-whole-trace", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
         "rate-fit-grid-of-one-sample",
         "reconstruct-piece-between-samples",
-        "reconstruct-ends-between-samples", "reconstruct-starts-just-before-a-boundary"])
+        "reconstruct-ends-between-samples", "reconstruct-starts-just-before-a-boundary",
+        "reconstruct-over-a-sliver", "reconstruct-starts-off-the-trace",
+        "reconstruct-ends-off-the-trace"])
 def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
     scn = tmp_path / "range.json"
     scn.write_text(json.dumps(data))
@@ -398,6 +429,78 @@ def test_reconstruct_window_from_a_boundary_off_the_sample_steps_runs(tmp_path):
     assert main(["validate", str(scn)]) == 0
     assert main(["run", str(scn)]) == 0
     assert (tmp_path / "out" / "reconstruction.json").is_file()
+
+
+def test_reconstruct_window_from_a_sliver_end_runs(tmp_path):
+    # the trace holds three rows at 0.5; the window's first piece takes the last
+    scn = tmp_path / "sliver.json"
+    scn.write_text(json.dumps(_reconstruct_scenario(_SLIVER_CUTS, 2.0, 0.01, 0.500000001, 1.0)))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0
+    report = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert report["error_vs_truth"] <= 1e-6
+
+
+def _jitter(rng, dt):
+    """A signed offset of 1e-9 to 2e-6 times dt, on a log scale."""
+    return rng.choice([-1.0, 1.0]) * dt * 10.0 ** rng.uniform(-9.0, np.log10(2e-6))
+
+
+def _coverage_case(rng):
+    """A run to a multiple of sample_dt over boundaries on the samples, just
+    off them or between them, some followed by a sliver segment, and a
+    reconstruct window from a boundary or a sample (or just off one) to a
+    later boundary or sample."""
+    dt = float(rng.choice([0.01, 0.05, 0.25]))
+    steps = int(rng.integers(8, 25))
+    t_end = dt * steps
+    cuts = []
+    for k in np.sort(rng.choice(np.arange(1, steps), size=3, replace=False)):
+        b = k * dt + [0.0, _jitter(rng, dt), dt * rng.uniform(0.05, 0.95)][rng.integers(3)]
+        cuts.append(b)
+        if rng.random() < 0.4:
+            cuts.append(b + dt * 10.0 ** rng.uniform(-9.0, -3.0))
+    cuts = sorted(set(cuts))
+    start = float(rng.choice([*cuts, dt * rng.integers(0, steps)]))
+    if rng.random() < 0.4:
+        start += _jitter(rng, dt)
+    start = min(max(start, 0.0), t_end - dt)
+    ends = [t for t in [*cuts, *(dt * np.arange(steps + 1))] if t > start + dt / 2]
+    delta = float(rng.choice(ends)) - start
+    if start + delta > t_end:  # a rounding past the run's end
+        delta = float(np.nextafter(delta, 0.0))
+    return _reconstruct_scenario([0.0, *cuts, t_end], t_end, dt, start, delta, cond_tol=1e-300)
+
+
+def test_validate_accepts_exactly_the_windows_reconstruct_covers(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    scn = tmp_path / "case.json"
+    refused = 0
+    for case in range(150):
+        data = _coverage_case(rng)
+        sim, rec = data["tasks"]
+        sched = schedule_from_dict(data["schedule"])
+        traj = simulate(sched, data["initial_state"], sim["t_end"], sim["sample_dt"])
+        try:
+            estimate = reconstruct(edge_signals(traj, sched), sched, rec["start"], rec["delta"],
+                                   cond_tol=rec["cond_tol"])
+        except ConfigurationError:
+            estimate = None
+        scn.write_text(json.dumps(data))
+        if estimate is None:
+            refused += 1
+            for command in ("validate", "run"):
+                assert main([command, str(scn)]) == 2, (case, command, data)
+                assert not (tmp_path / "out").exists(), (case, command)
+        else:
+            assert main(["validate", str(scn)]) == 0, (case, data)
+            idx = traj.index_at(rec["start"])
+            if idx is not None:
+                # Simpson on the samples; a wrong row shows as a far larger error
+                truth = traj.states[idx] - traj.initial_average
+                assert np.linalg.norm(estimate - truth) <= 10.0 * sim["sample_dt"] ** 2, case
+        capsys.readouterr()
+    assert 30 <= refused <= 120, refused
 
 
 def test_zero_noise_robustness_report(tmp_path):

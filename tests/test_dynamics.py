@@ -274,6 +274,15 @@ class TestTrajectoryCsv:
         traj.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,x1,x2,x3"
 
+    def test_equality_is_identity(self, tmp_path):
+        # array fields: a field-wise == would ask numpy for one truth value
+        traj = simulate(k2_schedule(), [1.0, -1.0], 2.0, 0.1)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        back = read_trajectory_csv(path)
+        assert traj == traj
+        assert not traj == back and traj != back
+
 
 def test_simulate_rejects_bad_initial_state():
     sched = k3_schedule()

@@ -88,6 +88,16 @@ class TestEdgeSignals:
         header = path.read_text().splitlines()[0]
         assert header.startswith("t,z_1_2,z_1_3,z_1_4,z_1_5,z_2_3")
 
+    def test_equality_is_identity(self, tmp_path):
+        # array fields: a field-wise == would ask numpy for one truth value
+        sched = five_node_schedule()
+        trace = edge_signals(simulate(sched, np.arange(5.0), 3.0, 0.25), sched)
+        path = tmp_path / "z.csv"
+        trace.write_csv(path)
+        back = read_edge_signals_csv(path)
+        assert trace == trace
+        assert not trace == back and trace != back
+
 
 class TestGramian:
     def test_short_window_taylor_limit(self):
