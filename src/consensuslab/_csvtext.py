@@ -9,13 +9,13 @@ Values within ``_TIE_MARGIN`` of a decimal tie, magnitudes outside
 [1e-280, 1e280] (subnormals included) and non-finite values are formatted
 by ``'%.17g'`` one at a time.
 
-``write_rows`` writes a table in blocks.  A table with no support goes to
-``lines`` in blocks of ``BLOCK_VALUES`` values.  The edge signals carry
-their support: in each piece of rows only the edges of that segment can
-be nonzero, and every other cell is +0.0.  For such a table only the
-times and the supported cells go through the 48-byte rows below, and
-each line is its piece's template: the slots of those texts, and
-between them runs of separators and "0," cells.
+``write_rows`` writes a table in blocks, and finds its +0.0 cells itself:
+it cuts the rows into runs whose +0.0 cells lie in the same columns.  A
+run with none goes to ``lines`` in blocks of ``BLOCK_VALUES`` values.  The
+edge signals are +0.0 in every column but the edges of a segment piece's
+graph.  For a run with +0.0 cells only the times and the other cells go
+through the 48-byte rows below, and each line is the run's template: the
+slots of those texts, and between them runs of separators and "0," cells.
 
 ``dynamics`` imports this module on its first CSV write, so neither the
 module nor its tables (about 2 ms to build) cost anything on
@@ -43,8 +43,8 @@ from __future__ import annotations
 import numpy as np
 
 # values per block (see write_rows): the block's temporaries stay under
-# 2 MB (0.75 MB measured on an 8001 x 101 dense table, at most 0.76 MB on
-# 8001 x 191 edge-signal tables written from their support)
+# 2 MB (0.75 MB measured on an 8001 x 101 dense table, at most 0.96 MB on
+# 8001 x 191 tables of +0.0 runs written by templates)
 BLOCK_VALUES = 4096
 
 _POW_MIN, _POW_MAX = -270, 300  # 10**k for every k = 16 - d of the fast range
@@ -319,39 +319,59 @@ def _support_lines(times, values, chunks):
     return out.tobytes().translate(None, b"\0")
 
 
-def write_rows(fh, times, values, support=None):
+def _runs(values, r, s):
+    """The rows [r, s) of ``values`` as runs (a, b, mask) of rows that are
+    +0.0 in the same cells: ``mask`` holds the bytes of a bool row, False at
+    those cells.  The mask is None for the whole scan block when it holds no
+    +0.0 cell or is cut into more runs than a sixteenth of its rows."""
+    nonzero = values[r:s].view(np.int64) != 0
+    if nonzero.all():
+        return [(r, s, None)]
+    cuts = np.flatnonzero((nonzero[1:] != nonzero[:-1]).any(axis=1)) + 1
+    if cuts.size > (s - r) // 16:
+        return [(r, s, None)]
+    ends = [0, *cuts.tolist(), s - r]
+    return [(r + a, r + b, nonzero[a].tobytes()) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def write_rows(fh, times, values):
     """Write the lines of the table ``t, v1, ..., vM`` (``times`` beside the
     rows of ``values``) to the binary file ``fh``, a block of rows at a time.
 
-    With no ``support``, each block is about ``BLOCK_VALUES`` cells, written
-    by ``lines``.  ``support`` lists pieces (first row, end row, columns)
-    that tile the rows, each piece's values +0.0 outside its columns; then
-    only the times and the listed cells are formatted, and each line is
-    its piece's template with their texts in place.  Pieces go in chunks
-    of rows, and the chunks in blocks weighed as formatted values plus a
-    sixth of the template words: a word of template holds a sixth of the
-    memory of a value's 48-byte row.
+    The rows are scanned in blocks of 16 x ``BLOCK_VALUES`` cells, on the
+    int64 view, where +0.0 is the one double whose bits are all zero (so
+    -0.0 keeps its "-0"), and cut into runs of rows whose +0.0 cells lie in
+    the same columns.  A run with no +0.0 cell is written by ``lines``,
+    about ``BLOCK_VALUES`` cells at a time.  Any other run formats only the
+    times and its other cells, and each line is the run's template with
+    their texts in place; runs go in chunks of rows, and the chunks in
+    blocks weighed as formatted values plus a sixth of the template words (a
+    word of template holds a sixth of the memory of a value's 48-byte row).
+    A scan block cut into more runs than a sixteenth of its rows (scattered
+    zeros) is written whole by ``lines``, so it costs what the dense path
+    costs.
     """
-    if support is None:
-        step = max(1, BLOCK_VALUES // (values.shape[1] + 1))
-        for r in range(0, times.size, step):
-            fh.write(lines(np.column_stack((times[r:r + step], values[r:r + step]))))
-        return
-    layouts = {}
+    width = values.shape[1]
+    step = max(1, BLOCK_VALUES // (width + 1))
+    templates = {None: None}  # a run's (columns, layout) by its mask; None for lines
     block, held = [], 0.0
-    for r, s, cols in support:
-        key = cols.tobytes()
-        if key not in layouts:
-            layouts[key] = _line_layout(cols, values.shape[1])
-        layout = layouts[key]
-        weight = cols.size + 1 + layout[0].size / 6  # of one line
-        step = max(1, int(BLOCK_VALUES // weight))
-        for a in range(r, s, step):
-            b = min(a + step, s)
-            if block and held + (b - a) * weight > BLOCK_VALUES:
-                fh.write(_support_lines(times, values, block))
-                block, held = [], 0.0
-            block.append((a, b, cols, layout))
-            held += (b - a) * weight
+    for q in range(0, times.size, 16 * step):
+        for r, s, mask in _runs(values, q, min(q + 16 * step, times.size)):
+            if mask not in templates:
+                cols = np.flatnonzero(np.frombuffer(mask, bool))
+                templates[mask] = (cols, _line_layout(cols, width)) if cols.size < width else None
+            cols, layout = templates[mask] or (None, None)
+            weight = width + 1 if cols is None else cols.size + 1 + layout[0].size / 6  # per line
+            run_step = max(1, int(BLOCK_VALUES // weight))
+            for a in range(r, s, run_step):
+                b = min(a + run_step, s)
+                if block and (cols is None or held + (b - a) * weight > BLOCK_VALUES):
+                    fh.write(_support_lines(times, values, block))
+                    block, held = [], 0.0
+                if cols is None:
+                    fh.write(lines(np.column_stack((times[a:b], values[a:b]))))
+                else:
+                    block.append((a, b, cols, layout))
+                    held += (b - a) * weight
     if block:
         fh.write(_support_lines(times, values, block))

@@ -264,19 +264,23 @@ class Scenario:
                 _fail(f"task '{name}': table noise does not cover [0, {end}]")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
-            if name == "reconstruct" and not 0.0 <= params["start"] <= end <= sim_end:
-                _fail(f"task 'reconstruct': window [{params['start']}, {end}] is not inside "
-                      f"the simulated [0, {sim_end}]")
+            if name == "reconstruct" and not self.schedule.is_nonnegative:
+                _fail("task 'reconstruct': edge signals are defined for nonnegative schedules only")
             if sim_grid is None and (name == "reconstruct" or "fit_dt" in params):
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
                 if sim_trace is None:  # reconstruct's own check, on the run's trace
                     sim_trace = observability._trace_rows(self.schedule, sim_grid)[1]
+                outside = (f"task 'reconstruct': window [{params['start']}, {end}] is not "
+                           f"inside the simulated [0, {sim_end}]")
+                if params["start"] < 0.0:
+                    _fail(outside)
                 try:
                     observability._window_nodes(sim_trace, self.schedule, params["start"],
                                                 params["delta"])
                 except ConfigurationError as exc:
-                    _fail(f"task 'reconstruct': {exc}")
+                    # the trace decides the upper end, which may round an ulp past t_end
+                    _fail(outside if end > sim_end else f"task 'reconstruct': {exc}")
             if name == "rate" and params.get("skip_time", 0.0) >= sim_end:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
                       f"simulated t_end {sim_end}")

@@ -68,22 +68,21 @@ class Trajectory:
         _write_csv_rows(path, header, self.sample_times, self.states)
 
 
-def _write_csv_rows(path, header, times, values, support=None):
+def _write_csv_rows(path, header, times, values):
     """Write ``header`` and one ``t,v1,...,vM`` line per row, each value as
     ``'%.17g' % v`` writes it.
 
     ``_csvtext.write_rows`` builds the text with numpy a block of rows at a
-    time, so the memory held stays under 2 MB whatever the table size;
-    ``support`` lists the (first row, end row, columns) outside of which
-    the values are +0.0 (see ``_csvtext.write_rows``).  ``_csvtext`` is
-    imported here, on the first write, so ``import consensuslab`` neither
+    time, so the memory held stays under 2 MB whatever the table size, and
+    finds the runs of rows whose +0.0 cells it need not format.  ``_csvtext``
+    is imported here, on the first write, so ``import consensuslab`` neither
     compiles it nor builds its tables.
     """
     from . import _csvtext
 
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        _csvtext.write_rows(fh, times, values, support)
+        _csvtext.write_rows(fh, times, values)
 
 
 def read_trajectory_csv(path):

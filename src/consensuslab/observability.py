@@ -47,11 +47,6 @@ class EdgeSignalTrace:
     signals: np.ndarray
     edge_order: tuple
 
-    # (signals, pieces) for a trace built by edge_signals: each piece's row
-    # range [r, s) and the columns its incidence matrix leaves nonzero; every
-    # other cell of the rows is +0.0.  Not a field.
-    _support = None
-
     def __post_init__(self):
         t = np.asarray(self.sample_times, dtype=float)
         z = np.asarray(self.signals, dtype=float)
@@ -66,13 +61,8 @@ class EdgeSignalTrace:
         self.edge_order = tuple(tuple(p) for p in self.edge_order)
 
     def write_csv(self, path):
-        """Write the trace as CSV; a trace from :func:`edge_signals` whose
-        signals were not replaced since passes its support to the writer,
-        which then formats only the supported cells."""
         header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in self.edge_order)
-        support = self._support
-        pieces = support[1] if support is not None and support[0] is self.signals else None
-        _write_csv_rows(path, header, self.sample_times, self.signals, pieces)
+        _write_csv_rows(path, header, self.sample_times, self.signals)
 
 
 def read_edge_signals_csv(path):
@@ -113,11 +103,7 @@ def edge_signals(traj, sched):
     """Extract z(t_k) = H' x(t_k) from a trajectory.
 
     Requires nonnegative weights (the incidence factorization).  Interior
-    segment boundaries produce two rows, one per one-sided limit of H.  The
-    trace records its support for the CSV writer: per piece, its rows and
-    the columns of H_k that are nonzero.  With finite states every other
-    column of a row is the product with a zero column, +0.0; a trajectory
-    holding inf or NaN records none.
+    segment boundaries produce two rows, one per one-sided limit of H.
     """
     if not sched.is_nonnegative:
         raise SignedGraphError(
@@ -129,20 +115,11 @@ def edge_signals(traj, sched):
     ranges, trace_times = _trace_rows(sched, traj.sample_times)
     # one table, each piece's product written into its rows
     z = np.empty((sum(hi - lo for lo, hi, _ in ranges), len(pairs)))
-    columns = {}  # nonzero columns of H_k, by segment
-    support = []
     r = 0
     for lo, hi, k in ranges:
-        h = sched.incidence(k)
-        np.matmul(traj.states[lo:hi], h, out=z[r:r + hi - lo])
-        if k not in columns:
-            columns[k] = np.flatnonzero(h.any(axis=0))
-        support.append((r, r + hi - lo, columns[k]))
+        np.matmul(traj.states[lo:hi], sched.incidence(k), out=z[r:r + hi - lo])
         r += hi - lo
-    trace = EdgeSignalTrace(trace_times, z, pairs)
-    if np.isfinite(traj.states).all():
-        trace._support = (trace.signals, support)
-    return trace
+    return EdgeSignalTrace(trace_times, z, pairs)
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,35 @@ def test_reconstruct_window_from_a_sliver_end_runs(tmp_path):
     assert report["error_vs_truth"] <= 1e-6
 
 
+def test_reconstruct_window_an_ulp_past_t_end_runs(tmp_path):
+    # 0.1 + 1.1 rounds to 1.2000000000000002, on the trace's last sample 1.2
+    data = json.loads((SCENARIOS / "alternating_triangle.json").read_text())
+    data["output_dir"] = "out"
+    data["tasks"] = [{"task": "simulate", "t_end": 1.2, "sample_dt": 0.01},
+                     {"task": "reconstruct", "start": 0.1, "delta": 1.1}]
+    assert 0.1 + 1.1 > 1.2
+    scn = tmp_path / "ulp.json"
+    scn.write_text(json.dumps(data))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0
+    report = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert report["error_vs_truth"] <= 1e-6
+
+
+def test_reconstruct_on_a_signed_schedule_exits_2(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "signed_triangle.json").read_text())
+    data["output_dir"] = "out"
+    data["tasks"] = [{"task": "simulate", "t_end": 5.0, "sample_dt": 0.02},
+                     {"task": "reconstruct", "start": 0.0, "delta": 4.0}]
+    scn = tmp_path / "signed.json"
+    scn.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        assert main([command, str(scn)]) == 2, command
+        err = capsys.readouterr().err
+        assert "edge signals are defined for nonnegative schedules only" in err, err
+        assert not (tmp_path / "out").exists(), command
+
+
 def _jitter(rng, dt):
     """A signed offset of 1e-9 to 2e-6 times dt, on a log scale."""
     return rng.choice([-1.0, 1.0]) * dt * 10.0 ** rng.uniform(-9.0, np.log10(2e-6))
@@ -467,8 +496,6 @@ def _coverage_case(rng):
     start = min(max(start, 0.0), t_end - dt)
     ends = [t for t in [*cuts, *(dt * np.arange(steps + 1))] if t > start + dt / 2]
     delta = float(rng.choice(ends)) - start
-    if start + delta > t_end:  # a rounding past the run's end
-        delta = float(np.nextafter(delta, 0.0))
     return _reconstruct_scenario([0.0, *cuts, t_end], t_end, dt, start, delta, cond_tol=1e-300)
 
 

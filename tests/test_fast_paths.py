@@ -5,8 +5,8 @@ samples in one elementwise pass and one product per constant sub-piece
 (bit for bit the states of one pass per sub-piece), the sample grid is
 merged with ``searchsorted``, noise window energies are summed over
 elementary intervals, edge-signal rows are located by ``searchsorted``
-ranges, CSV values are formatted by numpy in blocks (an edge-signal trace's
-only where its support says), Gramians and reconstructions reuse the
+ranges, CSV values are formatted by numpy in blocks (in a run of rows with
++0.0 cells, only the other cells), Gramians and reconstructions reuse the
 cached factors of full segment pieces, window
 scans integrate and diagonalise stacked blocks of windows taken only at the
 schedule's kinks and delta-crossings, the incidence matrix is filled by
@@ -36,6 +36,7 @@ from consensuslab import (
     edge_signals,
     gramian,
     read_edge_signals_csv,
+    read_trajectory_csv,
     reconstruct,
     simulate,
     transition_matrix,
@@ -519,12 +520,10 @@ def test_csv_writer_memory_stays_flat_on_mostly_zero_tables(tmp_path):
 
 
 def supported_trace(rng, rows, width, piece_rows, pool):
-    """Times, values and support of a trace whose pieces of up to piece_rows
-    rows list random columns (none, the first, the last, all or a few) and
-    hold +0.0 elsewhere; a piece may be empty, and a supported stretch all
-    zeros."""
+    """Times and values of a trace whose pieces of up to piece_rows rows
+    draw random columns (none, the first, the last, all or a few) and hold
+    +0.0 elsewhere; a piece may be empty, and a drawn stretch all zeros."""
     values = np.zeros((rows, width))
-    support = []
     r = 0
     while r < rows:
         s = min(rows, r + int(rng.integers(0, piece_rows + 1)))
@@ -540,16 +539,9 @@ def supported_trace(rng, rows, width, piece_rows, pool):
                                       replace=False))
         if rng.random() < 0.8:
             values[r:s, cols] = rng.choice(pool, (s - r, cols.size))
-        support.append((r, s, cols))
         r = s
     times = np.repeat(np.linspace(0.0, 50.0, rows // 2 + 1), 2)[:rows]
-    return times, values, support
-
-
-def assert_supported_csv_matches_reference(path, times, values, support):
-    header = "t," + ",".join(f"v{i + 1}" for i in range(values.shape[1]))
-    _write_csv_rows(path, header, times, values, support)
-    assert path.read_bytes() == reference_csv_text(header, times, values).encode()
+    return times, values
 
 
 def test_supported_csv_matches_reference_on_generated_traces(tmp_path):
@@ -559,76 +551,96 @@ def test_supported_csv_matches_reference_on_generated_traces(tmp_path):
                            rng.standard_normal(200)))
     for width in (1, 2, 3, 10, 190):
         for piece_rows in (1, 5, 40, 3000):
-            times, values, support = supported_trace(rng, 600, width, piece_rows, pool)
-            assert_supported_csv_matches_reference(tmp_path / "s.csv", times, values, support)
+            times, values = supported_trace(rng, 600, width, piece_rows, pool)
+            assert_csv_matches_reference(tmp_path / "s.csv", np.column_stack((times, values)))
 
 
-def test_edge_signal_trace_records_its_support():
-    rng = np.random.default_rng(18)
-    sparse = WeightSchedule([(0.1 * k, 0.1 * (k + 1), random_weights(rng, 6, density=0.3))
-                             for k in range(7)], periodic=True)
-    runs = [(five_node_schedule(), [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, 0.05),
-            (sparse, -rng.random(6), 2.0, 0.03)]
-    for sched, x0, t_end, sample_dt in runs:
-        trace = edge_signals(simulate(sched, x0, t_end, sample_dt), sched)
-        signals, pieces = trace._support
-        assert signals is trace.signals
-        segments = [k for _, _, k in sched.pieces(0.0, t_end)]
-        assert len(pieces) == len(segments)
-        r = 0
-        for (a, b, cols), k in zip(pieces, segments):
-            assert a == r < b
-            h = reference_incidence(sched.segments[k].weights)
-            assert np.array_equal(cols, np.flatnonzero((h != 0.0).any(axis=0)))
-            # every other cell is +0.0, on the int64 view
-            assert not np.delete(trace.signals[a:b], cols, axis=1).view(np.int64).any()
-            r = b
-        assert r == trace.signals.shape[0]
+def counted_template_writes(monkeypatch):
+    """Count the calls of the writer's template path."""
+    calls = []
+    template_lines = _csvtext._support_lines
+
+    def counted(*args):
+        calls.append(1)
+        return template_lines(*args)
+
+    monkeypatch.setattr(_csvtext, "_support_lines", counted)
+    return calls
 
 
-def test_trace_without_support_writes_the_same_bytes(tmp_path):
+def assert_trace_csv_matches_reference(path, trace):
+    trace.write_csv(path)
+    header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in trace.edge_order)
+    assert path.read_bytes() == reference_csv_text(
+        header, trace.sample_times, trace.signals).encode()
+
+
+def test_edge_signals_edited_in_place_are_written(tmp_path):
+    # the cells off segment 0's edges are +0.0 when the trace is built; the
+    # writer reads the cells as they are when it writes
+    sched = five_node_schedule()
+    trace = edge_signals(simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, 0.05), sched)
+    off_edges = np.flatnonzero(~reference_incidence(sched.segments[0].weights).any(axis=0))
+    assert off_edges.size and not trace.signals[:2, off_edges].view(np.int64).any()
+    trace.signals[0, off_edges[0]] = 1.5
+    trace.signals[1, off_edges[-1]] = -0.0
+    assert_trace_csv_matches_reference(tmp_path / "e.csv", trace)
+
+
+def test_read_back_trace_rewrites_to_the_same_bytes(tmp_path, monkeypatch):
     sched = five_node_schedule()
     traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, 0.05)
     trace = edge_signals(traj, sched)
-    trace.write_csv(tmp_path / "a.csv")
-    header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in trace.edge_order)
-    expected = reference_csv_text(header, trace.sample_times, trace.signals).encode()
-    assert (tmp_path / "a.csv").read_bytes() == expected
-    # read back, a trace carries no support and takes the dense path
+    assert_trace_csv_matches_reference(tmp_path / "a.csv", trace)
     back = read_edge_signals_csv(tmp_path / "a.csv")
-    assert back._support is None
     assert np.array_equal(back.signals.view(np.int64), trace.signals.view(np.int64))
+    # the writer finds the +0.0 runs of the read-back signals too
+    calls = counted_template_writes(monkeypatch)
     back.write_csv(tmp_path / "b.csv")
-    assert (tmp_path / "b.csv").read_bytes() == expected
-    # new signals drop the support, so a cell set outside it is written
-    trace.signals = trace.signals.copy()
-    cols = trace._support[1][0][2]
-    trace.signals[0, np.setdiff1d(np.arange(trace.signals.shape[1]), cols)[0]] = 1.5
-    trace.write_csv(tmp_path / "c.csv")
-    assert (tmp_path / "c.csv").read_bytes() == reference_csv_text(
-        header, trace.sample_times, trace.signals).encode()
+    assert calls and (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    traj.write_csv(tmp_path / "x.csv")
+    read_trajectory_csv(tmp_path / "x.csv").write_csv(tmp_path / "y.csv")
+    assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
 
 
-def test_trajectory_with_non_finite_states_records_no_support(tmp_path):
+def test_negative_zero_among_positive_zeros_keeps_its_sign(tmp_path, monkeypatch):
+    # -0.0 is not +0.0 on the int64 view, so the templates format it as "-0"
+    rng = np.random.default_rng(18)
+    values = np.zeros((300, 9))
+    values[:, [1, 7]] = rng.standard_normal((300, 2))
+    values[:, 4] = -0.0
+    values[100:140, 5] = -0.0
+    times = np.linspace(0.0, 3.0, 300)
+    times[:50] = -0.0
+    calls = counted_template_writes(monkeypatch)
+    assert_csv_matches_reference(tmp_path / "m.csv", np.column_stack((times, values)))
+    assert calls
+
+
+def test_scattered_zeros_and_non_finite_rows_are_written(tmp_path, monkeypatch):
+    rng = np.random.default_rng(19)
+    table = rng.standard_normal((4001, 51))
+    table[rng.random(table.shape) < 0.05] = 0.0
+    # a run of rows per few rows: too many runs for templates
+    calls = counted_template_writes(monkeypatch)
+    assert_csv_matches_reference(tmp_path / "s.csv", table)
+    assert not calls
     sched = five_node_schedule()
     traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 3.0, 0.25)
-    traj.states[4, 1] = np.inf  # inf * 0.0 is NaN in every column of the row
+    traj.states[4, 1] = np.inf  # inf * 0.0 is NaN in the off-edge columns of its row
+    traj.states[7, 2] = -np.inf
     with np.errstate(invalid="ignore"):
         trace = edge_signals(traj, sched)
-    assert trace._support is None
-    assert np.isnan(trace.signals[4]).any()
-    trace.write_csv(tmp_path / "n.csv")
-    header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in trace.edge_order)
-    assert (tmp_path / "n.csv").read_bytes() == reference_csv_text(
-        header, trace.sample_times, trace.signals).encode()
+    assert np.isnan(trace.signals).any() and np.isinf(trace.signals).any()
+    assert_trace_csv_matches_reference(tmp_path / "n.csv", trace)
 
 
 def test_csv_writer_memory_stays_flat_on_supported_traces(tmp_path):
     rng = np.random.default_rng(16)
-    times, values, support = supported_trace(rng, 8001, 190, 40, rng.standard_normal(100))
+    times, values = supported_trace(rng, 8001, 190, 40, rng.standard_normal(100))
     tracemalloc.start()
     try:
-        _write_csv_rows(tmp_path / "supported.csv", "t", times, values, support)
+        _write_csv_rows(tmp_path / "supported.csv", "t", times, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

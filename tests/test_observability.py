@@ -16,6 +16,7 @@ from consensuslab import (
     read_edge_signals_csv,
     reconstruct,
     simulate,
+    transition_matrix,
     uniform_bounds_check,
 )
 from consensuslab.observability import POSITIVE_TOL, _simpson
@@ -29,6 +30,7 @@ from helpers import (
     k3_schedule,
     quarter_grid_cases,
     random_periodic_schedule,
+    random_weights,
     reference_uniform_bounds,
     signed_triangle_symmetric,
     weights,
@@ -166,6 +168,31 @@ class TestGramian:
             assert g.lambda_min >= -1e-10
             n = sched.node_count
             assert g.lambda_max <= delta * (2 * (n - 1) * sched.weight_bound + 1.0) + 1e-9
+
+    def test_flow_and_gramian_satisfy_the_energy_identity(self):
+        # d/dt |y|^2 = -2 y'Ly, so over every window Phi'Phi = P (I - 2W) P
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(n=st.integers(2, 6), periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+               lengths=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=4),
+               start=st.floats(0.0, 0.9), share=st.floats(0.01, 1.0))
+        def check(n, periodic, seed, lengths, start, share):
+            rng = np.random.default_rng(seed)
+            cuts = np.concatenate(([0.0], np.cumsum(lengths)))
+            sched = WeightSchedule([(a, b, random_weights(rng, n, bound=3.0))
+                                    for a, b in zip(cuts[:-1], cuts[1:])], periodic=periodic)
+            span = 3.0 * sched.horizon if periodic else sched.horizon
+            s = start * span
+            delta = share * (span - s)
+            phi = transition_matrix("projected", sched, s, s + delta).entries
+            w = gramian(sched, s, delta).entries
+            p = np.eye(n) - np.full((n, n), 1.0 / n)
+            rhs = p @ (np.eye(n) - 2.0 * w) @ p
+            assert np.abs(phi.T @ phi - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
+
+        check()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 65])
