@@ -343,11 +343,12 @@ class _Runner:
         self.out_dir = Path(out_dir)
         self.trajectory = None
         self.trace = None  # edge signals of this trajectory, written to edge_signals.csv
-        self.artifacts = []
+        self.artifacts = []  # the CSVs written so far
+        self.reports = {}  # the latest payload of each JSON report, by file name
 
     def emit_json(self, name, payload):
-        _write_json(self.out_dir / name, payload)
-        self.artifacts.append(name)
+        # kept, not written: run() writes each report once, the last payload
+        self.reports[name] = payload
 
     def run(self):
         """Run every task into a fresh sibling directory, then publish it.
@@ -355,7 +356,8 @@ class _Runner:
         The outputs appear under the output directory only once every task
         has succeeded: the staging directory is renamed into place (or, when
         the output directory already exists, its files are moved in with the
-        manifest last).  On failure the staging directory and any parent
+        manifest last).  The JSON reports are written there after the last
+        task, each once.  On failure the staging directory and any parent
         directories created for it are removed.
         """
         final = self.out_dir
@@ -366,15 +368,18 @@ class _Runner:
         try:
             for name, params in self.scenario.tasks:
                 getattr(self, "task_" + name)(**params)
-            self.emit_json("manifest.json", {
+            artifacts = sorted({*self.artifacts, *self.reports})
+            # the manifest, which marks a complete run, goes last
+            self.reports["manifest.json"] = {
                 "scenario": self.scenario.name,
                 "seed": self.scenario.seed,
                 "tasks": [name for name, _ in self.scenario.tasks],
-                "artifacts": sorted(set(self.artifacts)),
-            })
+                "artifacts": artifacts,
+            }
+            for name, payload in self.reports.items():
+                _write_json(self.out_dir / name, payload)
             if final.exists():
-                # the manifest, which marks a complete run, goes last
-                for name in sorted(set(self.artifacts), key=lambda a: a == "manifest.json"):
+                for name in artifacts + ["manifest.json"]:
                     os.replace(self.out_dir / name, final / name)
                 self.out_dir.rmdir()
             else:

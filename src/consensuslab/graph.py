@@ -338,7 +338,8 @@ def window_starts(sched, window_length):
 @dataclass(frozen=True)
 class WindowEvidence:
     """Threshold graph of one checked window [start, start + T] and the
-    witness of its verdict, a tree or a cut (see check_joint_connectivity)."""
+    witness of its verdict, a parent vector or a cut (see
+    check_joint_connectivity)."""
 
     start: float
     edge_count: int
@@ -373,8 +374,7 @@ class ConnectivityCertificate:
             "counterexample_window": self.counterexample_window,
             "windows": [
                 {"start": w.start, "connected": w.connected, "edge_count": w.edge_count,
-                 **({"tree": [[i + 1, j + 1] for i, j in w.witness]} if w.connected
-                    else {"cut": [v + 1 for v in w.witness]})}
+                 ("parent" if w.connected else "cut"): [v + 1 for v in w.witness]}
                 for w in self.windows
             ],
         }
@@ -432,19 +432,18 @@ def check_joint_connectivity(sched, delta, T):
     contains, so its verdict holds for every s >= 0.  One breadth-first
     search from node 0, stacked over each block of windows, decides each
     listed graph and leaves a witness.  A connected window's is a spanning
-    tree: the pair (i, j), i < j, of each node 1..N-1 and its parent, in node
-    order; a reader checks that each pair's integral is >= delta and that the
-    N - 1 pairs reach every node.  A failing window's is a cut: the sorted
-    nodes the search reached; a reader checks that it holds node 0 but not
-    every node and that each edge leaving it has an integral < delta.  Both
-    checks only compare integrals with delta, so no eigenvalue (lambda2) is
-    needed as evidence.
+    tree as a parent vector: the parent p of each node c = 1..N-1, in node
+    order, so c's tree edge is (min(c, p), max(c, p)); a reader checks that
+    each edge's integral is >= delta and that the N - 1 edges reach every
+    node.  A failing window's is a cut: the sorted nodes the search reached;
+    a reader checks that it holds node 0 but not every node and that each
+    edge leaving it has an integral < delta.  Both checks only compare
+    integrals with delta, so no eigenvalue (lambda2) is needed as evidence.
     """
     if not delta > 0.0 or not T > 0.0:
         raise ValueError("delta and T must be positive")
     n = sched.node_count
     rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
-    child = np.arange(1, n)
     evidence = []
     for starts, mask in _deciding_windows(sched, delta, T):
         adj = np.zeros((len(mask), n, n), dtype=bool)
@@ -460,12 +459,11 @@ def check_joint_connectivity(sched, delta, T):
             parent[new] = links.argmax(axis=1)[new]
             reached |= new
             frontier = new
-        trees = np.stack([np.minimum(parent[:, 1:], child), np.maximum(parent[:, 1:], child)], 2)
         counts, connected = mask.sum(axis=1).tolist(), reached.all(axis=1).tolist()
+        parents = parent[:, 1:].tolist()
         for k, s in enumerate(starts.tolist()):
-            witness = (tuple(map(tuple, trees[k].tolist())) if connected[k]
-                       else tuple(np.flatnonzero(reached[k]).tolist()))
-            evidence.append(WindowEvidence(s, counts[k], connected[k], witness))
+            witness = parents[k] if connected[k] else np.flatnonzero(reached[k]).tolist()
+            evidence.append(WindowEvidence(s, counts[k], connected[k], tuple(witness)))
     failing = [w.start for w in evidence if not w.connected]
     return ConnectivityCertificate(
         delta=float(delta),

@@ -352,7 +352,7 @@ def reference_window(sched, delta, T, s):
         level = nxt
     connected = len(parent) == n
     if connected:
-        witness = tuple((min(parent[v], v), max(parent[v], v)) for v in range(1, n))
+        witness = tuple(parent[v] for v in range(1, n))
     else:
         witness = tuple(sorted(parent))
     return WindowEvidence(start=float(s), edge_count=len(edges), connected=connected,
@@ -362,9 +362,10 @@ def reference_window(sched, delta, T, s):
 def check_certificate(sched, delta, T, cert):
     """Check a certificate.json dict against the schedule alone, with
     integrated_weights and plain Python: each window's edge count, each
-    tree (N - 1 threshold edges that reach all N nodes) and each cut (node
-    1 and not every node, no threshold edge leaving it), and the verdict
-    and counterexample these windows give."""
+    parent vector (the parents of nodes 2..N, whose N - 1 edges are
+    threshold edges that reach all N nodes) and each cut (node 1 and not
+    every node, no threshold edge leaving it), and the verdict and
+    counterexample these windows give."""
     assert (cert["delta"], cert["T"]) == (delta, T)
     n = sched.node_count
     nodes = set(range(1, n + 1))
@@ -374,9 +375,10 @@ def check_certificate(sched, delta, T, cert):
         edges = {(i, j) for i in nodes for j in nodes if i < j and acc[i - 1][j - 1] >= delta}
         assert w["edge_count"] == len(edges)
         if w["connected"]:
-            assert sorted(w) == ["connected", "edge_count", "start", "tree"]
-            tree = [tuple(e) for e in w["tree"]]
-            assert len(tree) == n - 1 and set(tree) <= edges
+            assert sorted(w) == ["connected", "edge_count", "parent", "start"]
+            assert len(w["parent"]) == n - 1
+            tree = [(min(c, p), max(c, p)) for c, p in zip(range(2, n + 1), w["parent"])]
+            assert set(tree) <= edges
             reached, grown = {1}, True
             while grown:
                 grown = False

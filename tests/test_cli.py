@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import consensuslab
+import consensuslab.cli as cli_module
 from consensuslab import edge_signals, reconstruct, schedule_from_dict, simulate
 from consensuslab.cli import list_tasks, load_scenario, main
 from consensuslab.errors import ConfigurationError, ScenarioError
@@ -566,6 +567,49 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, capsys):
     assert main(["run", str(scn), "--output-dir", str(out)]) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out", "short.json"]
+
+
+def _repeated_reports(last_start):
+    """Three gramian and two reconstruct tasks on a path 1-2-3 that loses
+    its edge 2-3 at t = 4; the last window starts at ``last_start``."""
+    return {
+        "schedule": {"nodes": 3, "segments": [
+            {"t0": 0, "t1": 4, "edges": [{"i": 1, "j": 2, "w": 1.0}, {"i": 2, "j": 3, "w": 0.5}]},
+            {"t0": 4, "t1": 8, "edges": [{"i": 1, "j": 2, "w": 1.0}]}]},
+        "initial_state": [1.0, -1.0, 0.5],
+        "tasks": [
+            {"task": "simulate", "t_end": 8.0, "sample_dt": 0.01},
+            *({"task": "gramian", "start": s, "delta": 1.0} for s in (0.0, 1.0, 2.5)),
+            {"task": "reconstruct", "start": 0.5, "delta": 1.0},
+            {"task": "reconstruct", "start": last_start, "delta": 2.0},
+        ],
+    }
+
+
+def test_each_report_is_written_once_with_the_last_payload(tmp_path, monkeypatch, capsys):
+    written = []
+    write_json = cli_module._write_json
+    monkeypatch.setattr(cli_module, "_write_json",
+                        lambda path, payload: (written.append(path.name), write_json(path, payload)))
+    scn = tmp_path / "repeated.json"
+    scn.write_text(json.dumps(_repeated_reports(1.5)))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 0
+    assert sorted(written) == ["gramian.json", "manifest.json", "reconstruction.json"]
+    gram = json.loads((tmp_path / "out" / "gramian.json").read_text())
+    rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert (gram["start"], rec["s"], rec["delta"]) == (2.5, 1.5, 2.0)
+    # the same bytes as a run of the last two tasks alone
+    data = _repeated_reports(1.5)
+    data["tasks"] = [data["tasks"][i] for i in (0, 3, 5)]
+    scn.write_text(json.dumps(data))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "last")]) == 0
+    for name in ("gramian.json", "reconstruction.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "last" / name).read_bytes()
+    # an unobservable last window: exit 3 after four reports were made, and no output
+    scn.write_text(json.dumps(_repeated_reports(5.0)))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "failed")]) == 3
+    assert "Gramian" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last", "out", "repeated.json"]
 
 
 def test_rerun_into_existing_output_dir_replaces_files(tmp_path):

@@ -163,7 +163,7 @@ class TestJointConnectivity:
         assert cert.connected
         assert cert.counterexample_window is None
         # every window holds all three edges; the search from node 0 reaches both others
-        assert all(w.edge_count == 3 and w.witness == ((0, 1), (0, 2)) for w in cert.windows)
+        assert all(w.edge_count == 3 and w.witness == (0, 0) for w in cert.windows)
         check_certificate(k3_schedule(), 0.5, 1.0, cert.as_dict())
 
     def test_alternating_certificate(self):
@@ -171,7 +171,7 @@ class TestJointConnectivity:
         assert cert.verdict == "connected"
         # every window accrues exactly 1.0 per edge: its two edges are its tree
         for w in cert.windows:
-            assert w.connected and w.edge_count == 2 and w.witness == ((0, 1), (1, 2))
+            assert w.connected and w.edge_count == 2 and w.witness == (0, 1)
         check_certificate(alternating_schedule(), 1.0, 2.0, cert.as_dict())
 
     def test_isolated_node(self):
