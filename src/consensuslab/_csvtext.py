@@ -3,11 +3,13 @@
 ``lines(table)`` returns the bytes of ``",".join('%.17g' % v for v in row)``
 plus a newline for every row of a 2-D table, byte for byte.  Each nonzero
 value in [1e-280, 1e280] is scaled to a 17-digit integer in double-double
-arithmetic (Dekker's two-product with an exact table of powers of ten) and
-written from lookup tables.  Zeros are written as ``0`` / ``-0`` directly.
-Values within ``_TIE_MARGIN`` of a decimal tie, magnitudes outside
-[1e-280, 1e280] (subnormals included) and non-finite values are formatted
-by ``'%.17g'`` one at a time.
+arithmetic (Dekker's two-product with an exact table of powers of ten,
+fetched by one gather per value) and written from lookup tables.  The
+decade of ``floor(log10(v))`` is checked only where the scaled value lies
+outside (1e16, 1e17), the one place a missed decade can show.  Zeros are
+written as ``0`` / ``-0`` directly.  Values within ``_TIE_MARGIN`` of a
+decimal tie, magnitudes outside [1e-280, 1e280] (subnormals included) and
+non-finite values are formatted by ``'%.17g'`` one at a time.
 
 ``write_rows`` writes a table in blocks, and finds its +0.0 cells itself:
 it cuts the rows into runs whose +0.0 cells lie in the same columns.  A
@@ -43,9 +45,10 @@ from __future__ import annotations
 import numpy as np
 
 # values per block (see write_rows): the block's temporaries stay under
-# 2 MB (0.75 MB measured on an 8001 x 101 dense table, at most 0.96 MB on
-# 8001 x 191 tables of +0.0 runs written by templates)
-BLOCK_VALUES = 4096
+# 2 MB (tracemalloc peaks of a whole write: 1.18 MB on an 8001 x 101 dense
+# table, 0.94 MB on an 8001 x 191 table 2 % nonzero, 1.37 MB on 8001 x 191
+# tables of +0.0 runs written by templates)
+BLOCK_VALUES = 6144
 
 _POW_MIN, _POW_MAX = -270, 300  # 10**k for every k = 16 - d of the fast range
 _EXP_MAX = 300  # the exponent tables cover |d| <= _EXP_MAX
@@ -149,7 +152,8 @@ def _keep_masks():
 
 
 _POW_HI, _POW_LO = _powers_of_ten()
-_POW_HI_HI, _POW_HI_LO = _split(_POW_HI)
+# columns 10**k = hi + lo and Dekker's halves of hi, by k - _POW_MIN: one gather per value
+_POW = np.column_stack((_POW_HI, _POW_LO, *_split(_POW_HI)))
 _DIGIT_WORDS, _WORD_ZEROS = _digit_tables()
 _LEAD_WORDS = _lead_words()
 _EXP_WORDS, _LAYOUT_CODES = _exponent_tables()
@@ -161,12 +165,11 @@ _COMMA_WORD, _NEWLINE_WORD = _separator_words()
 
 def _scaled(v, d):
     """v * 10**(16 - d) as a double-double hi + lo (Dekker's two-product)."""
-    k = 16 - d - _POW_MIN
-    ph, pl = np.take(_POW_HI_HI, k), np.take(_POW_HI_LO, k)
-    p = v * np.take(_POW_HI, k)
+    pow_hi, pow_lo, ph, pl = np.take(_POW, 16 - d - _POW_MIN, axis=0).T
+    p = v * pow_hi
     vh, vl = _split(v)
     err = ((vh * ph - p) + vh * pl + vl * ph) + vl * pl  # p + err = v * pow_hi exactly
-    lo = err + v * np.take(_POW_LO, k)
+    lo = err + v * pow_lo
     hi = p + lo
     return hi, lo - (hi - p)
 
@@ -181,16 +184,27 @@ def _decade_shift(hi, lo):
 def _decimal(v):
     """17-digit integers ``num`` and exponents ``d`` of positive finite
     values, v = num * 10**(d - 16) rounded to nearest; ``exact`` is False
-    where the rounding is too close to a tie to trust."""
+    where the rounding is too close to a tie to trust.
+
+    ``d`` starts as floor(log10(v)), which may miss the decade by one next
+    to a power of ten.  Only the candidates, whose hi lies outside
+    (1e16, 1e17), are checked against the decade and rescaled where they
+    miss it; a rescaled value that still misses is left to '%.17g'."""
     d = np.floor(np.log10(v)).astype(np.int64)
     hi, lo = _scaled(v, d)
-    shift = _decade_shift(hi, lo)
     exact = np.ones(v.size, bool)
-    redo = np.flatnonzero(shift)
-    if redo.size:  # log10 was one decade off next to a power of ten
-        d[redo] += shift[redo]
-        hi[redo], lo[redo] = _scaled(v[redo], d[redo])
-        exact[redo] = _decade_shift(hi[redo], lo[redo]) == 0
+    # hi + lo leaves [1e16, 1e17) only if hi <= 1e16 or hi >= 1e17, and then
+    # |hi - 5.5e16| >= 4.5e16: 1e17 - 5.5e16 = 5.5e16 - 1e16 = 4.5e16 in exact
+    # doubles and rounding is monotone, so the candidates hold every missed decade
+    cand = np.flatnonzero(np.abs(hi - 5.5e16) >= 4.5e16)
+    if cand.size:
+        shift = _decade_shift(hi[cand], lo[cand])
+        missed = shift != 0
+        redo = cand[missed]
+        if redo.size:  # log10 was one decade off next to a power of ten
+            d[redo] += shift[missed]
+            hi[redo], lo[redo] = _scaled(v[redo], d[redo])
+            exact[redo] = _decade_shift(hi[redo], lo[redo]) == 0
     # hi >= 1e16 > 2**53 is a whole number, so only lo needs rounding
     floor = np.floor(lo)
     frac = lo - floor
@@ -216,9 +230,14 @@ def _fill_digits(rows, code, pick, v):
         low = low - w * p
         words.append(w)
     words.append(low)
-    zeros = np.take(_WORD_ZEROS, words[0])
-    for w in words[1:]:
-        zeros = np.where(w == 0, zeros + 4, np.take(_WORD_ZEROS, w))
+    zeros = np.take(_WORD_ZEROS, words[3])
+    walk = np.flatnonzero(words[3] == 0)  # the zeros go on into the words before
+    if walk.size:
+        z = np.take(_WORD_ZEROS, words[0][walk])
+        for w in words[1:3]:
+            w = w[walk]
+            z = np.where(w == 0, z + 4, np.take(_WORD_ZEROS, w))
+        zeros[walk] += z
     code[pick] += np.take(_LAYOUT_CODES, d + _EXP_MAX) + 16 - zeros
     rows[pick, 0] = np.take(_LEAD_WORDS, lead)
     for c, w in enumerate(words, 1):

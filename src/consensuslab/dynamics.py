@@ -183,10 +183,10 @@ class NoiseProcess:
         """
         b, v = self.breakpoints, self.values
         t0, t1 = float(b[0]), float(b[-1])
-        # starts by repeated addition s <- s + zeta, so window k ends exactly
-        # where window k + 1 begins
+        # starts on the declared grid t0 + k * zeta, the grid windowed_random
+        # draws its windows on; window k runs to where window k + 1 begins
         count = math.ceil((t1 - t0) / self.zeta) + 2
-        starts = np.cumsum(np.concatenate(([t0], np.full(count, self.zeta))))
+        starts = t0 + self.zeta * np.arange(count + 1)
         starts = starts[starts < t1 - 1e-12 * max(1.0, abs(t1))]
         if starts.size == 0:
             return []

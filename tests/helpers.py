@@ -283,7 +283,7 @@ def reference_window_energies(noise):
             if overlap > 0.0:
                 total += overlap * float(v[k] @ v[k])
         out.append(total)
-        s += noise.zeta
+        s = t0 + noise.zeta * len(out)  # the declared grid t0 + k * zeta
     return out
 
 

@@ -542,6 +542,29 @@ def test_zero_noise_robustness_report(tmp_path):
     assert report["sup_error"] == 0.0
 
 
+def test_windowed_random_noise_at_margin_zero_runs(tmp_path, capsys):
+    # 269 windows of 5 steps: window starts summed one zeta at a time drifted
+    # 1.5e-13 from the noise's breakpoints, so each window took a sliver of
+    # the next block and the construction check refused the noise it drew
+    ring = [{"i": min(i, i % 6 + 1), "j": max(i, i % 6 + 1), "w": 1.0} for i in range(1, 7)]
+    scn = tmp_path / "margin0.json"
+    scn.write_text(json.dumps({
+        "schedule": {"nodes": 6, "periodic": True, "period": 2.0, "segments": [
+            {"t0": 0.0, "t1": 1.0, "edges": ring[0::2]},
+            {"t0": 1.0, "t1": 2.0, "edges": ring[1::2]}]},
+        "initial_state": [1.0, 0.0, -1.0, 2.0, 0.5, -0.5],
+        "noise": {"kind": "windowed-random", "zeta": 0.10796672804772603,
+                  "B0": 0.7951027054429824, "seed": 522306238, "steps_per_window": 5,
+                  "margin": 0.0},
+        "output_dir": "out",
+        "tasks": [{"task": "robustness", "t_end": 30.0, "sample_dt": 0.5}],
+    }))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "robustness.json").read_text())
+    assert report["B0"] == 0.7951027054429824
+
+
 def _too_few_samples_for_rate():
     data = _valid_scenario()
     del data["noise"]

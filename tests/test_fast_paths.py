@@ -493,6 +493,39 @@ def test_power_table_matches_exact_rationals():
         assert (hi, lo) == (float(exact), float(exact - Fraction(hi))), k
 
 
+def test_decimal_digits_next_to_every_power_of_ten():
+    from fractions import Fraction
+
+    # floor(log10) misses the decade only next to a power of ten; the top of
+    # each decade holds values whose 17 digits round up into the next one
+    powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    near = [powers]
+    for steps in range(1, 4):
+        below, above = powers, powers
+        for _ in range(steps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        near += [below, above]
+    tops = np.array([float(f"9.99999999999999995e{k}") for k in range(-281, 280)])
+    v = np.concatenate(near + [tops])
+    v = v[(v >= 1e-280) & (v <= 1e280)]
+    num, d, exact = _csvtext._decimal(v)
+    margin = Fraction(1, 10 ** 11)
+    rounded_up = 0
+    for x, n, e, ok in zip(v.tolist(), num.tolist(), d.tolist(), exact.tolist()):
+        mantissa, exponent = ("%.16e" % x).split("e")
+        if ok:
+            assert (n, e) == (int(mantissa.replace(".", "")), int(exponent)), x
+        up = Fraction(x) < Fraction(10) ** int(exponent)  # rounded up into the next decade
+        rounded_up += up
+        scaled = Fraction(x) * Fraction(10) ** (16 - int(exponent) + up)
+        # away from a tie, and from the decade's ends, where the double-double
+        # error (below 1e-13) may put hi + lo on the other side: 1e20 is one
+        if (abs(scaled - int(scaled) - Fraction(1, 2)) > margin
+                and 10 ** 16 + margin < scaled < 10 ** 17 - margin):
+            assert ok, x
+    assert rounded_up >= 13
+
+
 def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
     rng = np.random.default_rng(13)
     times = np.linspace(0.0, 400.0, 8001)
