@@ -1,10 +1,10 @@
 """Scenario-driven command line front end.
 
 A scenario file is a JSON object naming a weight schedule, an initial
-state, optional noise, and an ordered task list.  Tasks write trajectory
-and edge-signal CSVs plus JSON reports into the scenario's output
-directory.  Runs are deterministic: the same scenario and seed produce
-byte-identical outputs.
+state, optional noise, and an ordered task list.  Tasks return trajectory
+and edge-signal CSVs plus JSON reports, which the run writes into the
+scenario's output directory after the last task.  Runs are deterministic:
+the same scenario and seed produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -129,6 +129,11 @@ class Scenario:
         for key in ("name", "output_dir"):
             if not isinstance(getattr(self, key), str):
                 _fail(f"'{key}' must be a string")
+        try:  # a path the OS takes: encodable to bytes, with no NUL byte
+            if b"\0" in os.fsencode(self.output_dir):
+                _fail("'output_dir' must not contain a NUL character")
+        except UnicodeEncodeError as exc:
+            _fail(f"'output_dir' is not a valid path: {exc}")
 
         known = {"name", "seed", "schedule", "schedule_file", "initial_state",
                  "noise", "output_dir", "tasks"}
@@ -338,62 +343,55 @@ def _write_json(path, payload):
 
 
 class _Runner:
-    def __init__(self, scenario, out_dir):
+    def __init__(self, scenario):
         self.scenario = scenario
-        self.out_dir = Path(out_dir)
         self.trajectory = None
-        self.trace = None  # edge signals of this trajectory, written to edge_signals.csv
-        self.artifacts = []  # the CSVs written so far
-        self.reports = {}  # the latest payload of each JSON report, by file name
+        self.trace = None  # edge signals of this trajectory
 
-    def emit_json(self, name, payload):
-        # kept, not written: run() writes each report once, the last payload
-        self.reports[name] = payload
+    def run(self, final):
+        """Run every task, then write what they returned into ``final``.
 
-    def run(self):
-        """Run every task into a fresh sibling directory, then publish it.
-
-        The outputs appear under the output directory only once every task
-        has succeeded: the staging directory is renamed into place (or, when
-        the output directory already exists, its files are moved in with the
-        manifest last).  The JSON reports are written there after the last
-        task, each once.  On failure the staging directory and any parent
-        directories created for it are removed.
+        Each task returns its artifacts by file name (a trajectory, an edge
+        trace or a JSON payload), a later task's replacing an earlier one's.
+        After the last task each is written once into a fresh sibling, which
+        is renamed into place (into an existing directory, its files move in
+        with the manifest last).  A failed task writes nothing; a failed
+        write removes the sibling and any parent directories made for it.
         """
-        final = self.out_dir
+        files = {}
+        for name, params in self.scenario.tasks:
+            files.update(getattr(self, "task_" + name)(**params))
+        # the manifest, which marks a complete run, goes last
+        files["manifest.json"] = {
+            "scenario": self.scenario.name,
+            "seed": self.scenario.seed,
+            "tasks": [name for name, _ in self.scenario.tasks],
+            "artifacts": sorted(files),
+        }
         created = [p for p in reversed(final.parents) if not p.exists()]
         final.parent.mkdir(parents=True, exist_ok=True)
-        self.out_dir = final.parent / f".{final.name}.partial-{os.getpid()}-{os.urandom(4).hex()}"
-        self.out_dir.mkdir()
+        staging = final.parent / f".{final.name}.partial-{os.getpid()}-{os.urandom(4).hex()}"
+        staging.mkdir()
         try:
-            for name, params in self.scenario.tasks:
-                getattr(self, "task_" + name)(**params)
-            artifacts = sorted({*self.artifacts, *self.reports})
-            # the manifest, which marks a complete run, goes last
-            self.reports["manifest.json"] = {
-                "scenario": self.scenario.name,
-                "seed": self.scenario.seed,
-                "tasks": [name for name, _ in self.scenario.tasks],
-                "artifacts": artifacts,
-            }
-            for name, payload in self.reports.items():
-                _write_json(self.out_dir / name, payload)
+            for name, artifact in files.items():
+                if isinstance(artifact, dict):
+                    _write_json(staging / name, artifact)
+                else:
+                    artifact.write_csv(staging / name)
             if final.exists():
-                for name in artifacts + ["manifest.json"]:
-                    os.replace(self.out_dir / name, final / name)
-                self.out_dir.rmdir()
+                for name in files:
+                    os.replace(staging / name, final / name)
+                staging.rmdir()
             else:
-                self.out_dir.rename(final)
+                staging.rename(final)
         except BaseException:
-            shutil.rmtree(self.out_dir, ignore_errors=True)
+            shutil.rmtree(staging, ignore_errors=True)
             for parent in reversed(created):
                 try:
                     parent.rmdir()
                 except OSError:
                     break
             raise
-        finally:
-            self.out_dir = final
 
     def task_simulate(self, t_end, sample_dt):
         sc = self.scenario
@@ -405,38 +403,35 @@ class _Runner:
             noise=sc.build_noise(t_end),
         )
         self.trace = None
-        self.trajectory.write_csv(self.out_dir / "trajectory.csv")
-        self.artifacts.append("trajectory.csv")
+        return {"trajectory.csv": self.trajectory}
 
     def task_connectivity(self, delta, T, stride=None):
         cert = graph.check_joint_connectivity(self.scenario.schedule, delta, T)
-        self.emit_json("certificate.json", cert.as_dict())
+        return {"certificate.json": cert.as_dict()}
 
     def task_bounds(self, delta, stride=None):
         bounds = observability.uniform_bounds_check(self.scenario.schedule, delta)
-        self.emit_json("bounds.json", {
+        return {"bounds.json": {
             "delta": delta,
             "alpha1": bounds.alpha1,
             "alpha2": bounds.alpha2,
             "observable": bounds.observable,
             "worst_window_start": bounds.worst_window_start,
-        })
+        }}
 
     def task_gramian(self, start, delta):
         gram = observability.gramian(self.scenario.schedule, start, delta)
-        self.emit_json("gramian.json", {
+        return {"gramian.json": {
             "start": gram.start,
             "delta": gram.delta,
             "lambda_min": gram.lambda_min,
             "lambda_max": gram.lambda_max,
-        })
+        }}
 
     def task_reconstruct(self, start, delta, cond_tol=1e-8):
         sc = self.scenario
         if self.trace is None:
             self.trace = observability.edge_signals(self.trajectory, sc.schedule)
-            self.trace.write_csv(self.out_dir / "edge_signals.csv")
-            self.artifacts.append("edge_signals.csv")
         estimate = observability.reconstruct(self.trace, sc.schedule, start, delta, cond_tol=cond_tol)
         gram = observability.gramian(sc.schedule, start, delta)
         report = {
@@ -449,24 +444,24 @@ class _Runner:
         if idx is not None:
             truth = self.trajectory.states[idx] - self.trajectory.initial_average
             report["error_vs_truth"] = float(np.linalg.norm(estimate - truth))
-        self.emit_json("reconstruction.json", report)
+        return {"edge_signals.csv": self.trace, "reconstruction.json": report}
 
     def task_rate(self, skip_time=0.0, fit_dt=None):
         fit = analysis.fit_exponential_rate(self.trajectory, skip_time=skip_time, fit_dt=fit_dt)
-        self.emit_json("rate.json", {
+        return {"rate.json": {
             "alpha": fit.alpha,
             "beta": fit.beta,
             "residual": fit.residual,
             "window": list(fit.window),
             "sample_count": fit.sample_count,
             "converged": fit.converged,
-        })
+        }}
 
     def task_robustness(self, t_end, sample_dt=0.05):
         sc = self.scenario
         noise = sc.build_noise(t_end)
         report = analysis.robustness_report(sc.schedule, noise, t_end, sample_dt=sample_dt)
-        self.emit_json("robustness.json", {
+        return {"robustness.json": {
             "zeta": report.zeta,
             "B0": report.energy_bound,
             "sup_error": report.sup_error,
@@ -474,7 +469,7 @@ class _Runner:
             "t_end": t_end,
             "sample_times": report.sample_times,
             "errors": report.errors,
-        })
+        }}
 
 
 def load_scenario(path):
@@ -546,7 +541,7 @@ def main(argv=None):
                   f"({scenario.schedule.node_count} nodes, {len(scenario.tasks)} tasks)")
             return 0
         try:
-            _Runner(scenario, _resolve_output_dir(scenario, args.output_dir)).run()
+            _Runner(scenario).run(_resolve_output_dir(scenario, args.output_dir))
         except ValueError as exc:
             # the scenario validated, so a failed domain check is a math error
             raise ConsensusLabError(str(exc)) from exc

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SignedGraphError, UnobservableWindowError
 from . import graph
-from .graph import edge_pairs, integrated_weights, negative_link_assumption_holds, window_starts
+from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
 from .dynamics import _disagreement_flow, _write_csv_rows
 
 __all__ = [
@@ -237,16 +237,11 @@ def uniform_bounds_check(sched, delta_obs):
     shift = delta_obs * (np.ones((n, n)) / n)
     starts = window_starts(sched, delta_obs)
     block = max(1, graph._BLOCK_ENTRIES // (n * n))
-    diag = np.arange(n)
     alpha1 = np.inf
     alpha2 = -np.inf
     worst = 0.0
     for lo in range(0, len(starts), block):
-        w = np.stack([integrated_weights(sched, s, delta_obs) for s in starts[lo:lo + block]])
-        # integrated_laplacian for every window of the block; 0.0 - w, not
-        # -w, writes +0.0 where a weight integral is 0
-        lap = 0.0 - w
-        lap[:, diag, diag] = w.sum(axis=2)
+        lap = np.stack([integrated_laplacian(sched, s, delta_obs) for s in starts[lo:lo + block]])
         lap += shift
         eigs = np.linalg.eigvalsh(lap)
         r = int(np.argmin(eigs[:, 0]))

@@ -196,6 +196,9 @@ MALFORMED = [
     ("boolean eigvector segment", _set(["initial_state"], {"kind": "eigvector", "segment": True}),
      "'segment' must be"),
     ("numeric output_dir", _set(["output_dir"], 5), "'output_dir' must be a string"),
+    ("NUL in output_dir", _set(["output_dir"], "a\u0000b"), "'output_dir' must not contain a NUL"),
+    ("lone surrogate in output_dir", _set(["output_dir"], "a\ud800b"),
+     "'output_dir' is not a valid path"),
     ("numeric schedule_file", _numeric_schedule_file, "'schedule_file' must be a string"),
     ("list task name", _set(["tasks", 0, "task"], ["x"]), "unknown task ['x']"),
     ("one-row table values", _set(["noise"], _table_noise([0.0, 4.0], [0.1, 0.2])),
@@ -230,10 +233,11 @@ def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
         case_dir.mkdir()
         bad = case_dir / "bad.json"
         bad.write_text(json.dumps(data))
-        assert main(["run", str(bad)]) == 2, label
-        err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and message in err, (label, err)
-        assert not (case_dir / "bad_out").exists(), label
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == 2, (label, command)
+            err = capsys.readouterr().err
+            assert err.startswith("scenario error:") and message in err, (label, err)
+        assert [p.name for p in case_dir.iterdir()] == ["bad.json"], label
 
 
 def _file_scenario_bytes():
@@ -572,16 +576,22 @@ def _too_few_samples_for_rate():
     return data
 
 
-def test_rate_with_too_few_samples_exits_3_without_outputs(tmp_path, capsys):
+def test_rate_with_too_few_samples_exits_3_without_outputs(tmp_path, monkeypatch, capsys):
     scn = tmp_path / "short.json"
     scn.write_text(json.dumps(_too_few_samples_for_rate()))
+    made = []
+    mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir",
+                        lambda self, *args, **kw: (made.append(self), mkdir(self, *args, **kw)))
     assert main(["run", str(scn), "--output-dir", str(tmp_path / "nested" / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "samples" in err, err
+    # the failed task came before any write, so no directory was made and removed
+    assert made == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json"]
 
 
-def test_failed_run_leaves_previous_outputs_untouched(tmp_path, capsys):
+def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, capsys):
     code, out = run_scenario("k2_constant", tmp_path)
     assert code == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -590,6 +600,21 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, capsys):
     assert main(["run", str(scn), "--output-dir", str(out)]) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out", "short.json"]
+    # a write that fails while publishing, into a fresh nested directory and into out
+    write_json = cli_module._write_json
+
+    def fail_on_manifest(path, payload):
+        if path.name == "manifest.json":
+            raise OSError(f"cannot write {path}")
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli_module, "_write_json", fail_on_manifest)
+    for target in (tmp_path / "nested" / "fresh", out):
+        with pytest.raises(OSError, match="cannot write"):
+            main(["run", str(tmp_path / "k2_constant.json"), "--output-dir", str(target)])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out",
+                                                              "short.json"]
 
 
 def _repeated_reports(last_start):
@@ -614,10 +639,14 @@ def test_each_report_is_written_once_with_the_last_payload(tmp_path, monkeypatch
     write_json = cli_module._write_json
     monkeypatch.setattr(cli_module, "_write_json",
                         lambda path, payload: (written.append(path.name), write_json(path, payload)))
+    for cls in (consensuslab.Trajectory, consensuslab.EdgeSignalTrace):
+        monkeypatch.setattr(cls, "write_csv", lambda self, path, write_csv=cls.write_csv:
+                            (written.append(path.name), write_csv(self, path)))
     scn = tmp_path / "repeated.json"
     scn.write_text(json.dumps(_repeated_reports(1.5)))
     assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 0
-    assert sorted(written) == ["gramian.json", "manifest.json", "reconstruction.json"]
+    assert sorted(written) == ["edge_signals.csv", "gramian.json", "manifest.json",
+                               "reconstruction.json", "trajectory.csv"]
     gram = json.loads((tmp_path / "out" / "gramian.json").read_text())
     rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
     assert (gram["start"], rec["s"], rec["delta"]) == (2.5, 1.5, 2.0)
@@ -628,11 +657,27 @@ def test_each_report_is_written_once_with_the_last_payload(tmp_path, monkeypatch
     assert main(["run", str(scn), "--output-dir", str(tmp_path / "last")]) == 0
     for name in ("gramian.json", "reconstruction.json"):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "last" / name).read_bytes()
+    # simulate, reconstruct, simulate, reconstruct: each CSV once, from the last two tasks
+    simulate, reconstruct = data["tasks"][0], data["tasks"][2]
+    resimulate = {**simulate, "t_end": 6.0, "sample_dt": 0.02}
+    data["tasks"] = [simulate, reconstruct, resimulate, reconstruct]
+    scn.write_text(json.dumps(data))
+    written.clear()
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "twice")]) == 0
+    assert sorted(written) == ["edge_signals.csv", "manifest.json", "reconstruction.json",
+                               "trajectory.csv"]
+    data["tasks"] = data["tasks"][2:]
+    scn.write_text(json.dumps(data))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "twice_last")]) == 0
+    for name in ("edge_signals.csv", "reconstruction.json", "trajectory.csv"):
+        assert ((tmp_path / "twice" / name).read_bytes()
+                == (tmp_path / "twice_last" / name).read_bytes()), name
     # an unobservable last window: exit 3 after four reports were made, and no output
     scn.write_text(json.dumps(_repeated_reports(5.0)))
     assert main(["run", str(scn), "--output-dir", str(tmp_path / "failed")]) == 3
     assert "Gramian" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["last", "out", "repeated.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last", "out", "repeated.json",
+                                                          "twice", "twice_last"]
 
 
 def test_rerun_into_existing_output_dir_replaces_files(tmp_path):
