@@ -117,7 +117,7 @@ def _optional_seed(params, where):
 
 
 class Scenario:
-    """Validated scenario: schedule, initial state, noise spec, task list."""
+    """Validated scenario: schedule, initial state, noise, task list."""
 
     def __init__(self, data, base_dir):
         if not isinstance(data, dict):
@@ -143,9 +143,11 @@ class Scenario:
 
         self.schedule = self._load_schedule(data)
         self.initial_state = self._resolve_initial_state(data)
-        self._table_noise = None  # built once by _validate_noise for table noise
+        self.noise = None  # the run's NoiseProcess, or None for none or zero noise
         self.noise_spec = self._validate_noise(data.get("noise"))
         self.tasks = self._validate_tasks(data.get("tasks"))
+        if self.noise_spec is not None and self.noise_spec["kind"] == "windowed-random":
+            self.noise = self._windowed_random(self.noise_spec)
 
     # -- validation ---------------------------------------------------------
 
@@ -215,17 +217,15 @@ class Scenario:
             if "breakpoints" not in spec or "values" not in spec:
                 _fail("table noise needs 'breakpoints' and 'values'")
             try:
-                self._table_noise = dynamics.NoiseProcess.table(
-                    spec["breakpoints"], spec["values"], spec["zeta"], spec["B0"]
-                )
+                self.noise = dynamics.NoiseProcess.table(spec["breakpoints"], spec["values"],
+                                                         spec["zeta"], spec["B0"])
             except (ConsensusLabError, TypeError, ValueError) as exc:
                 _fail(f"invalid table noise: {exc}")
-            width = np.asarray(spec["values"]).shape[1]
-            if width != self.schedule.node_count:
-                _fail(f"noise values are {width} wide for a {self.schedule.node_count}-node schedule")
+            width, n = self.noise.node_count, self.schedule.node_count
+            if width != n:
+                _fail(f"noise values are {width} wide for a {n}-node schedule")
         if kind == "windowed-random":
-            if _optional_seed(spec, "noise") is None and self.seed is None:
-                _fail("windowed-random noise needs a 'seed' (or a scenario seed)")
+            _optional_seed(spec, "noise")  # drawn from the scenario seed when absent
             if not 0 <= _optional_number(spec, "margin", "noise", 0.05) < 1:
                 _fail(f"noise: parameter 'margin' must lie in [0, 1), got {spec['margin']!r}")
             steps = spec.get("steps_per_window", 4)
@@ -262,10 +262,12 @@ class Scenario:
             if end is not None:
                 try:
                     self.schedule.segment_index_at(end)
-                except HorizonError as exc:
+                    if name in ("simulate", "robustness"):  # 0.05: robustness's default sample_dt
+                        dynamics._step_count(end, params.get("sample_dt", 0.05))
+                except (ConfigurationError, HorizonError) as exc:
                     _fail(f"task '{name}': {exc}")
-            if (name in ("simulate", "robustness") and self._table_noise is not None
-                    and not self._table_noise.covers(0.0, end)):
+            if (name in ("simulate", "robustness") and self.noise is not None
+                    and not self.noise.covers(0.0, end)):
                 _fail(f"task '{name}': table noise does not cover [0, {end}]")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
@@ -305,25 +307,17 @@ class Scenario:
             validated.append((name, params))
         return validated
 
-    # -- noise construction --------------------------------------------------
-
-    def build_noise(self, t_end):
-        """The scenario noise up to t_end, or None for none or zero noise."""
-        spec = self.noise_spec
-        if spec is None or spec["kind"] == "zero":
-            return None
-        if spec["kind"] == "table":
-            return self._table_noise
-        seed = spec.get("seed")
-        return dynamics.NoiseProcess.windowed_random(
-            self.schedule.node_count,
-            spec["zeta"],
-            spec["B0"],
-            seed if seed is not None else self._seed_child(1),
-            t_end,
-            steps_per_window=spec.get("steps_per_window", 4),
-            margin=float(spec.get("margin", 0.05)),
-        )
+    def _windowed_random(self, spec):
+        """The noise drawn once, to the latest t_end of the tasks that read it."""
+        t_end = max((p["t_end"] for name, p in self.tasks if name in ("simulate", "robustness")),
+                    default=0.0)
+        try:
+            return dynamics.NoiseProcess.windowed_random(
+                self.schedule.node_count, spec["zeta"], spec["B0"],
+                self._seed_child(1) if spec.get("seed") is None else spec["seed"], t_end,
+                **{key: spec[key] for key in ("steps_per_window", "margin") if key in spec})
+        except (ConsensusLabError, ValueError) as exc:
+            _fail(f"invalid windowed-random noise: {exc}")
 
 
 def _numpy_to_json(obj):
@@ -369,10 +363,10 @@ class _Runner:
             "artifacts": sorted(files),
         }
         created = [p for p in reversed(final.parents) if not p.exists()]
-        final.parent.mkdir(parents=True, exist_ok=True)
         staging = final.parent / f".{final.name}.partial-{os.getpid()}-{os.urandom(4).hex()}"
-        staging.mkdir()
         try:
+            final.parent.mkdir(parents=True, exist_ok=True)
+            staging.mkdir()
             for name, artifact in files.items():
                 if isinstance(artifact, dict):
                     _write_json(staging / name, artifact)
@@ -390,18 +384,14 @@ class _Runner:
                 try:
                     parent.rmdir()
                 except OSError:
-                    break
+                    if os.path.exists(parent):  # else mkdir stopped above it
+                        break
             raise
 
     def task_simulate(self, t_end, sample_dt):
         sc = self.scenario
-        self.trajectory = dynamics.simulate(
-            sc.schedule,
-            sc.initial_state,
-            t_end,
-            sample_dt,
-            noise=sc.build_noise(t_end),
-        )
+        self.trajectory = dynamics.simulate(sc.schedule, sc.initial_state, t_end, sample_dt,
+                                            noise=sc.noise)
         self.trace = None
         return {"trajectory.csv": self.trajectory}
 
@@ -459,8 +449,7 @@ class _Runner:
 
     def task_robustness(self, t_end, sample_dt=0.05):
         sc = self.scenario
-        noise = sc.build_noise(t_end)
-        report = analysis.robustness_report(sc.schedule, noise, t_end, sample_dt=sample_dt)
+        report = analysis.robustness_report(sc.schedule, sc.noise, t_end, sample_dt=sample_dt)
         return {"robustness.json": {
             "zeta": report.zeta,
             "B0": report.energy_bound,
@@ -487,8 +476,8 @@ def load_scenario(path):
 def _resolve_output_dir(scenario, flag_value):
     out = Path(flag_value or os.environ.get(OUTPUT_DIR_ENV)
                or scenario.base_dir / scenario.output_dir)
-    for path in (out, *out.parents):
-        if path.exists() and not path.is_dir():
+    for path in (out, *out.parents):  # os.path, which takes a name too long as absent
+        if os.path.exists(path) and not os.path.isdir(path):
             raise ScenarioError(f"output directory {out}: {path} exists and is not a directory")
     return out
 
@@ -540,11 +529,14 @@ def main(argv=None):
             print(f"scenario '{scenario.name}' is valid "
                   f"({scenario.schedule.node_count} nodes, {len(scenario.tasks)} tasks)")
             return 0
+        out = _resolve_output_dir(scenario, args.output_dir)
         try:
-            _Runner(scenario).run(_resolve_output_dir(scenario, args.output_dir))
+            _Runner(scenario).run(out)
         except ValueError as exc:
             # the scenario validated, so a failed domain check is a math error
             raise ConsensusLabError(str(exc)) from exc
+        except OSError as exc:
+            raise ScenarioError(f"output directory {out}: {exc.strerror or exc}") from exc
         return 0
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

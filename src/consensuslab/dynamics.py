@@ -149,7 +149,7 @@ class NoiseProcess:
         if not math.isfinite(t_end):
             raise ConfigurationError(f"t_end must be finite, got {t_end}")
         rng = np.random.default_rng(seed)
-        n_windows = max(1, math.ceil(t_end / zeta))
+        n_windows = max(1, math.ceil(_step_count(t_end, zeta)))
         step = zeta / steps_per_window
         breaks = step * np.arange(n_windows * steps_per_window + 1)
         rows = []
@@ -185,7 +185,7 @@ class NoiseProcess:
         t0, t1 = float(b[0]), float(b[-1])
         # starts on the declared grid t0 + k * zeta, the grid windowed_random
         # draws its windows on; window k runs to where window k + 1 begins
-        count = math.ceil((t1 - t0) / self.zeta) + 2
+        count = math.ceil(_step_count(t1 - t0, self.zeta)) + 2
         starts = t0 + self.zeta * np.arange(count + 1)
         starts = starts[starts < t1 - 1e-12 * max(1.0, abs(t1))]
         if starts.size == 0:
@@ -197,6 +197,14 @@ class NoiseProcess:
         row_energy = np.append(np.einsum("ij,ij->i", v, v), 0.0)
         pieces = np.diff(cuts) * row_energy[np.searchsorted(b, cuts[:-1], side="right") - 1]
         return np.add.reduceat(pieces, np.searchsorted(cuts, starts)).tolist()
+
+
+def _step_count(length, step):
+    """length / step, refused where a tiny step overflows it to inf."""
+    count = length / step
+    if not math.isfinite(count):
+        raise ConfigurationError(f"{length} / {step} is not a finite count of steps")
+    return count
 
 
 def _sorted_distinct(values):
@@ -234,7 +242,7 @@ def _sample_grid(sched, t_end, sample_dt):
     """Sample times of a run to t_end, and the schedule's pieces of [0, t_end]:
     the multiples of sample_dt merged with 0, t_end and every segment
     boundary within 1e-6 * sample_dt."""
-    n_steps = int(math.floor(t_end / sample_dt + 1e-9))
+    n_steps = int(math.floor(_step_count(t_end, sample_dt) + 1e-9))
     base = sample_dt * np.arange(n_steps + 1)
     pieces = sched.pieces(0.0, t_end)
     anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]

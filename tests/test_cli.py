@@ -212,6 +212,16 @@ MALFORMED = [
      "noise breakpoints must be finite"),
     ("object table values", _set(["noise"], _table_noise([0.0, 4.0], {"a": 1})),
      "invalid table noise"),
+    # t_end / step overflows to inf, a count that int() and math.ceil refuse
+    ("subnormal sample_dt", _set(["tasks", 0, "sample_dt"], 1e-320),
+     "task 'simulate': 4.0 / 1e-320 is not a finite count of steps"),
+    ("subnormal robustness sample_dt", _set(["tasks", 4, "sample_dt"], 1e-320),
+     "task 'robustness': 4.0 / 1e-320 is not a finite count of steps"),
+    ("subnormal table zeta", _set(["noise"], {**_table_noise([0.0, 4.0], [[0.1, 0.2, 0.0]]),
+                                              "zeta": 1e-320}),
+     "invalid table noise: 4.0 / 1e-320 is not a finite count of steps"),
+    ("subnormal windowed-random zeta", _set(["noise", "zeta"], 1e-320),
+     "invalid windowed-random noise: 4.0 / 1e-320 is not a finite count of steps"),
     ("negative cond_tol",
      _append_task({"task": "reconstruct", "start": 0.0, "delta": 2.0, "cond_tol": -1.0}),
      "'cond_tol' must be positive"),
@@ -280,6 +290,18 @@ def test_output_path_through_a_file_exits_2_without_outputs(tmp_path, capsys, be
     assert err.startswith("scenario error:") and "not a directory" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.json", "taken"]
     assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("made", [(), ("ro",)], ids=["fresh", "below-existing"])
+def test_output_dir_that_cannot_be_made_exits_2_without_outputs(tmp_path, capsys, made):
+    shutil.copy(SCENARIOS / "k2_constant.json", tmp_path / "k2.json")
+    tmp_path.joinpath(*made).mkdir(exist_ok=True)
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path / "ro" / ("0" * 300) / "out"  # a name longer than the OS takes
+    assert main(["run", str(tmp_path / "k2.json"), "--output-dir", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: output directory {target}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _horizon_scenario(tasks, noise=None):
@@ -569,6 +591,29 @@ def test_windowed_random_noise_at_margin_zero_runs(tmp_path, capsys):
     assert report["B0"] == 0.7951027054429824
 
 
+def test_windowed_random_noise_is_drawn_once_for_all_its_tasks(tmp_path, monkeypatch):
+    draws = []
+    draw = consensuslab.NoiseProcess.windowed_random
+    monkeypatch.setattr(consensuslab.NoiseProcess, "windowed_random",
+                        lambda *args, **kw: (draws.append(args), draw(*args, **kw))[1])
+    data = _valid_scenario()
+    data["noise"]["zeta"] = 0.7
+    simulate = {"task": "simulate", "t_end": 6.3, "sample_dt": 0.1}
+    robustness = {"task": "robustness", "t_end": 3.1, "sample_dt": 0.1}
+    for label, tasks in (("both", [simulate, robustness]), ("simulate", [simulate]),
+                         ("robustness", [robustness])):
+        data["tasks"] = tasks
+        scn = tmp_path / f"{label}.json"
+        scn.write_text(json.dumps(data))
+        draws.clear()
+        assert main(["run", str(scn), "--output-dir", str(tmp_path / label)]) == 0
+        assert len(draws) == 1, label
+    # the noise to 6.3 holds the noise to 3.1 window by window
+    for label, name in (("simulate", "trajectory.csv"), ("robustness", "robustness.json")):
+        assert ((tmp_path / "both" / name).read_bytes()
+                == (tmp_path / label / name).read_bytes()), name
+
+
 def _too_few_samples_for_rate():
     data = _valid_scenario()
     del data["noise"]
@@ -600,6 +645,7 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, cap
     assert main(["run", str(scn), "--output-dir", str(out)]) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out", "short.json"]
+    capsys.readouterr()
     # a write that fails while publishing, into a fresh nested directory and into out
     write_json = cli_module._write_json
 
@@ -610,8 +656,9 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(cli_module, "_write_json", fail_on_manifest)
     for target in (tmp_path / "nested" / "fresh", out):
-        with pytest.raises(OSError, match="cannot write"):
-            main(["run", str(tmp_path / "k2_constant.json"), "--output-dir", str(target)])
+        assert main(["run", str(tmp_path / "k2_constant.json"), "--output-dir", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: output directory {target}: cannot write"), err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out",
                                                               "short.json"]

@@ -112,15 +112,13 @@ def test_golden_runs_match_reference(name):
     runs = 0
     for task, params in sc.tasks:
         if task == "simulate":
-            noise = sc.build_noise(params["t_end"]) if sc.noise_spec is not None else None
             x0 = sc.initial_state
         elif task == "robustness":
-            noise = sc.build_noise(params["t_end"])
             x0 = np.zeros(sc.schedule.node_count)  # robustness starts at consensus
         else:
             continue
         assert_matches_reference(sc.schedule, x0, params["t_end"],
-                                 params.get("sample_dt", 0.05), noise)
+                                 params.get("sample_dt", 0.05), sc.noise)
         runs += 1
     assert runs == 1
 
