@@ -96,6 +96,11 @@ def _fail(msg):
     raise ScenarioError(msg)
 
 
+def _unknown_task(name):
+    hint = difflib.get_close_matches(str(name), TASKS, n=1)
+    _fail(f"unknown task {name!r}" + (f"; did you mean '{hint[0]}'?" if hint else ""))
+
+
 def _require_number(params, key, where):
     v = params.get(key)
     if not graph._is_number(v):
@@ -245,9 +250,7 @@ class Scenario:
                 _fail("each task must be an object with a 'task' name")
             name = entry["task"]
             if not isinstance(name, str) or name not in TASKS:
-                hint = difflib.get_close_matches(str(name), TASKS, n=1)
-                suffix = f"; did you mean '{hint[0]}'?" if hint else ""
-                _fail(f"unknown task {name!r}{suffix}")
+                _unknown_task(name)
             required, optional, _ = TASKS[name]
             params = {k: v for k, v in entry.items() if k != "task"}
             unknown = set(params) - set(required) - set(optional)
@@ -271,8 +274,6 @@ class Scenario:
                 _fail(f"task '{name}': table noise does not cover [0, {end}]")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
-            if name == "reconstruct" and not self.schedule.is_nonnegative:
-                _fail("task 'reconstruct': edge signals are defined for nonnegative schedules only")
             if sim_grid is None and (name == "reconstruct" or "fit_dt" in params):
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
@@ -330,10 +331,9 @@ def _numpy_to_json(obj):
 
 
 def _write_json(path, payload):
-    """Write payload as sorted-key, 2-space-indented JSON plus a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_json)
-        fh.write("\n")
+    """Write payload as sorted-key, 2-space-indented JSON plus a newline, in one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_json)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 class _Runner:
@@ -486,9 +486,7 @@ def list_tasks(task=None):
     """Stable help text enumerating the tasks and their parameters."""
     names = [task] if task else sorted(TASKS)
     if task and task not in TASKS:
-        hint = difflib.get_close_matches(task, TASKS, n=1)
-        suffix = f"; did you mean '{hint[0]}'?" if hint else ""
-        raise ScenarioError(f"unknown task {task!r}{suffix}")
+        _unknown_task(task)
     lines = []
     for name in names:
         required, optional, summary = TASKS[name]

@@ -71,13 +71,16 @@ def _checked_weights(weights):
     return w
 
 
+def _laplacian(w):
+    return np.diag(w.sum(axis=1)) - w
+
+
 def laplacian(w):
     """Weighted Laplacian L = D - A of a weight matrix.
 
     Valid for signed weights as well; L stays symmetric with L @ 1 = 0.
     """
-    w = _checked_weights(w)
-    return np.diag(w.sum(axis=1)) - w
+    return _laplacian(_checked_weights(w))
 
 
 @dataclass(frozen=True)
@@ -93,19 +96,26 @@ class IncidenceMatrix:
     edge_order: tuple
 
 
+def _factor_incidence(w):
+    """H, the incidence entries of |w|, and H S with S = diag(sign a_ij) over
+    the edges, so H S H' = L; the one array H when no weight is negative."""
+    n = len(w)
+    rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
+    edge, a = np.arange(rows.size), w[rows, cols]
+    signed = bool(np.any(a < 0.0))
+    root = np.sqrt(np.abs(a) if signed else a)
+    h = np.zeros((n, rows.size))
+    h[rows, edge] = -root
+    h[cols, edge] = root
+    return h, (h * np.sign(a) if signed else h)
+
+
 def incidence(w):
     """Build the weighted incidence matrix H of a nonnegative weight matrix."""
     w = _checked_weights(w)
     if np.any(w < 0.0):
         raise SignedGraphError("incidence factorization needs nonnegative weights")
-    n = w.shape[0]
-    rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
-    edge = np.arange(rows.size)
-    root = np.sqrt(w[rows, cols])
-    h = np.zeros((n, rows.size))
-    h[rows, edge] = -root
-    h[cols, edge] = root
-    return IncidenceMatrix(entries=h, edge_order=tuple(edge_pairs(n)))
+    return IncidenceMatrix(entries=_factor_incidence(w)[0], edge_order=tuple(edge_pairs(len(w))))
 
 
 class Segment(NamedTuple):
@@ -166,10 +176,6 @@ class WeightSchedule:
     def __len__(self):
         return len(self.segments)
 
-    @property
-    def is_nonnegative(self):
-        return all(float(s.weights.min()) >= 0.0 for s in self.segments)
-
     def scaled(self, factor):
         """Same switching pattern with every weight multiplied by ``factor``."""
         return WeightSchedule(
@@ -188,23 +194,24 @@ class WeightSchedule:
         """
         pair = self._spectra.get(k)
         if pair is None:
-            lam, q = np.linalg.eigh(laplacian(self.segments[k].weights))
-            lam.setflags(write=False)
-            q.setflags(write=False)
-            pair = self._spectra[k] = (lam, q)
+            pair = self._spectra[k] = tuple(np.linalg.eigh(_laplacian(self.segments[k].weights)))
+            for a in pair:
+                a.setflags(write=False)
         return pair
 
     def incidence(self, k):
-        """Entries of segment k's incidence matrix H_k, with H_k H_k' = L_k.
+        """Entries of H_k, the incidence of |a_ij| on segment k (H_k S_k H_k' = L_k
+        with S_k the edge signs), cached read-only like :meth:`spectrum`."""
+        return self._incidence_pair(k)[0]
 
-        Computed on first use and cached read-only on the schedule, like
-        :meth:`spectrum`; edge signals and reconstruction share it.
-        """
-        h = self._incidences.get(k)
-        if h is None:
-            h = self._incidences[k] = incidence(self.segments[k].weights).entries
-            h.setflags(write=False)
-        return h
+    def _incidence_pair(self, k):
+        """(H_k, H_k S_k): one array twice when no weight of segment k is negative."""
+        pair = self._incidences.get(k)
+        if pair is None:
+            pair = self._incidences[k] = _factor_incidence(self.segments[k].weights)
+            for a in pair:
+                a.setflags(write=False)
+        return pair
 
     def _local_index(self, tau):
         idx = bisect.bisect_right(self._starts, tau) - 1
@@ -294,8 +301,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 def integrated_laplacian(sched, s, duration):
     """Exact segment-wise integral of the Laplacian over [s, s+duration]."""
-    w = integrated_weights(sched, s, duration)
-    return np.diag(w.sum(axis=1)) - w
+    return _laplacian(integrated_weights(sched, s, duration))
 
 
 def lambda2(matrix):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SignedGraphError, UnobservableWindowError
+from .errors import ConfigurationError, UnobservableWindowError
 from . import graph
 from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
 from .dynamics import _disagreement_flow, _write_csv_rows
@@ -35,7 +35,8 @@ POSITIVE_TOL = 1e-10
 
 @dataclass(eq=False)
 class EdgeSignalTrace:
-    """Edge signals z(t) = H(t)' x(t) in the fixed lexicographic edge order.
+    """Edge signals z(t) = H(t)' x(t), each sqrt(|a_ij|) (x_j - x_i) as H is
+    the incidence of |a_ij|, in the fixed lexicographic edge order.
 
     z jumps when the graph switches, so traces produced by
     :func:`edge_signals` carry two rows at every interior segment boundary:
@@ -100,15 +101,10 @@ def _trace_rows(sched, times):
 
 
 def edge_signals(traj, sched):
-    """Extract z(t_k) = H' x(t_k) from a trajectory.
+    """Extract z(t_k) = H' x(t_k), H the incidence of |a_ij|, from a trajectory.
 
-    Requires nonnegative weights (the incidence factorization).  Interior
-    segment boundaries produce two rows, one per one-sided limit of H.
+    Interior segment boundaries produce two rows, one per one-sided limit of H.
     """
-    if not sched.is_nonnegative:
-        raise SignedGraphError(
-            "edge signals are defined for nonnegative schedules only"
-        )
     if traj.node_count != sched.node_count:
         raise ConfigurationError("trajectory and schedule node counts differ")
     pairs = tuple(edge_pairs(sched.node_count))
@@ -320,14 +316,14 @@ def _window_nodes(times, sched, s, delta):
 def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     """Estimate the shifted state y(s) = x(s) - x_ave(0) * 1 from edge signals.
 
-    Computes W^{-1} int_s^{s+delta} Phi'(t, s) D(t) z~(t) dt where W is the
-    exact observability Gramian of :func:`gramian`, Phi the projected
-    transition matrix, and z~ the trace signals; the augmented average
-    channel of D is identically zero for zero-mean states, so only the
-    incidence block enters the correlation.  The correlation integrates
-    sampled data, so it is composite Simpson on the trace's own sample grid,
-    piecewise per segment: halving the trace sampling step halves the
-    quadrature step everywhere.
+    Computes W^{-1} int_s^{s+delta} Phi'(t, s) H(t) S(t) z~(t) dt where W is
+    the exact observability Gramian of :func:`gramian`, Phi the projected
+    transition matrix, z~ the trace signals, H the incidence of |a_ij| and S
+    the edge signs: H S z~ = L x = (L + J) y, so signed schedules take the
+    same path under the Gramian's Negative-Link Assumption.  The correlation
+    integrates sampled data, so it is composite Simpson on the trace's own
+    sample grid, piecewise per segment: halving the trace sampling step
+    halves the quadrature step everywhere.
 
     The trace must sample every segment piece of the window from end to
     end, as :func:`_window_nodes` checks before any integral.  A Gramian
@@ -339,8 +335,6 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
         raise ValueError("delta must be positive")
     if not cond_tol > 0.0:
         raise ValueError("cond_tol must be positive")
-    if not sched.is_nonnegative:
-        raise SignedGraphError("reconstruction from edge signals needs nonnegative weights")
     n = sched.node_count
     if tuple(z.edge_order) != tuple(edge_pairs(n)):
         raise ConfigurationError(
@@ -359,7 +353,7 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     for ta, tb, k, lo, hi, sub_t in pieces:
         lam = sched.spectrum(k)[0]
         p, _, flow = _piece_factors(sched, k, tb - ta)
-        v = z.signals[lo:hi] @ sched.incidence(k).T  # rows: D(t_j) z~(t_j), all in 1-perp
+        v = z.signals[lo:hi] @ sched._incidence_pair(k)[1].T  # rows: H S z~(t_j), all in 1-perp
         # rows: e^{-(L+J) tau_j} v_j, which is _disagreement_flow(tau_j) v_j
         flowed = (np.exp(-lam * (sub_t - ta)[:, None]) * (v @ p)) @ p.T
         corr += _simpson(flowed, sub_t) @ phi

@@ -483,18 +483,19 @@ def test_reconstruct_window_an_ulp_past_t_end_runs(tmp_path):
     assert report["error_vs_truth"] <= 1e-6
 
 
-def test_reconstruct_on_a_signed_schedule_exits_2(tmp_path, capsys):
+def test_reconstruct_on_a_signed_schedule(tmp_path):
+    # the edge signals carry sqrt(|a_ij|); the signs stay with the schedule
     data = json.loads((SCENARIOS / "signed_triangle.json").read_text())
     data["output_dir"] = "out"
-    data["tasks"] = [{"task": "simulate", "t_end": 5.0, "sample_dt": 0.02},
-                     {"task": "reconstruct", "start": 0.0, "delta": 4.0}]
+    data["tasks"] = [{"task": "simulate", "t_end": 2.0, "sample_dt": 0.005},
+                     {"task": "reconstruct", "start": 0.0, "delta": 1.0}]
     scn = tmp_path / "signed.json"
     scn.write_text(json.dumps(data))
-    for command in ("validate", "run"):
-        assert main([command, str(scn)]) == 2, command
-        err = capsys.readouterr().err
-        assert "edge signals are defined for nonnegative schedules only" in err, err
-        assert not (tmp_path / "out").exists(), command
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0
+    report = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert report["error_vs_truth"] <= 1e-6, report
+    assert (tmp_path / "out" / "edge_signals.csv").is_file()
 
 
 def _jitter(rng, dt):
@@ -777,6 +778,23 @@ def test_negative_link_violation_exits_3(tmp_path, capsys):
     }))
     assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 3
     assert "Negative-Link" in capsys.readouterr().err
+
+
+def test_signed_reconstruct_violating_the_negative_link_assumption_exits_3(tmp_path, capsys):
+    # validate takes the signed schedule; the run's Gramian refuses it and writes nothing
+    scn = tmp_path / "nla.json"
+    scn.write_text(json.dumps({
+        "schedule": {"nodes": 3, "segments": [
+            {"t0": 0, "t1": 5, "edges": [{"i": 1, "j": 2, "w": 1.0}, {"i": 1, "j": 3, "w": 1.0},
+                                         {"i": 2, "j": 3, "w": -1.0}]}]},
+        "initial_state": [1.0, -1.0, 0.5],
+        "tasks": [{"task": "simulate", "t_end": 5.0, "sample_dt": 0.01},
+                  {"task": "reconstruct", "start": 0.0, "delta": 2.0}],
+    }))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 3
+    assert "Negative-Link Assumption violated" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["nla.json"]
 
 
 # imports the package and runs the CLI with every scipy import refused

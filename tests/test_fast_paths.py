@@ -985,7 +985,7 @@ def test_piece_cache_matches_uncached_factors_on_goldens(name, monkeypatch):
                if t in ("gramian", "reconstruct")]
     windows += [(span * a / 16, span * d / 16) for a, d in ((0, 16), (1, 5), (3, 11), (7, 9))]
     trace = None
-    if "simulate" in tasks and sched.is_nonnegative:
+    if "simulate" in tasks:
         sim = tasks["simulate"]
         traj = simulate(sched, scenario.initial_state, sim["t_end"], sim["sample_dt"])
         trace = edge_signals(traj, sched)
@@ -1064,7 +1064,7 @@ def test_reconstruct_task_builds_its_gramian_once(tmp_path, monkeypatch):
 
 def test_two_reconstructions_build_each_incidence_once(tmp_path, monkeypatch):
     built, traces = [], []
-    build, extract = graph.incidence, observability.edge_signals
+    build, extract = graph._factor_incidence, observability.edge_signals  # every H is built here
 
     def counted_incidence(w):
         built.append(id(w))  # segment weights live as long as the run's schedule
@@ -1074,9 +1074,9 @@ def test_two_reconstructions_build_each_incidence_once(tmp_path, monkeypatch):
         traces.append(sched)
         return extract(traj, sched)
 
-    monkeypatch.setattr(graph, "incidence", counted_incidence)
+    monkeypatch.setattr(graph, "_factor_incidence", counted_incidence)
     # count builds made through observability's own namespace as well
-    monkeypatch.setattr(observability, "incidence", counted_incidence, raising=False)
+    monkeypatch.setattr(observability, "_factor_incidence", counted_incidence, raising=False)
     monkeypatch.setattr(observability, "edge_signals", counted_signals)
     data = json.loads((SCENARIOS / "five_node_reconstruct.json").read_text())
     data["tasks"].append({"task": "reconstruct", "start": 1.0, "delta": 4.0})

@@ -314,6 +314,17 @@ class TestWeightSchedule:
             assert np.array_equal(h, incidence(seg.weights).entries)
             with pytest.raises(ValueError):
                 h[0, 0] = 1.0
+        # signed: H is the incidence of |w|, and H S H' = L with S the edge signs
+        w = signed_triangle_symmetric().segments[0].weights
+        sched = WeightSchedule([(0.0, 1.0, w), (1.0, 2.0, -w)])
+        for k, seg in enumerate(sched.segments):
+            h = sched.incidence(k)
+            assert sched.incidence(k) is h
+            assert np.array_equal(h, incidence(np.abs(seg.weights)).entries)
+            signs = np.sign([seg.weights[i, j] for i, j in edge_pairs(3)])
+            assert np.abs((h * signs) @ h.T - laplacian(seg.weights)).max() <= 1e-12
+            with pytest.raises(ValueError):
+                h[0, 0] = 1.0
 
     def test_right_continuous_lookup(self):
         sched = alternating_schedule()

@@ -5,7 +5,6 @@ from consensuslab import (
     ConfigurationError,
     EdgeSignalTrace,
     NegativeLinkError,
-    SignedGraphError,
     UnobservableWindowError,
     WeightSchedule,
     check_joint_connectivity,
@@ -13,6 +12,7 @@ from consensuslab import (
     gramian,
     incidence,
     laplacian,
+    negative_link_assumption_holds,
     read_edge_signals_csv,
     reconstruct,
     simulate,
@@ -32,6 +32,7 @@ from helpers import (
     random_periodic_schedule,
     random_weights,
     reference_uniform_bounds,
+    signed_triangle_adversarial,
     signed_triangle_symmetric,
     weights,
 )
@@ -58,11 +59,17 @@ class TestEdgeSignals:
         assert np.allclose(trace.signals[0], [-1.0, 0.0, -1.0], atol=1e-12)
         assert trace.edge_order == ((0, 1), (0, 2), (1, 2))
 
-    def test_signed_schedule_rejected(self):
-        sched = signed_triangle_symmetric(horizon=1.0)
-        traj = simulate(sched, [1.0, 0.0, -1.0], 1.0, 0.5)
-        with pytest.raises(SignedGraphError):
-            edge_signals(traj, sched)
+    def test_signed_edges_carry_the_weight_magnitude(self):
+        # H is the incidence of |a_ij|: each edge reads sqrt(|a_ij|) (x_j - x_i)
+        sched = signed_triangle_adversarial(horizon=1.0)
+        traj = simulate(sched, [1.52, 1.54, -3.06], 1.0, 0.25)
+        trace = edge_signals(traj, sched)
+        w = sched.segments[0].weights
+        expected = np.column_stack([np.sqrt(abs(w[i, j])) * (traj.states[:, j] - traj.states[:, i])
+                                    for i, j in trace.edge_order])
+        assert np.abs(trace.signals - expected).max() <= 1e-14
+        assert np.abs(trace.signals[0] - [0.02 * np.sqrt(3.8), -4.58 * np.sqrt(0.6),
+                                          -4.6 * np.sqrt(0.4)]).max() <= 1e-14
 
     def test_boundary_rows_hold_both_limits(self):
         sched = alternating_schedule()
@@ -299,6 +306,27 @@ class TestConnectivityObservabilityEquivalence:
         assert mismatches == 0
 
 
+def signed_psd_weights(rng, n):
+    """Random weights with one negative edge that keeps the Laplacian PSD.
+
+    A positive path through a random node order, random positive extras,
+    and -u / R_eff on the pair two steps apart on the path, where R_eff is
+    that pair's effective resistance in the positive graph and u < 0.8:
+    L = L+ - c b b' stays PSD for c R_eff <= 1."""
+    order = rng.permutation(n)
+    w = np.triu(rng.uniform(0.2, 1.0, (n, n)) * (rng.random((n, n)) < 0.4), 1)
+    w = w + w.T
+    for a, b in zip(order[:-1], order[1:]):
+        w[a, b] = w[b, a] = rng.uniform(0.2, 1.0)
+    i, j = order[0], order[2]
+    w[i, j] = w[j, i] = 0.0
+    b = np.zeros(n)
+    b[i], b[j] = 1.0, -1.0
+    r_eff = b @ np.linalg.pinv(laplacian(w)) @ b
+    w[i, j] = w[j, i] = -rng.uniform(0.1, 0.8) / r_eff
+    return w
+
+
 class TestReconstruct:
     def test_zero_signal_gives_zero_estimate(self):
         sched = alternating_schedule()
@@ -372,6 +400,40 @@ class TestReconstruct:
         trace = edge_signals(traj, sched)
         with pytest.raises(ConfigurationError):
             reconstruct(trace, sched, 0.0, 4.0)
+
+    def test_signed_roundtrip_is_fourth_order(self):
+        # the golden signed triangle (Laplacian eigenvalues 0, 0.2, 7.8) over [0, 1]
+        sched = signed_triangle_adversarial()
+        errors = []
+        for dt in (0.02, 0.01, 0.005):
+            traj = simulate(sched, [1.52, 1.54, -3.06], 1.0, dt)
+            est = reconstruct(edge_signals(traj, sched), sched, 0.0, 1.0)
+            errors.append(float(np.linalg.norm(est - (traj.states[0] - traj.initial_average))))
+        assert errors[0] < 5e-5 and errors[-1] < 2e-7, errors
+        assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0, errors
+
+    def test_signed_roundtrip_on_random_periodic_schedules(self):
+        # one period [P, 2P] of schedules that keep every L_k positive semidefinite
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(n=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
+               lengths=st.lists(st.floats(0.25, 1.0), min_size=2, max_size=4))
+        def check(n, seed, lengths):
+            rng = np.random.default_rng(seed)
+            cuts = np.concatenate(([0.0], np.cumsum(lengths)))
+            sched = WeightSchedule([(a, b, signed_psd_weights(rng, n))
+                                    for a, b in zip(cuts[:-1], cuts[1:])], periodic=True)
+            assert negative_link_assumption_holds(sched)
+            period = sched.period
+            x0 = rng.standard_normal(n)
+            traj = simulate(sched, x0, 2.0 * period, 0.005)
+            est = reconstruct(edge_signals(traj, sched), sched, period, period)
+            truth = transition_matrix("projected", sched, 0.0, period).entries @ (x0 - x0.mean())
+            assert np.linalg.norm(est - truth) <= 1e-6 * np.linalg.norm(truth)
+
+        check()
 
     def test_estimate_is_zero_mean(self):
         sched = five_node_schedule()
