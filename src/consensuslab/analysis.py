@@ -3,7 +3,7 @@ noise, and signed-network convergence checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ def max_state_difference(traj):
     return traj.states.max(axis=1) - traj.states.min(axis=1)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Log-linear envelope fit e(t) ~ beta * e(t0) * exp(-alpha (t - t0)).
 
     ``beta`` is normalized by the initial disagreement e(t0) so that an
@@ -117,8 +116,7 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     )
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     """Measured consensus error under one admissible noise realization."""
 
     zeta: float | None

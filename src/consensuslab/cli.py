@@ -261,12 +261,14 @@ class Scenario:
                     _fail(f"task '{name}': missing required parameter '{key}'")
             for key in params:
                 _require_number(params, key, f"task '{name}'")
+            for key, (_, default) in optional.items():
+                params.setdefault(key, default)
             end = _task_end(name, params)
             if end is not None:
                 try:
                     self.schedule.segment_index_at(end)
-                    if name in ("simulate", "robustness"):  # 0.05: robustness's default sample_dt
-                        dynamics._step_count(end, params.get("sample_dt", 0.05))
+                    if name in ("simulate", "robustness"):
+                        dynamics._step_count(end, params["sample_dt"])
                 except (ConfigurationError, HorizonError) as exc:
                     _fail(f"task '{name}': {exc}")
             if (name in ("simulate", "robustness") and self.noise is not None
@@ -274,7 +276,7 @@ class Scenario:
                 _fail(f"task '{name}': table noise does not cover [0, {end}]")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
-            if sim_grid is None and (name == "reconstruct" or "fit_dt" in params):
+            if sim_grid is None and (name == "reconstruct" or params.get("fit_dt") is not None):
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
                 if sim_trace is None:  # reconstruct's own check, on the run's trace
@@ -289,13 +291,13 @@ class Scenario:
                 except ConfigurationError as exc:
                     # the trace decides the upper end, which may round an ulp past t_end
                     _fail(outside if end > sim_end else f"task 'reconstruct': {exc}")
-            if name == "rate" and params.get("skip_time", 0.0) >= sim_end:
+            if name == "rate" and params["skip_time"] >= sim_end:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
                       f"simulated t_end {sim_end}")
-            if name == "rate" and "fit_dt" in params:
+            if name == "rate" and params["fit_dt"] is not None:
                 # the fit reads the samples of the run on the multiples of
                 # fit_dt, so count them on the grid the run will sample
-                skip, fit_dt = float(params.get("skip_time", 0.0)), float(params["fit_dt"])
+                skip, fit_dt = float(params["skip_time"]), float(params["fit_dt"])
                 if np.count_nonzero(analysis._fit_mask(sim_grid, slice(None), skip, fit_dt)) < 2:
                     _fail(f"task 'rate': fewer than two multiples of fit_dt {fit_dt} lie in "
                           f"[skip_time {skip}, t_end {sim_end}] on the simulated sample grid "
@@ -395,11 +397,11 @@ class _Runner:
         self.trace = None
         return {"trajectory.csv": self.trajectory}
 
-    def task_connectivity(self, delta, T, stride=None):
+    def task_connectivity(self, delta, T, stride):
         cert = graph.check_joint_connectivity(self.scenario.schedule, delta, T)
         return {"certificate.json": cert.as_dict()}
 
-    def task_bounds(self, delta, stride=None):
+    def task_bounds(self, delta, stride):
         bounds = observability.uniform_bounds_check(self.scenario.schedule, delta)
         return {"bounds.json": {
             "delta": delta,
@@ -418,7 +420,7 @@ class _Runner:
             "lambda_max": gram.lambda_max,
         }}
 
-    def task_reconstruct(self, start, delta, cond_tol=1e-8):
+    def task_reconstruct(self, start, delta, cond_tol):
         sc = self.scenario
         if self.trace is None:
             self.trace = observability.edge_signals(self.trajectory, sc.schedule)
@@ -436,7 +438,7 @@ class _Runner:
             report["error_vs_truth"] = float(np.linalg.norm(estimate - truth))
         return {"edge_signals.csv": self.trace, "reconstruction.json": report}
 
-    def task_rate(self, skip_time=0.0, fit_dt=None):
+    def task_rate(self, skip_time, fit_dt):
         fit = analysis.fit_exponential_rate(self.trajectory, skip_time=skip_time, fit_dt=fit_dt)
         return {"rate.json": {
             "alpha": fit.alpha,
@@ -447,7 +449,7 @@ class _Runner:
             "converged": fit.converged,
         }}
 
-    def task_robustness(self, t_end, sample_dt=0.05):
+    def task_robustness(self, t_end, sample_dt):
         sc = self.scenario
         report = analysis.robustness_report(sc.schedule, sc.noise, t_end, sample_dt=sample_dt)
         return {"robustness.json": {

@@ -9,7 +9,7 @@ exponential integrators (Hochbruck & Ostermann, Acta Numerica 2010).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,16 +27,12 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class Trajectory:
     """Sampled node states over a strictly increasing time grid (``==`` is identity)."""
 
-    sample_times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.sample_times, dtype=float)
-        x = np.asarray(self.states, dtype=float)
+    def __init__(self, sample_times, states):
+        t = np.asarray(sample_times, dtype=float)
+        x = np.asarray(states, dtype=float)
         if t.ndim != 1 or x.ndim != 2 or x.shape[0] != t.size:
             raise ValueError("sample_times and states must have matching lengths")
         if t.size == 0:
@@ -238,13 +234,27 @@ def _merge_grid(anchors, base, tol):
     return merged[keep]
 
 
+def _run_pieces(sched, t0, t1):
+    """The schedule's pieces of [t0, t1], stretched to hold every sample of a
+    run from t0 to t1: a window shorter than the tolerance of ``pieces`` is
+    one piece, and a last piece that stops short of t1 (at a non-periodic
+    horizon, or before a sliver) is carried to t1."""
+    pieces = sched.pieces(t0, t1)
+    if not pieces:
+        return [(float(t0), float(t1), sched.segment_index_at(t0))]
+    if pieces[-1][1] < t1:
+        ta, _, k = pieces[-1]
+        pieces[-1] = (ta, float(t1), k)
+    return pieces
+
+
 def _sample_grid(sched, t_end, sample_dt):
-    """Sample times of a run to t_end, and the schedule's pieces of [0, t_end]:
-    the multiples of sample_dt merged with 0, t_end and every segment
-    boundary within 1e-6 * sample_dt."""
+    """Sample times of a run to t_end, and the pieces of :func:`_run_pieces`
+    that hold them: the multiples of sample_dt merged with 0, t_end and
+    every segment boundary within 1e-6 * sample_dt."""
     n_steps = int(math.floor(_step_count(t_end, sample_dt) + 1e-9))
     base = sample_dt * np.arange(n_steps + 1)
-    pieces = sched.pieces(0.0, t_end)
+    pieces = _run_pieces(sched, 0.0, t_end)
     anchors = [0.0, t_end] + [tb for _, tb, _ in pieces[:-1]]
     return _merge_grid(anchors, base, tol=1e-6 * sample_dt), pieces
 
@@ -308,15 +318,6 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
             )
 
     grid, pieces = _sample_grid(sched, t_end, sample_dt)
-    if not pieces:
-        # a horizon within pieces' tolerance of 0 can still hold samples
-        pieces = [(0.0, float(grid[-1]), sched.segment_index_at(0.0))]
-    elif pieces[-1][1] < grid[-1]:
-        # a non-periodic schedule ends at most its horizon tolerance before
-        # t_end; its last segment carries the run to the final sample
-        ta, _, k = pieces[-1]
-        pieces[-1] = (ta, float(grid[-1]), k)
-
     if noise is None and np.ptp(x0) == 0.0:
         # consensus states are equilibria of the noiseless dynamics
         return Trajectory(grid, np.tile(x0, (grid.size, 1)))
@@ -408,8 +409,7 @@ def _fill_coordinates(sched, states, grid, spans, coords, drives):
             out += t * _phi1(z) * drives[own]
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """State transition matrix of the raw (-L) or projected system."""
 
     from_time: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -83,8 +82,7 @@ def laplacian(w):
     return _laplacian(_checked_weights(w))
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(NamedTuple):
     """Weighted incidence matrix with the fixed lexicographic edge order.
 
     Column for edge (i, j) holds -sqrt(a_ij) at row i and +sqrt(a_ij) at
@@ -341,8 +339,7 @@ def window_starts(sched, window_length):
     return out
 
 
-@dataclass(frozen=True)
-class WindowEvidence:
+class WindowEvidence(NamedTuple):
     """Threshold graph of one checked window [start, start + T] and the
     witness of its verdict, a parent vector or a cut (see
     check_joint_connectivity)."""
@@ -353,8 +350,7 @@ class WindowEvidence:
     witness: tuple
 
 
-@dataclass(frozen=True)
-class ConnectivityCertificate:
+class ConnectivityCertificate(NamedTuple):
     """Outcome of a joint (delta, T)-connectivity check.
 
     ``verdict`` is "connected" only if every checked window's threshold
@@ -480,8 +476,7 @@ def check_joint_connectivity(sched, delta, T):
     )
 
 
-@dataclass(frozen=True)
-class NegativeLinkReport:
+class NegativeLinkReport(NamedTuple):
     """Worst instantaneous Laplacian eigenvalue across all segments."""
 
     holds: bool

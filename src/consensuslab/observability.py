@@ -9,14 +9,14 @@ segment's cached Laplacian eigenbasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, UnobservableWindowError
 from . import graph
 from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
-from .dynamics import _disagreement_flow, _write_csv_rows
+from .dynamics import _disagreement_flow, _run_pieces, _write_csv_rows
 
 __all__ = [
     "EdgeSignalTrace",
@@ -33,7 +33,6 @@ __all__ = [
 POSITIVE_TOL = 1e-10
 
 
-@dataclass(eq=False)
 class EdgeSignalTrace:
     """Edge signals z(t) = H(t)' x(t), each sqrt(|a_ij|) (x_j - x_i) as H is
     the incidence of |a_ij|, in the fixed lexicographic edge order.
@@ -44,22 +43,18 @@ class EdgeSignalTrace:
     non-decreasing rather than strictly increasing.  ``==`` is identity.
     """
 
-    sample_times: np.ndarray
-    signals: np.ndarray
-    edge_order: tuple
-
-    def __post_init__(self):
-        t = np.asarray(self.sample_times, dtype=float)
-        z = np.asarray(self.signals, dtype=float)
+    def __init__(self, sample_times, signals, edge_order):
+        t = np.asarray(sample_times, dtype=float)
+        z = np.asarray(signals, dtype=float)
         if t.ndim != 1 or z.ndim != 2 or z.shape[0] != t.size:
             raise ValueError("sample_times and signals must have matching lengths")
         if not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0.0):
             raise ValueError("sample_times must be finite and non-decreasing")
-        if z.shape[1] != len(self.edge_order):
+        if z.shape[1] != len(edge_order):
             raise ValueError("signal width must match the edge order")
         self.sample_times = t
         self.signals = z
-        self.edge_order = tuple(tuple(p) for p in self.edge_order)
+        self.edge_order = tuple(tuple(p) for p in edge_order)
 
     def write_csv(self, path):
         header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in self.edge_order)
@@ -94,9 +89,8 @@ def _trace_rows(sched, times):
     """Rows (lo, hi, k) of the run sampled at ``times`` within the grid
     tolerance of each of its pieces, and the edge-signal trace's times."""
     tol = _grid_tolerance(times)
-    pieces = (sched.pieces(times[0], times[-1])
-              or [(times[0], times[-1], sched.segment_index_at(times[0]))])
-    ranges = [(*_rows_within(times, ta, tb, tol), k) for ta, tb, k in pieces]
+    ranges = [(*_rows_within(times, ta, tb, tol), k)
+              for ta, tb, k in _run_pieces(sched, times[0], times[-1])]
     return ranges, np.concatenate([times[lo:hi] for lo, hi, _ in ranges])
 
 
@@ -118,8 +112,7 @@ def edge_signals(traj, sched):
     return EdgeSignalTrace(trace_times, z, pairs)
 
 
-@dataclass(frozen=True)
-class ObservabilityGramian:
+class ObservabilityGramian(NamedTuple):
     """W(s, s+delta) = int Phi' D D' Phi dt for the projected system."""
 
     start: float
@@ -204,8 +197,7 @@ def gramian(sched, s, delta):
     return sched._last_gramian
 
 
-@dataclass(frozen=True)
-class UniformBounds:
+class UniformBounds(NamedTuple):
     """Empirical alpha1/alpha2 for the integral of L + 11'/N over windows."""
 
     alpha1: float

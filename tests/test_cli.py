@@ -115,12 +115,15 @@ def _valid_scenario():
     }
 
 
+def _parent(data, keys):
+    for key in keys[:-1]:
+        data = data[key]
+    return data
+
+
 def _set(keys, value):
     def mutate(data):
-        node = data
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+        _parent(data, keys)[keys[-1]] = value
     return mutate
 
 
@@ -128,22 +131,53 @@ def _append_task(task):
     return lambda data: data["tasks"].append(task)
 
 
-def _drop_nodes(data):
-    del data["schedule"]["nodes"]
+def _drop(keys):
+    def mutate(data):
+        del _parent(data, keys)[keys[-1]]
+    return mutate
 
 
 def _table_noise(breakpoints, values):
     return {"kind": "table", "zeta": 1.0, "B0": 1.0, "breakpoints": breakpoints, "values": values}
 
 
-def _numeric_schedule_file(data):
-    del data["schedule"]
-    data["schedule_file"] = 5
+def _schedule_file(name):
+    def mutate(data):
+        del data["schedule"]
+        data["schedule_file"] = name
+    return mutate
 
 
-# (label, mutation of _valid_scenario(), fragment of the error message)
+# (label, mutation of _valid_scenario() in place or a replacement scenario,
+# fragment of the error message)
 MALFORMED = [
-    ("missing nodes", _drop_nodes, "nodes"),
+    ("scenario not an object", lambda data: [data], "scenario must be a JSON object"),
+    ("unknown scenario field", _set(["schedules"], {}), "unknown scenario fields: ['schedules']"),
+    ("schedule and schedule_file", _set(["schedule_file"], "schedule.json"),
+     "scenario needs exactly one of 'schedule' or 'schedule_file'"),
+    ("no schedule", _drop(["schedule"]),
+     "scenario needs exactly one of 'schedule' or 'schedule_file'"),
+    ("missing schedule file", _schedule_file("missing.json"),
+     "invalid schedule: schedule file not found: "),
+    ("missing initial_state", _drop(["initial_state"]), "scenario is missing 'initial_state'"),
+    ("unknown initial_state kind", _set(["initial_state"], {"kind": "ramp"}),
+     "unknown initial_state kind 'ramp'"),
+    ("eigvector index out of range", _set(["initial_state"], {"kind": "eigvector", "index": 4}),
+     "eigvector initial state: 'index' must be 1..3"),
+    ("table noise without breakpoints",
+     _set(["noise"], {"kind": "table", "zeta": 1.0, "B0": 1.0, "values": [[0.1, 0.2, 0.0]]}),
+     "table noise needs 'breakpoints' and 'values'"),
+    ("table noise two wide", _set(["noise"], _table_noise([0.0, 4.0], [[0.1, 0.2]])),
+     "noise values are 2 wide for a 3-node schedule"),
+    ("unknown task parameter", _set(["tasks", 0, "dt"], 0.1),
+     "task 'simulate': unknown parameters ['dt']"),
+    ("missing required parameter", _drop(["tasks", 0, "sample_dt"]),
+     "task 'simulate': missing required parameter 'sample_dt'"),
+    ("rate before simulate", lambda data: data["tasks"].insert(0, {"task": "rate"}),
+     "task 'rate' needs a preceding simulate task"),
+    ("robustness without noise", _drop(["noise"]),
+     "task 'robustness' needs a scenario 'noise' entry"),
+    ("missing nodes", _drop(["schedule", "nodes"]), "nodes"),
     ("negative t_end", _set(["tasks", 0, "t_end"], -5.0), "'t_end' must be positive"),
     ("zero sample_dt", _set(["tasks", 0, "sample_dt"], 0.0), "'sample_dt' must be positive"),
     ("boolean t_end", _set(["tasks", 0, "t_end"], True), "'t_end' must be a finite number"),
@@ -199,7 +233,7 @@ MALFORMED = [
     ("NUL in output_dir", _set(["output_dir"], "a\u0000b"), "'output_dir' must not contain a NUL"),
     ("lone surrogate in output_dir", _set(["output_dir"], "a\ud800b"),
      "'output_dir' is not a valid path"),
-    ("numeric schedule_file", _numeric_schedule_file, "'schedule_file' must be a string"),
+    ("numeric schedule_file", _schedule_file(5), "'schedule_file' must be a string"),
     ("list task name", _set(["tasks", 0, "task"], ["x"]), "unknown task ['x']"),
     ("one-row table values", _set(["noise"], _table_noise([0.0, 4.0], [0.1, 0.2])),
      "noise values must be a table"),
@@ -238,7 +272,7 @@ def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
     capsys.readouterr()
     for k, (label, mutate, message) in enumerate(MALFORMED):
         data = _valid_scenario()
-        mutate(data)
+        data = mutate(data) or data
         case_dir = tmp_path / f"case{k}"
         case_dir.mkdir()
         bad = case_dir / "bad.json"
@@ -567,6 +601,24 @@ def test_zero_noise_robustness_report(tmp_path):
     assert report["zeta"] is None
     assert report["B0"] == 0.0
     assert report["sup_error"] == 0.0
+
+
+def test_eigvector_initial_state_decays_at_its_eigenvalue(tmp_path):
+    # path 1-2-3 with weights 1 and 0.5: L has eigenvalues 0 and 1.5 -+ sqrt(0.75)
+    data = {
+        "schedule": {"nodes": 3, "segments": [{"t0": 0.0, "t1": 10.0, "edges": [
+            {"i": 1, "j": 2, "w": 1.0}, {"i": 2, "j": 3, "w": 0.5}]}]},
+        "initial_state": {"kind": "eigvector", "index": 2, "scale": 2.0},
+        "tasks": [{"task": "simulate", "t_end": 10.0, "sample_dt": 0.05}, {"task": "rate"}],
+    }
+    scn = tmp_path / "eig.json"
+    scn.write_text(json.dumps(data))
+    assert main(["run", str(scn)]) == 0
+    rate = json.loads((tmp_path / "out" / "rate.json").read_text())
+    assert rate["alpha"] == pytest.approx(1.5 - np.sqrt(0.75), abs=1e-9)
+    assert rate["beta"] == pytest.approx(1.0, abs=1e-9)
+    x0 = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)[0, 1:]
+    assert np.linalg.norm(x0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_windowed_random_noise_at_margin_zero_runs(tmp_path, capsys):

@@ -678,12 +678,15 @@ def test_csv_writer_memory_stays_flat_on_supported_traces(tmp_path):
     assert peak <= 2_000_000, peak
 
 
-# imports the package and checks that the formatter and its tables were not loaded
+# imports the package and checks that the formatter and its tables were not
+# loaded, then the CLI, whose records are named tuples, without dataclasses
 _IMPORT_ONLY = """
 import sys
 import consensuslab
 assert "consensuslab._csvtext" not in sys.modules
 assert "fractions" not in sys.modules
+import consensuslab.cli
+assert "dataclasses" not in sys.modules
 """
 
 

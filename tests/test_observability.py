@@ -84,6 +84,18 @@ class TestEdgeSignals:
         assert right[2] == pytest.approx(x[2] - x[1], abs=1e-12)  # edge {2,3} active after
         assert right[0] == 0.0
 
+    def test_run_just_past_a_nonperiodic_horizon_keeps_its_last_sample(self):
+        # t_end is 5e-8 past the horizon, inside its tolerance: the last
+        # segment carries the trace, like the run, to the final sample
+        sched = WeightSchedule([(0.0, 50.0, weights(3, (0, 1, 1.0))),
+                                (50.0, 100.0, weights(3, (1, 2, 1.0)))])
+        traj = simulate(sched, [1.0, 0.0, -1.0], 100.0 + 5e-8, 0.01)
+        trace = edge_signals(traj, sched)
+        assert traj.sample_times.size == 10002
+        assert trace.sample_times.size == 10003  # every sample, and t = 50 twice
+        assert trace.sample_times[-1] == traj.sample_times[-1] == 100.0 + 5e-8
+        assert np.abs(trace.signals[-1] - traj.states[-1] @ sched.incidence(1)).max() <= 1e-15
+
     def test_csv_roundtrip(self, tmp_path):
         sched = five_node_schedule()
         traj = simulate(sched, np.arange(5.0), 3.0, 0.25)
