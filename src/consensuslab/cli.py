@@ -22,8 +22,6 @@ import numpy as np
 from . import analysis, dynamics, graph, observability
 from .errors import ConfigurationError, ConsensusLabError, HorizonError, ScenarioError
 
-OUTPUT_DIR_ENV = "CONSENSUSLAB_OUTPUT_DIR"
-
 # still accepted on connectivity and bounds, so that older scenarios validate
 STRIDE_DOC = "ignored: the window starts follow from the schedule"
 
@@ -231,19 +229,14 @@ class Scenario:
                 _fail(f"noise values are {width} wide for a {n}-node schedule")
         if kind == "windowed-random":
             _optional_seed(spec, "noise")  # drawn from the scenario seed when absent
-            if not 0 <= _optional_number(spec, "margin", "noise", 0.05) < 1:
-                _fail(f"noise: parameter 'margin' must lie in [0, 1), got {spec['margin']!r}")
-            steps = spec.get("steps_per_window", 4)
-            if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-                _fail(f"noise: parameter 'steps_per_window' must be a positive integer, "
-                      f"got {steps!r}")
+            _optional_number(spec, "margin", "noise", None)  # windowed_random checks its range
         return spec
 
     def _validate_tasks(self, tasks):
         if not isinstance(tasks, list) or not tasks:
             _fail("scenario needs a non-empty 'tasks' list")
-        # the latest simulate task's t_end, and its sample and trace times once needed
-        sim_end = sim_grid = sim_trace = None
+        # the latest simulate task's t_end, and its sample times once needed
+        sim_end = sim_grid = None
         validated = []
         for entry in tasks:
             if not isinstance(entry, dict) or "task" not in entry:
@@ -264,6 +257,9 @@ class Scenario:
             for key, (_, default) in optional.items():
                 params.setdefault(key, default)
             end = _task_end(name, params)
+            if name == "gramian" and params["start"] < 0.0:
+                _fail(f"task 'gramian': window start {params['start']} is before the schedule "
+                      "start")
             if end is not None:
                 try:
                     self.schedule.segment_index_at(end)
@@ -279,17 +275,15 @@ class Scenario:
             if sim_grid is None and (name == "reconstruct" or params.get("fit_dt") is not None):
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
-                if sim_trace is None:  # reconstruct's own check, on the run's trace
-                    sim_trace = observability._trace_rows(self.schedule, sim_grid)[1]
                 outside = (f"task 'reconstruct': window [{params['start']}, {end}] is not "
                            f"inside the simulated [0, {sim_end}]")
                 if params["start"] < 0.0:
                     _fail(outside)
-                try:
-                    observability._window_nodes(sim_trace, self.schedule, params["start"],
+                try:  # reconstruct's own check, on the run's sample grid
+                    observability._window_nodes(sim_grid, self.schedule, params["start"],
                                                 params["delta"])
                 except ConfigurationError as exc:
-                    # the trace decides the upper end, which may round an ulp past t_end
+                    # the grid decides the upper end, which may round an ulp past t_end
                     _fail(outside if end > sim_end else f"task 'reconstruct': {exc}")
             if name == "rate" and params["skip_time"] >= sim_end:
                 _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
@@ -306,7 +300,7 @@ class Scenario:
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
-                sim_end, sim_dt, sim_grid, sim_trace = end, params["sample_dt"], None, None
+                sim_end, sim_dt, sim_grid = end, params["sample_dt"], None
             validated.append((name, params))
         return validated
 
@@ -403,22 +397,12 @@ class _Runner:
 
     def task_bounds(self, delta, stride):
         bounds = observability.uniform_bounds_check(self.scenario.schedule, delta)
-        return {"bounds.json": {
-            "delta": delta,
-            "alpha1": bounds.alpha1,
-            "alpha2": bounds.alpha2,
-            "observable": bounds.observable,
-            "worst_window_start": bounds.worst_window_start,
-        }}
+        return {"bounds.json": {"delta": delta, **bounds._asdict()}}
 
     def task_gramian(self, start, delta):
-        gram = observability.gramian(self.scenario.schedule, start, delta)
-        return {"gramian.json": {
-            "start": gram.start,
-            "delta": gram.delta,
-            "lambda_min": gram.lambda_min,
-            "lambda_max": gram.lambda_max,
-        }}
+        report = observability.gramian(self.scenario.schedule, start, delta)._asdict()
+        del report["entries"]
+        return {"gramian.json": report}
 
     def task_reconstruct(self, start, delta, cond_tol):
         sc = self.scenario
@@ -440,27 +424,15 @@ class _Runner:
 
     def task_rate(self, skip_time, fit_dt):
         fit = analysis.fit_exponential_rate(self.trajectory, skip_time=skip_time, fit_dt=fit_dt)
-        return {"rate.json": {
-            "alpha": fit.alpha,
-            "beta": fit.beta,
-            "residual": fit.residual,
-            "window": list(fit.window),
-            "sample_count": fit.sample_count,
-            "converged": fit.converged,
-        }}
+        return {"rate.json": {**fit._asdict(), "converged": fit.converged}}
 
     def task_robustness(self, t_end, sample_dt):
         sc = self.scenario
         report = analysis.robustness_report(sc.schedule, sc.noise, t_end, sample_dt=sample_dt)
-        return {"robustness.json": {
-            "zeta": report.zeta,
-            "B0": report.energy_bound,
-            "sup_error": report.sup_error,
-            "C_bound": report.sup_error,
-            "t_end": t_end,
-            "sample_times": report.sample_times,
-            "errors": report.errors,
-        }}
+        report = report._asdict()
+        report["B0"] = report.pop("energy_bound")
+        # the measured supremum is the empirical candidate for C(zeta, B0)
+        return {"robustness.json": {**report, "C_bound": report["sup_error"], "t_end": t_end}}
 
 
 def load_scenario(path):
@@ -476,8 +448,7 @@ def load_scenario(path):
 
 
 def _resolve_output_dir(scenario, flag_value):
-    out = Path(flag_value or os.environ.get(OUTPUT_DIR_ENV)
-               or scenario.base_dir / scenario.output_dir)
+    out = Path(flag_value or scenario.base_dir / scenario.output_dir)
     for path in (out, *out.parents):  # os.path, which takes a name too long as absent
         if os.path.exists(path) and not os.path.isdir(path):
             raise ScenarioError(f"output directory {out}: {path} exists and is not a directory")
@@ -510,7 +481,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to the scenario JSON file")
-    run_p.add_argument("--output-dir", help=f"override the output directory (also {OUTPUT_DIR_ENV})")
+    run_p.add_argument("--output-dir", help="override the output directory")
     val_p = sub.add_parser("validate", help="check a scenario file without running it")
     val_p.add_argument("scenario", help="path to the scenario JSON file")
     lt_p = sub.add_parser("list-tasks", help="describe the available tasks")

@@ -144,6 +144,12 @@ class NoiseProcess:
             raise ConfigurationError(f"zeta must be positive and finite, got {zeta}")
         if not math.isfinite(t_end):
             raise ConfigurationError(f"t_end must be finite, got {t_end}")
+        if not 0.0 <= margin < 1.0:
+            raise ConfigurationError(f"'margin' must lie in [0, 1), got {margin!r}")
+        if isinstance(steps_per_window, bool) or not (
+                isinstance(steps_per_window, (int, np.integer)) and steps_per_window >= 1):
+            raise ConfigurationError(
+                f"'steps_per_window' must be a positive integer, got {steps_per_window!r}")
         rng = np.random.default_rng(seed)
         n_windows = max(1, math.ceil(_step_count(t_end, zeta)))
         step = zeta / steps_per_window

@@ -287,9 +287,11 @@ def _window_nodes(times, sched, s, delta):
     k, lo, hi, nodes): the rows of a trace sampled at ``times`` that
     reconstruct integrates, and their times with the ends set to ta and tb.
 
-    The one coverage rule, also run by ``validate`` on the trace a run will
-    write: a piece with fewer than two rows, an end row beyond the tolerance
-    or nodes not strictly increasing raises ConfigurationError."""
+    The one coverage rule, also run by ``validate`` on the run's sample
+    grid, which differs from its trace only by the boundary rows that
+    :func:`_piece_node_rows` drops: a piece with fewer than two rows, an
+    end row beyond the tolerance or nodes not strictly increasing raises
+    ConfigurationError."""
     tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
     out = []
     for ta, tb, k in sched.pieces(s, s + delta):

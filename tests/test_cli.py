@@ -391,6 +391,8 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
      "exceeds the horizon"),
     (_horizon_scenario([{"task": "gramian", "start": 3.0, "delta": 2.0}]),
      "exceeds the horizon"),
+    (_horizon_scenario([{"task": "gramian", "start": -1.0, "delta": 4.0}]),
+     "task 'gramian': window start -1.0 is before the schedule start"),
     (_horizon_scenario([{"task": "connectivity", "delta": 0.5, "T": 5.0}]),
      "exceeds the horizon"),
     (_horizon_scenario([{"task": "simulate", "t_end": 3.0, "sample_dt": 0.1}],
@@ -431,7 +433,8 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
      "trace does not cover segment piece [0.749999925, 2.57] of the window [0.749999925, "),
     (_reconstruct_scenario(_OFF_GRID_CUTS, 3.0, 0.25, 0.25, 2.000000075),
      "trace does not cover segment piece [0.25, 2.25000007"),
-], ids=["simulate-past-horizon", "gramian-past-horizon", "connectivity-past-horizon",
+], ids=["simulate-past-horizon", "gramian-past-horizon", "gramian-before-start",
+        "connectivity-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
         "rate-skips-whole-trace", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
         "rate-fit-grid-of-one-sample",
@@ -887,15 +890,6 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
-def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
-    env_out = tmp_path / "from_env"
-    monkeypatch.setenv("CONSENSUSLAB_OUTPUT_DIR", str(env_out))
-    dst = tmp_path / "k2.json"
-    shutil.copy(SCENARIOS / "k2_constant.json", dst)
-    assert main(["run", str(dst)]) == 0
-    assert (env_out / "trajectory.csv").is_file()
-
-
 def test_list_tasks_text():
     text = list_tasks()
     for name in ("simulate", "connectivity", "bounds", "gramian",
@@ -914,6 +908,30 @@ def test_list_tasks_cli(capsys):
     assert main(["list-tasks", "--task", "simulate"]) == 0
     assert "sample_dt" in capsys.readouterr().out
     assert main(["list-tasks", "--task", "nope"]) == 2
+
+
+# the keys of each JSON report; the records' field names reach them unchanged
+REPORT_KEYS = {
+    "bounds.json": {"delta", "alpha1", "alpha2", "observable", "worst_window_start"},
+    "certificate.json": {"delta", "T", "verdict", "counterexample_window", "windows"},
+    "gramian.json": {"start", "delta", "lambda_min", "lambda_max"},
+    "manifest.json": {"scenario", "seed", "tasks", "artifacts"},
+    "rate.json": {"alpha", "beta", "window", "residual", "sample_count", "converged"},
+    "reconstruction.json": {"s", "delta", "lambda_min", "estimate", "error_vs_truth"},
+    "robustness.json": {"zeta", "B0", "sup_error", "C_bound", "t_end", "sample_times", "errors"},
+}
+
+
+def test_report_keys_are_pinned(tmp_path):
+    # between them the three goldens run every task kind
+    seen = set()
+    for name in ("alternating_triangle", "five_node_reconstruct", "robust_noise"):
+        code, out = run_scenario(name, tmp_path, out_name=name)
+        assert code == 0, name
+        for path in out.glob("*.json"):
+            assert set(json.loads(path.read_text())) == REPORT_KEYS[path.name], (name, path.name)
+            seen.add(path.name)
+    assert seen == set(REPORT_KEYS)
 
 
 def test_flags_live_in_json_not_exit_code(tmp_path):

@@ -253,6 +253,23 @@ class TestNoiseProcess:
         with pytest.raises(ConfigurationError, match="t_end must be finite"):
             NoiseProcess.windowed_random(3, 1.0, 1.0, seed=0, t_end=t_end)
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("margin", 1.0, "'margin' must lie in [0, 1), got 1.0"),
+        ("margin", 1.5, "'margin' must lie in [0, 1), got 1.5"),
+        ("margin", -0.1, "'margin' must lie in [0, 1), got -0.1"),
+        ("margin", float("nan"), "'margin' must lie in [0, 1), got nan"),
+        ("steps_per_window", 0, "'steps_per_window' must be a positive integer, got 0"),
+        ("steps_per_window", 2.5, "'steps_per_window' must be a positive integer, got 2.5"),
+        ("steps_per_window", True, "'steps_per_window' must be a positive integer, got True"),
+    ], ids=["margin-one", "margin-above-one", "negative-margin", "nan-margin", "zero-steps",
+            "fractional-steps", "boolean-steps"])
+    def test_windowed_random_refuses_bad_options(self, option, value, message):
+        # a margin of 1 or more once gave all-zero noise; a bad step count
+        # once raised ZeroDivisionError or TypeError
+        with pytest.raises(ConfigurationError) as info:
+            NoiseProcess.windowed_random(3, 1.0, 1.0, 7, 5.0, **{option: value})
+        assert str(info.value) == message
+
     def test_same_seed_reproducible(self):
         a = NoiseProcess.windowed_random(2, 1.0, 1.0, seed=7, t_end=5.0)
         b = NoiseProcess.windowed_random(2, 1.0, 1.0, seed=7, t_end=5.0)

@@ -11,17 +11,15 @@ import contextlib
 import copy
 import io
 import json
-import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from consensuslab.cli import OUTPUT_DIR_ENV, main  # noqa: E402
+from consensuslab.cli import main  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDENS = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
@@ -63,8 +61,7 @@ def _mutated(name, path, value):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(target=TARGETS, value=st.sampled_from(BAD_VALUES))
 def test_mutated_goldens_keep_the_error_contract(target, value):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop(OUTPUT_DIR_ENV, None)
+    with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(_mutated(*target, value)))
         err = io.StringIO()

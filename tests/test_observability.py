@@ -455,3 +455,71 @@ class TestReconstruct:
         trace = edge_signals(traj, sched)
         est = reconstruct(trace, sched, 2.0, 4.0)
         assert abs(est.mean()) < 1e-12
+
+
+def test_window_outcome_is_the_same_on_the_grid_and_on_the_trace():
+    # validate checks reconstruct windows on the run's sample grid; the trace
+    # a run writes differs from it only by repeated boundary rows
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from consensuslab.dynamics import _sample_grid
+    from consensuslab.errors import ConsensusLabError
+    from consensuslab.observability import _trace_rows, _window_nodes
+
+    lengths = st.lists(st.floats(0.05, 1.0) | st.floats(1e-10, 5e-7), min_size=1, max_size=5)
+
+    def pick(data, dt, cuts, lo, hi):
+        """A time in [lo, hi]: a sample, a boundary or any time, maybe nudged."""
+        kind = data.draw(st.sampled_from(["sample", "sample", "boundary", "boundary", "any"]))
+        first, last = int(np.ceil(lo / dt)), int(hi // dt)
+        if kind == "sample" and first <= last:
+            t = dt * data.draw(st.integers(first, last))
+        elif kind == "boundary" and any(lo <= c <= hi for c in cuts):
+            t = data.draw(st.sampled_from([c for c in cuts if lo <= c <= hi]))
+        else:
+            t = data.draw(st.floats(lo, hi))
+        return t + data.draw(st.sampled_from([0.0] * 4 + [1e-13, -1e-13, 1e-8 * dt, -1e-8 * dt]))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), lengths=lengths, periodic=st.booleans(), signed=st.booleans(),
+           dt=st.sampled_from([1.0 / 128, 0.01, 0.05, 0.25]) | st.floats(1.0 / 128, 0.5))
+    def check(data, lengths, periodic, signed, dt):
+        if sum(lengths) < 0.05:  # a horizon of 0.05 or more bounds the piece count
+            lengths = [*lengths, 0.05]
+        cuts = np.concatenate(([0.0], np.cumsum(lengths)))
+        w = np.array([[0.0, 1.0, -0.2 if signed else 0.4], [1.0, 0.0, 0.7],
+                      [-0.2 if signed else 0.4, 0.7, 0.0]])
+        sched = WeightSchedule([(a, b, w if k % 2 else w[::-1, ::-1])
+                                for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))],
+                               periodic=periodic)
+        boundaries = [float(c) for c in cuts]
+        if periodic:
+            boundaries += [c + sched.period for c in boundaries[1:]]
+        t_end = pick(data, dt, boundaries, 0.0, 2.5 * sched.period if periodic else sched.horizon)
+        if t_end <= 0.0:
+            return
+        if not periodic:
+            t_end = min(t_end, sched.horizon)
+        grid = _sample_grid(sched, t_end, dt)[0]
+        trace = _trace_rows(sched, grid)[1]
+        s = min(max(0.0, pick(data, dt, boundaries, 0.0, t_end)), t_end)
+        end = pick(data, dt, boundaries, s, t_end)
+        if end <= s:
+            return
+        outcomes = []
+        for times in (grid, trace):
+            try:
+                outcomes.append([(ta, tb, k, hi - lo, nodes)
+                                 for ta, tb, k, lo, hi, nodes in
+                                 _window_nodes(times, sched, s, end - s)])
+            except ConsensusLabError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        on_grid, on_trace = outcomes
+        if isinstance(on_grid, str) or isinstance(on_trace, str):
+            assert on_grid == on_trace
+        else:
+            assert [p[:4] for p in on_grid] == [p[:4] for p in on_trace]
+            assert all(np.array_equal(a[4], b[4]) for a, b in zip(on_grid, on_trace))
+
+    check()
