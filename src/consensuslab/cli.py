@@ -74,7 +74,12 @@ TASKS = {
 # steps, and the Gramian eigenvalue cutoff
 POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "zeta", "cond_tol")
 
-NOISE_KINDS = ("zero", "table", "windowed-random")
+# kind -> the fields that a noise or initial_state object of that kind may carry
+NOISE_FIELDS = {"zero": {"kind"}, "table": {"kind", "zeta", "B0", "breakpoints", "values"},
+                "windowed-random": {"kind", "zeta", "B0", "seed", "margin", "steps_per_window"}}
+NOISE_KINDS = tuple(NOISE_FIELDS)  # a tuple, so that an unhashable kind is refused, not raised
+INITIAL_STATE_FIELDS = {"consensus": {"kind", "value"}, "seeded-random": {"kind", "seed", "scale"},
+                        "eigvector": {"kind", "segment", "index", "scale"}}
 
 
 def _task_end(name, params):
@@ -92,6 +97,12 @@ def _task_end(name, params):
 
 def _fail(msg):
     raise ScenarioError(msg)
+
+
+def _refuse_unknown(spec, known, what):
+    unknown = set(spec) - known
+    if unknown:
+        _fail(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def _unknown_task(name):
@@ -138,19 +149,14 @@ class Scenario:
         except UnicodeEncodeError as exc:
             _fail(f"'output_dir' is not a valid path: {exc}")
 
-        known = {"name", "seed", "schedule", "schedule_file", "initial_state",
-                 "noise", "output_dir", "tasks"}
-        unknown = set(data) - known
-        if unknown:
-            _fail(f"unknown scenario fields: {sorted(unknown)}")
+        _refuse_unknown(data, {"name", "seed", "schedule", "schedule_file", "initial_state",
+                               "noise", "output_dir", "tasks"}, "scenario")
 
         self.schedule = self._load_schedule(data)
         self.initial_state = self._resolve_initial_state(data)
-        self.noise = None  # the run's NoiseProcess, or None for none or zero noise
-        self.noise_spec = self._validate_noise(data.get("noise"))
+        self.noise_spec = data.get("noise")
         self.tasks = self._validate_tasks(data.get("tasks"))
-        if self.noise_spec is not None and self.noise_spec["kind"] == "windowed-random":
-            self.noise = self._windowed_random(self.noise_spec)
+        self.noise = self._build_noise(self.noise_spec)
 
     # -- validation ---------------------------------------------------------
 
@@ -187,50 +193,24 @@ class Scenario:
             _fail("'initial_state' must be a vector or an object with 'kind'")
         kind = spec["kind"]
         scale = _optional_number(spec, "scale", "initial_state", 1.0)
+        if not isinstance(kind, str) or kind not in INITIAL_STATE_FIELDS:
+            _fail(f"unknown initial_state kind {kind!r}")
+        _refuse_unknown(spec, INITIAL_STATE_FIELDS[kind], "initial_state")
         if kind == "consensus":
             return np.full(n, _optional_number(spec, "value", "initial_state", 0.0))
         if kind == "seeded-random":
             seed = _optional_seed(spec, "initial_state")
             rng = np.random.default_rng(seed if seed is not None else self._seed_child(0))
             return scale * rng.standard_normal(n)
-        if kind == "eigvector":
-            seg = spec.get("segment", 1)
-            idx = spec.get("index", 2)
-            count = len(self.schedule.segments)
-            if isinstance(seg, bool) or not isinstance(seg, int) or not 1 <= seg <= count:
-                _fail(f"eigvector initial state: 'segment' must be 1..{count}")
-            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= n:
-                _fail(f"eigvector initial state: 'index' must be 1..{n}")
-            _, vecs = self.schedule.spectrum(seg - 1)
-            return scale * vecs[:, idx - 1]
-        _fail(f"unknown initial_state kind {kind!r}")
-
-    def _validate_noise(self, spec):
-        if spec is None:
-            return None
-        if not isinstance(spec, dict) or spec.get("kind") not in NOISE_KINDS:
-            _fail(f"noise 'kind' must be one of {NOISE_KINDS}")
-        kind = spec["kind"]
-        if kind != "zero":
-            for key in ("zeta", "B0"):
-                _require_number(spec, key, "noise")
-            if spec["B0"] < 0:
-                _fail(f"noise: parameter 'B0' must be nonnegative, got {spec['B0']!r}")
-        if kind == "table":
-            if "breakpoints" not in spec or "values" not in spec:
-                _fail("table noise needs 'breakpoints' and 'values'")
-            try:
-                self.noise = dynamics.NoiseProcess.table(spec["breakpoints"], spec["values"],
-                                                         spec["zeta"], spec["B0"])
-            except (ConsensusLabError, TypeError, ValueError) as exc:
-                _fail(f"invalid table noise: {exc}")
-            width, n = self.noise.node_count, self.schedule.node_count
-            if width != n:
-                _fail(f"noise values are {width} wide for a {n}-node schedule")
-        if kind == "windowed-random":
-            _optional_seed(spec, "noise")  # drawn from the scenario seed when absent
-            _optional_number(spec, "margin", "noise", None)  # windowed_random checks its range
-        return spec
+        seg = spec.get("segment", 1)
+        idx = spec.get("index", 2)
+        count = len(self.schedule.segments)
+        if isinstance(seg, bool) or not isinstance(seg, int) or not 1 <= seg <= count:
+            _fail(f"eigvector initial state: 'segment' must be 1..{count}")
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= n:
+            _fail(f"eigvector initial state: 'index' must be 1..{n}")
+        _, vecs = self.schedule.spectrum(seg - 1)
+        return scale * vecs[:, idx - 1]
 
     def _validate_tasks(self, tasks):
         if not isinstance(tasks, list) or not tasks:
@@ -267,9 +247,6 @@ class Scenario:
                         dynamics._step_count(end, params["sample_dt"])
                 except (ConfigurationError, HorizonError) as exc:
                     _fail(f"task '{name}': {exc}")
-            if (name in ("simulate", "robustness") and self.noise is not None
-                    and not self.noise.covers(0.0, end)):
-                _fail(f"task '{name}': table noise does not cover [0, {end}]")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
             if sim_grid is None and (name == "reconstruct" or params.get("fit_dt") is not None):
@@ -304,17 +281,45 @@ class Scenario:
             validated.append((name, params))
         return validated
 
-    def _windowed_random(self, spec):
-        """The noise drawn once, to the latest t_end of the tasks that read it."""
-        t_end = max((p["t_end"] for name, p in self.tasks if name in ("simulate", "robustness")),
-                    default=0.0)
+    def _build_noise(self, spec):
+        """The run's NoiseProcess, or None for no or zero noise; windowed-random
+        noise is drawn once, to the latest t_end of the tasks that read it."""
+        if spec is None:
+            return None
+        if not isinstance(spec, dict) or spec.get("kind") not in NOISE_KINDS:
+            _fail(f"noise 'kind' must be one of {NOISE_KINDS}")
+        kind = spec["kind"]
+        _refuse_unknown(spec, NOISE_FIELDS[kind], "noise")
+        if kind == "zero":
+            return None
+        for key in ("zeta", "B0"):  # NoiseProcess checks their ranges
+            _require_number(spec, key, "noise")
+        ends = [(name, p["t_end"]) for name, p in self.tasks if name in ("simulate", "robustness")]
+        if kind == "table" and ("breakpoints" not in spec or "values" not in spec):
+            _fail("table noise needs 'breakpoints' and 'values'")
+        if kind == "windowed-random":
+            seed = _optional_seed(spec, "noise")
+            _optional_number(spec, "margin", "noise", None)  # windowed_random checks its range
+            if seed is None:
+                seed = self._seed_child(1)
         try:
-            return dynamics.NoiseProcess.windowed_random(
-                self.schedule.node_count, spec["zeta"], spec["B0"],
-                self._seed_child(1) if spec.get("seed") is None else spec["seed"], t_end,
-                **{key: spec[key] for key in ("steps_per_window", "margin") if key in spec})
-        except (ConsensusLabError, ValueError) as exc:
-            _fail(f"invalid windowed-random noise: {exc}")
+            if kind == "table":
+                noise = dynamics.NoiseProcess.table(spec["breakpoints"], spec["values"],
+                                                    spec["zeta"], spec["B0"])
+            else:
+                noise = dynamics.NoiseProcess.windowed_random(
+                    self.schedule.node_count, spec["zeta"], spec["B0"], seed,
+                    max((end for _, end in ends), default=0.0),
+                    **{key: spec[key] for key in ("steps_per_window", "margin") if key in spec})
+        except (ConsensusLabError, TypeError, ValueError) as exc:
+            _fail(f"invalid {kind} noise: {exc}")
+        width, n = noise.node_count, self.schedule.node_count
+        if width != n:
+            _fail(f"noise values are {width} wide for a {n}-node schedule")
+        for name, end in ends:
+            if not noise.covers(0.0, end):
+                _fail(f"task '{name}': {kind} noise does not cover [0, {end}]")
+        return noise
 
 
 def _numpy_to_json(obj):

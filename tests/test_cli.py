@@ -169,6 +169,23 @@ MALFORMED = [
      "table noise needs 'breakpoints' and 'values'"),
     ("table noise two wide", _set(["noise"], _table_noise([0.0, 4.0], [[0.1, 0.2]])),
      "noise values are 2 wide for a 3-node schedule"),
+    ("unknown noise field", _set(["noise", "margn"], 0.5), "unknown noise fields: ['margn']"),
+    ("zeta on zero noise", _set(["noise"], {"kind": "zero", "zeta": -1}),
+     "unknown noise fields: ['zeta']"),
+    ("breakpoints on windowed-random noise", _set(["noise", "breakpoints"], [0.0, 4.0]),
+     "unknown noise fields: ['breakpoints']"),
+    ("list noise kind", _set(["noise", "kind"], ["zero"]), "noise 'kind' must be one of"),
+    ("unknown initial_state field", _set(["initial_state"], {"kind": "consensus", "valu": 3.0}),
+     "unknown initial_state fields: ['valu']"),
+    ("scale on a consensus state", _set(["initial_state"], {"kind": "consensus", "scale": 2.0}),
+     "unknown initial_state fields: ['scale']"),
+    ("list initial_state kind", _set(["initial_state"], {"kind": ["consensus"]}),
+     "unknown initial_state kind ['consensus']"),
+    # the scenario declares no seed either
+    ("windowed-random noise without a seed", _drop(["noise", "seed"]),
+     "scenario error: scenario uses randomness but declares no 'seed'"),
+    ("seeded-random state without a seed", _set(["initial_state"], {"kind": "seeded-random"}),
+     "scenario error: scenario uses randomness but declares no 'seed'"),
     ("unknown task parameter", _set(["tasks", 0, "dt"], 0.1),
      "task 'simulate': unknown parameters ['dt']"),
     ("missing required parameter", _drop(["tasks", 0, "sample_dt"]),
@@ -219,7 +236,7 @@ MALFORMED = [
      "'initial_state' must list 3 finite numbers"),
     ("infinite initial state entry", _set(["initial_state", 2], -float("inf")),
      "'initial_state' must list 3 finite numbers"),
-    ("negative B0", _set(["noise", "B0"], -1.0), "'B0' must be nonnegative"),
+    ("negative B0", _set(["noise", "B0"], -1.0), "B0 must be finite and nonnegative"),
     ("negative noise seed", _set(["noise", "seed"], -3), "'seed' must be a nonnegative integer"),
     ("boolean scenario seed", _set(["seed"], True), "'seed' must be a nonnegative integer"),
     ("string segment start", _set(["schedule", "segments", 1, "t0"], "1.0"),
@@ -404,6 +421,8 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
      "window [3.0, 4.0] is not inside the simulated [0, 2.0]"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": 1.5, "delta": 1.0}]),
      "window [1.5, 2.5] is not inside the simulated [0, 2.0]"),
+    (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": -1.0, "delta": 2.0}]),
+     "window [-1.0, 1.0] is not inside the simulated [0, 2.0]"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "skip_time": 2.0}]),
      "skip_time 2.0 is not before the simulated t_end 2.0"),
     # a fit_dt grid with one point in [skip_time, t_end]: 0, and 3.0
@@ -436,6 +455,7 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "gramian-before-start",
         "connectivity-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
+        "reconstruct-before-start",
         "rate-skips-whole-trace", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
         "rate-fit-grid-of-one-sample",
         "reconstruct-piece-between-samples",
