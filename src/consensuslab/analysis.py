@@ -1,5 +1,5 @@
-"""Convergence analysis: decay-rate fits, robustness under bounded-energy
-noise, and signed-network convergence checks."""
+"""Convergence analysis: decay-rate fits and robustness under bounded-energy
+noise."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .graph import check_joint_connectivity, negative_link_assumption_holds
 from .dynamics import simulate
 
 __all__ = [
@@ -17,7 +15,6 @@ __all__ = [
     "consensus_error",
     "fit_exponential_rate",
     "robustness_report",
-    "signed_convergence_check",
     "max_state_difference",
 ]
 
@@ -45,12 +42,13 @@ class RateFit(NamedTuple):
     """Log-linear envelope fit e(t) ~ beta * e(t0) * exp(-alpha (t - t0)).
 
     ``beta`` is normalized by the initial disagreement e(t0) so that an
-    exact single-mode decay fits with beta == 1.  ``alpha <= 0`` flags a
-    non-decaying trajectory; it is a result, not an error.
+    exact single-mode decay fits with beta == 1; it is None when e(t0) is at
+    the error floor.  ``alpha <= 0`` flags a non-decaying trajectory; it is a
+    result, not an error.
     """
 
     alpha: float
-    beta: float
+    beta: float | None
     window: tuple
     residual: float
     sample_count: int
@@ -106,7 +104,7 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     slope, intercept = np.polyfit(tt, log_e, 1)
     residual = float(np.sqrt(np.mean((log_e - (slope * tt + intercept)) ** 2)))
     e0 = float(e[0])
-    beta = float(np.exp(intercept) / e0) if e0 > floor else float("nan")
+    beta = float(np.exp(intercept) / e0) if e0 > floor else None
     return RateFit(
         alpha=float(-slope),
         beta=beta,
@@ -143,34 +141,3 @@ def robustness_report(sched, noise, t_end, sample_dt=0.05):
         sample_times=traj.sample_times,
         errors=errors,
     )
-
-
-def signed_convergence_check(sched, x0, delta, T, *, t_end=60.0, sample_dt=0.02,
-                             skip_time=None, fit_dt=None):
-    """Simulate a signed schedule and fit its consensus rate.
-
-    Refuses unless the Negative-Link Assumption holds (reporting the worst
-    eigenvalue) and joint (delta, T)-connectivity is certified on the
-    positive-integral threshold graph.  Under those preconditions the decay
-    is guaranteed, so a non-positive fitted rate raises instead of being
-    flagged: it indicates a run too short to fit.
-    """
-    negative_link_assumption_holds(sched).require()
-    cert = check_joint_connectivity(sched, delta, T)
-    if not cert.connected:
-        raise ConfigurationError(
-            f"schedule is not jointly ({delta}, {T})-connected; "
-            f"counterexample window start {cert.counterexample_window}"
-        )
-    traj = simulate(sched, x0, t_end, sample_dt)
-    fit = fit_exponential_rate(
-        traj,
-        skip_time=T if skip_time is None else skip_time,
-        fit_dt=fit_dt,
-    )
-    if not fit.converged:
-        raise ConfigurationError(
-            f"fitted rate {fit.alpha} is not positive despite certified connectivity; "
-            "extend t_end"
-        )
-    return fit

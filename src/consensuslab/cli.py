@@ -332,8 +332,9 @@ def _numpy_to_json(obj):
 
 
 def _write_json(path, payload):
-    """Write payload as sorted-key, 2-space-indented JSON plus a newline, in one write."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_json)
+    """Write payload as sorted-key, 2-space-indented JSON plus a newline, in one write;
+    a non-finite number raises ValueError, as strict JSON has none."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_numpy_to_json)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -198,12 +198,16 @@ def gramian(sched, s, delta):
 
 
 class UniformBounds(NamedTuple):
-    """Empirical alpha1/alpha2 for the integral of L + 11'/N over windows."""
+    """Extremes alpha1/alpha2 of the integral of L + 11'/N over windows, and
+    the Gramian floor and decay rate they certify (None when unobservable or
+    when the Negative-Link Assumption fails)."""
 
     alpha1: float
     alpha2: float
     worst_window_start: float
     observable: bool
+    gramian_floor: float | None
+    certified_rate: float | None
 
 
 def uniform_bounds_check(sched, delta_obs):
@@ -218,6 +222,15 @@ def uniform_bounds_check(sched, delta_obs):
     max(1, graph._BLOCK_ENTRIES // N^2), each window exactly
     :func:`consensuslab.graph.integrated_laplacian` plus the shift, with one
     eigvalsh call per block.
+
+    With Lambda = max(1, max_k lambda_max(L_k)) from the cached spectra,
+    every window Gramian of :func:`gramian` has lambda_min at least
+    gramian_floor f = alpha1 / (1 + delta Lambda / sqrt 2)^2: L + J = D D'
+    makes the flow an output injection of xi' = 0, whose Gramian is the
+    integral above, and Cauchy-Schwarz bounds the injected part.  As
+    W = (I - Phi' Phi) / 2, each window scales the norm of the disagreement
+    by at most sqrt(1 - 2f): certified_rate is -log(1 - 2f) / (2 delta).
+    alpha1 <= delta Lambda keeps f <= sqrt(2) / 4, so 1 - 2f > 0.
     """
     if not delta_obs > 0.0:
         raise ValueError("delta_obs must be positive")
@@ -237,11 +250,19 @@ def uniform_bounds_check(sched, delta_obs):
             alpha1 = float(eigs[r, 0])
             worst = float(starts[lo + r])
         alpha2 = max(alpha2, float(eigs[:, -1].max()))
+    observable = bool(alpha1 > POSITIVE_TOL)
+    floor = rate = None
+    if observable and negative_link_assumption_holds(sched):
+        lam = max(1.0, *(float(sched.spectrum(k)[0][-1]) for k in range(len(sched.segments))))
+        floor = float(alpha1 / (1.0 + delta_obs * lam / np.sqrt(2.0)) ** 2)
+        rate = float(-np.log1p(-2.0 * floor)) / (2.0 * delta_obs)
     return UniformBounds(
         alpha1=alpha1,
         alpha2=alpha2,
         worst_window_start=worst,
-        observable=bool(alpha1 > POSITIVE_TOL),
+        observable=observable,
+        gramian_floor=floor,
+        certified_rate=rate,
     )
 
 
@@ -308,7 +329,7 @@ def _window_nodes(times, sched, s, delta):
 
 
 def reconstruct(z, sched, s, delta, cond_tol=1e-8):
-    """Estimate the shifted state y(s) = x(s) - x_ave(0) * 1 from edge signals.
+    """Estimate the disagreement y(s) = x(s) - x_ave(s) * 1 from edge signals.
 
     Computes W^{-1} int_s^{s+delta} Phi'(t, s) H(t) S(t) z~(t) dt where W is
     the exact observability Gramian of :func:`gramian`, Phi the projected

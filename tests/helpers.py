@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from consensuslab import UniformBounds, WeightSchedule
+from consensuslab import UniformBounds, WeightSchedule, laplacian
 from consensuslab.graph import (
     WindowEvidence,
     edge_pairs,
@@ -143,6 +143,44 @@ def quarter_grid_cases():
         return quarter_grid_schedule(n, quarters, weight_codes, periodic), T, delta
 
     return cases()
+
+
+def nla_schedules(periodic=None):
+    """Hypothesis strategy of schedules that meet the Negative-Link
+    Assumption: 2-5 nodes, 1-4 segments lasting 0.2-1.5, periodic or not
+    as ``periodic`` says (drawn when None), every weight 0 or in [0.1, 2].
+
+    On about a third of the segments one absent edge inside a component of
+    the positive graph gets the weight -u / R_eff, u in [0.1, 0.8] and
+    R_eff the pair's effective resistance there.  Then L >= (1 - u) L+, so
+    L is PSD with the null space of L+, and no verdict sits at a tolerance.
+    """
+    from hypothesis import strategies as st
+
+    weight = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+
+    @st.composite
+    def schedules(draw):
+        n, count = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        segments, t0 = [], 0.0
+        for h in draw(st.lists(st.floats(0.2, 1.5), min_size=count, max_size=count)):
+            w = np.zeros((n, n))
+            for i, j in edge_pairs(n):
+                w[i, j] = w[j, i] = draw(weight)
+            reach = np.linalg.matrix_power((w > 0.0) + np.eye(n), n) > 0.0
+            free = [(i, j) for i, j in edge_pairs(n) if w[i, j] == 0.0 and reach[i, j]]
+            if free and draw(st.integers(0, 2)) == 0:
+                i, j = draw(st.sampled_from(free))
+                b = np.zeros(n)
+                b[i], b[j] = 1.0, -1.0
+                r_eff = b @ np.linalg.pinv(laplacian(w)) @ b
+                w[i, j] = w[j, i] = -draw(st.floats(0.1, 0.8)) / r_eff
+            segments.append((t0, t0 + h, w))
+            t0 += h
+        is_periodic = draw(st.booleans()) if periodic is None else periodic
+        return WeightSchedule(segments, periodic=is_periodic)
+
+    return schedules()
 
 
 def dense_starts(sched, T):
@@ -424,7 +462,8 @@ def uncovered_starts(sched, delta, T, cert, starts=None):
 
 def reference_uniform_bounds(sched, delta_obs, starts=None):
     """alpha1/alpha2 of a dense scan, one eigvalsh call per start of
-    ``starts`` (default :func:`scan_starts`)."""
+    ``starts`` (default :func:`scan_starts`); the certificate fields are
+    None, so compare the first four fields."""
     n = sched.node_count
     shift = np.ones((n, n)) / n
     alpha1, alpha2, worst = np.inf, -np.inf, 0.0
@@ -434,7 +473,8 @@ def reference_uniform_bounds(sched, delta_obs, starts=None):
             alpha1, worst = float(eigs[0]), float(s)
         alpha2 = max(alpha2, float(eigs[-1]))
     return UniformBounds(alpha1=alpha1, alpha2=alpha2, worst_window_start=worst,
-                         observable=bool(alpha1 > 1e-10))
+                         observable=bool(alpha1 > 1e-10), gramian_floor=None,
+                         certified_rate=None)
 
 
 def _jsonable(obj):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from consensuslab import (
-    ConfigurationError,
-    NegativeLinkError,
     NoiseProcess,
     WeightSchedule,
     consensus_error,
@@ -12,7 +10,6 @@ from consensuslab import (
     laplacian,
     max_state_difference,
     robustness_report,
-    signed_convergence_check,
     simulate,
 )
 from helpers import (
@@ -43,6 +40,10 @@ class TestConsensusError:
         traj = simulate(sched, [1.0, -1.0], 10.0, 0.5)
         assert np.all(consensus_error(traj) == 1.0)
 
+    def test_consensus_start_stays(self):
+        traj = simulate(signed_triangle_symmetric(), np.full(3, 1.0), 10.0, 0.1)
+        assert np.abs(traj.states - 1.0).max() == 0.0
+
 
 class TestRateFit:
     def test_k2(self):
@@ -62,6 +63,13 @@ class TestRateFit:
         fit = fit_exponential_rate(traj)
         assert abs(fit.alpha) < 1e-9
         assert not fit.converged or fit.alpha < 1e-9
+
+    def test_prefactor_is_none_from_a_start_at_the_floor(self):
+        # noise drives the error up from a consensus start, where e(t0) = 0
+        noise = NoiseProcess.windowed_random(3, 1.0, 1.0, seed=31337, t_end=20.0)
+        traj = simulate(alternating_schedule(), np.zeros(3), 20.0, 0.05, noise=noise)
+        fit = fit_exponential_rate(traj)
+        assert consensus_error(traj)[0] == 0.0 and fit.beta is None
 
     def test_too_few_samples_above_floor(self):
         traj = simulate(k2_schedule(), [1.0, 1.0], 5.0, 0.1)  # e(t) == 0
@@ -179,33 +187,6 @@ class TestNecessityDeskForm:
             traj = simulate(sched, x0, 40.0, 0.05)
             fit = fit_exponential_rate(traj, fit_dt=2.0)
             assert fit.alpha <= 1e-3
-
-
-class TestSignedConvergence:
-    def test_symmetric_triangle_rate(self):
-        fit = signed_convergence_check(
-            signed_triangle_symmetric(), [1.0, 0.0, -1.0], delta=0.5, T=5.0
-        )
-        assert fit.alpha == pytest.approx(0.2, abs=1e-6)
-
-    def test_run_settings_are_keyword_only(self):
-        with pytest.raises(TypeError):
-            signed_convergence_check(signed_triangle_symmetric(), [1.0, 0.0, -1.0], 0.5, 5.0, 60.0)
-
-    def test_consensus_start_stays(self):
-        traj = simulate(signed_triangle_symmetric(), np.full(3, 1.0), 10.0, 0.1)
-        assert np.abs(traj.states - 1.0).max() == 0.0
-
-    def test_indefinite_pair_refused(self):
-        sched = WeightSchedule([(0.0, 10.0, weights(2, (0, 1, -1.0)))])
-        with pytest.raises(NegativeLinkError) as err:
-            signed_convergence_check(sched, [1.0, -1.0], delta=0.1, T=1.0)
-        assert err.value.eigenvalue == pytest.approx(-2.0, abs=1e-12)
-
-    def test_disconnected_signed_schedule_refused(self):
-        sched = WeightSchedule([(0.0, 10.0, np.zeros((3, 3)))])
-        with pytest.raises(ConfigurationError, match="jointly"):
-            signed_convergence_check(sched, [1.0, 0.0, -1.0], delta=0.5, T=2.0)
 
 
 class TestMaxStateDifference:

@@ -62,6 +62,10 @@ def test_alternating_reports(tmp_path):
     assert rate["converged"] and rate["alpha"] > 0.0
     bounds = json.loads((out / "bounds.json").read_text())
     assert bounds["observable"] and bounds["alpha1"] > 0.0
+    # the certified rate is a lower bound on the fitted one
+    assert bounds["gramian_floor"] == pytest.approx(0.0682274643, abs=1e-10)
+    assert bounds["certified_rate"] == pytest.approx(0.0366772966, abs=1e-10)
+    assert 0.0 < bounds["certified_rate"] <= rate["alpha"]
     cert = json.loads((out / "certificate.json").read_text())
     check_certificate(load_scenario(tmp_path / "alternating_triangle.json").schedule, 1.0, 2.0,
                       cert)
@@ -94,7 +98,7 @@ def test_package_exports_exactly_the_submodule_names():
     expected |= {name for name, value in vars(errors).items()
                  if isinstance(value, type) and issubclass(value, Exception)}
     assert exported == expected
-    assert len(exported) == 49
+    assert len(exported) == 48
 
 
 def _valid_scenario():
@@ -712,6 +716,31 @@ def test_rate_with_too_few_samples_exits_3_without_outputs(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_rate_from_a_consensus_start_writes_strict_json(tmp_path, capsys):
+    # the noise drives the error up from e(t0) = 0, where beta has no value
+    data = json.loads((SCENARIOS / "robust_noise.json").read_text())
+    data["tasks"] = [{"task": "simulate", "t_end": 20.0, "sample_dt": 0.05}, {"task": "rate"}]
+    scn = tmp_path / "consensus_start.json"
+    scn.write_text(json.dumps(data))
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 0
+    rate = json.loads((tmp_path / "out" / "rate.json").read_text(), parse_constant=_reject_constant)
+    assert rate["beta"] is None and rate["converged"]
+
+
+def test_non_finite_report_value_exits_3_without_outputs(tmp_path, monkeypatch, capsys):
+    fit = cli_module.analysis.fit_exponential_rate
+    monkeypatch.setattr(cli_module.analysis, "fit_exponential_rate",
+                        lambda *args, **kw: fit(*args, **kw)._replace(beta=float("nan")))
+    code, _ = run_scenario("k2_constant", tmp_path, out_name="nested/out")
+    assert code == 3
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json"]
+
+
 def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, capsys):
     code, out = run_scenario("k2_constant", tmp_path)
     assert code == 0
@@ -932,7 +961,8 @@ def test_list_tasks_cli(capsys):
 
 # the keys of each JSON report; the records' field names reach them unchanged
 REPORT_KEYS = {
-    "bounds.json": {"delta", "alpha1", "alpha2", "observable", "worst_window_start"},
+    "bounds.json": {"delta", "alpha1", "alpha2", "observable", "worst_window_start",
+                    "gramian_floor", "certified_rate"},
     "certificate.json": {"delta", "T", "verdict", "counterexample_window", "windows"},
     "gramian.json": {"start", "delta", "lambda_min", "lambda_max"},
     "manifest.json": {"scenario", "seed", "tasks", "artifacts"},
@@ -962,6 +992,7 @@ def test_flags_live_in_json_not_exit_code(tmp_path):
     assert rate["alpha"] < 1e-3
     bounds = json.loads((out / "bounds.json").read_text())
     assert not bounds["observable"]
+    assert bounds["gramian_floor"] is None and bounds["certified_rate"] is None
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "not_connected"
     assert cert["counterexample_window"] is not None

@@ -28,6 +28,7 @@ from helpers import (
     isolated_schedule,
     k2_schedule,
     k3_schedule,
+    nla_schedules,
     quarter_grid_cases,
     random_periodic_schedule,
     random_weights,
@@ -250,6 +251,25 @@ class TestUniformBounds:
         assert ub.alpha1 > 0.0
         assert ub.observable
 
+    def test_signed_triangle_certified_rate(self):
+        # alpha1 = 5 * 0.2 and Lambda = 3 at delta = 5; the true rate is 0.2
+        ub = uniform_bounds_check(signed_triangle_symmetric(), 5.0)
+        assert ub.gramian_floor == pytest.approx(1.0 / (1.0 + 15.0 / np.sqrt(2.0)) ** 2, rel=1e-12)
+        assert 0.0 < ub.certified_rate <= 0.2
+        assert ub.certified_rate == pytest.approx(0.001496, abs=5e-7)
+
+    def test_certificate_needs_observability_and_the_assumption(self):
+        indefinite = WeightSchedule([(0.0, 10.0, weights(2, (0, 1, -1.0)))])
+        disconnected = WeightSchedule([(0.0, 10.0, np.zeros((3, 3)))])
+        # observable, as the window integral of the pair is 1, yet its
+        # second segment breaks the Negative-Link Assumption
+        mixed = WeightSchedule([(0.0, 1.0, weights(2, (0, 1, 2.0))),
+                                (1.0, 2.0, weights(2, (0, 1, -1.0)))], periodic=True)
+        for sched, observable in ((indefinite, False), (disconnected, False), (mixed, True)):
+            ub = uniform_bounds_check(sched, 2.0)
+            assert ub.observable == observable
+            assert ub.gramian_floor is None and ub.certified_rate is None
+
     def test_doubling_weights_does_not_decrease_alpha1(self):
         for sched in (k3_schedule(), alternating_schedule()):
             a1 = uniform_bounds_check(sched, 2.0).alpha1
@@ -316,6 +336,58 @@ class TestConnectivityObservabilityEquivalence:
             if (ub.alpha1 > 1e-10) != connected_somewhere:
                 mismatches += 1
         assert mismatches == 0
+
+    def test_observable_iff_monodromy_contracts(self):
+        # the theorem: uniform complete observability over one period holds
+        # exactly when the projected monodromy has spectral radius below 1
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(sched=nla_schedules(periodic=True))
+        def check(sched):
+            period = sched.period
+            monodromy = transition_matrix("projected", sched, 0.0, period).entries
+            rho = np.abs(np.linalg.eigvals(monodromy)).max()
+            assert uniform_bounds_check(sched, period).observable == (rho < 1.0 - 1e-9)
+
+        check()
+
+
+class TestCertifiedRate:
+    def test_floor_bounds_every_window_gramian(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(sched=nla_schedules(), data=st.data())
+        def check(sched, data):
+            span = 2.0 if sched.periodic else 1.0
+            delta = data.draw(st.floats(0.2, span)) * sched.horizon
+            floor = uniform_bounds_check(sched, delta).gramian_floor
+            if floor is None:
+                return
+            last = 2.0 * sched.horizon if sched.periodic else 0.999 * (sched.horizon - delta)
+            for s in data.draw(st.lists(st.floats(0.0, last), min_size=1, max_size=10)):
+                assert floor <= gramian(sched, s, delta).lambda_min
+
+        check()
+
+    def test_certified_rate_is_below_the_floquet_rate(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(sched=nla_schedules(periodic=True), scale=st.floats(0.2, 2.0))
+        def check(sched, scale):
+            rate = uniform_bounds_check(sched, scale * sched.period).certified_rate
+            if rate is None:
+                return
+            monodromy = transition_matrix("projected", sched, 0.0, sched.period).entries
+            rho = np.abs(np.linalg.eigvals(monodromy)).max()
+            assert 0.0 < rate <= -np.log(rho) / sched.period
+
+        check()
 
 
 def signed_psd_weights(rng, n):
