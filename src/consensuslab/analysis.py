@@ -43,8 +43,9 @@ class RateFit(NamedTuple):
 
     ``beta`` is normalized by the initial disagreement e(t0) so that an
     exact single-mode decay fits with beta == 1; it is None when e(t0) is at
-    the error floor.  ``alpha <= 0`` flags a non-decaying trajectory; it is a
-    result, not an error.
+    the error floor.  ``converged`` says that the fit resolved a decay: the
+    log-drop alpha * (t1 - t0) over the fit window exceeds both twice the
+    residual and 1e-9.  A non-decaying trajectory is a result, not an error.
     """
 
     alpha: float
@@ -52,10 +53,7 @@ class RateFit(NamedTuple):
     window: tuple
     residual: float
     sample_count: int
-
-    @property
-    def converged(self):
-        return self.alpha > 0.0
+    converged: bool
 
 
 def _fit_mask(t, rows, skip_time, fit_dt):
@@ -105,12 +103,14 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     residual = float(np.sqrt(np.mean((log_e - (slope * tt + intercept)) ** 2)))
     e0 = float(e[0])
     beta = float(np.exp(intercept) / e0) if e0 > floor else None
+    alpha, window = float(-slope), (float(t[tail[0]]), float(t[tail[-1]]))
     return RateFit(
-        alpha=float(-slope),
+        alpha=alpha,
         beta=beta,
-        window=(float(t[tail[0]]), float(t[tail[-1]])),
+        window=window,
         residual=residual,
         sample_count=int(tail.size),
+        converged=alpha * (window[1] - window[0]) > max(2.0 * residual, 1e-9),
     )
 
 

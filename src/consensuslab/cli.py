@@ -249,7 +249,7 @@ class Scenario:
                     _fail(f"task '{name}': {exc}")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
-            if sim_grid is None and (name == "reconstruct" or params.get("fit_dt") is not None):
+            if sim_grid is None and name in ("reconstruct", "rate"):
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
                 outside = (f"task 'reconstruct': window [{params['start']}, {end}] is not "
@@ -262,18 +262,15 @@ class Scenario:
                 except ConfigurationError as exc:
                     # the grid decides the upper end, which may round an ulp past t_end
                     _fail(outside if end > sim_end else f"task 'reconstruct': {exc}")
-            if name == "rate" and params["skip_time"] >= sim_end:
-                _fail(f"task 'rate': skip_time {params['skip_time']} is not before the "
-                      f"simulated t_end {sim_end}")
-            if name == "rate" and params["fit_dt"] is not None:
-                # the fit reads the samples of the run on the multiples of
-                # fit_dt, so count them on the grid the run will sample
-                skip, fit_dt = float(params["skip_time"]), float(params["fit_dt"])
+            if name == "rate":
+                # the fit reads the samples of the run from skip_time on (on the
+                # multiples of fit_dt, given one), so count them on the grid the run samples
+                skip, fit_dt = float(params["skip_time"]), params["fit_dt"]
                 if np.count_nonzero(analysis._fit_mask(sim_grid, slice(None), skip, fit_dt)) < 2:
-                    _fail(f"task 'rate': fewer than two multiples of fit_dt {fit_dt} lie in "
-                          f"[skip_time {skip}, t_end {sim_end}] on the simulated sample grid "
-                          f"(multiples of sample_dt {sim_dt}, segment boundaries and t_end); "
-                          "the fit needs two")
+                    what = "samples" if fit_dt is None else f"multiples of fit_dt {float(fit_dt)}"
+                    _fail(f"task 'rate': fewer than two {what} lie in [skip_time {skip}, t_end "
+                          f"{sim_end}] on the simulated sample grid (multiples of sample_dt "
+                          f"{sim_dt}, segment boundaries and t_end); the fit needs two")
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
@@ -416,21 +413,22 @@ class _Runner:
             self.trace = observability.edge_signals(self.trajectory, sc.schedule)
         estimate = observability.reconstruct(self.trace, sc.schedule, start, delta, cond_tol=cond_tol)
         gram = observability.gramian(sc.schedule, start, delta)
+        # the truth y(s) = x(s) - mean(x(s)), on the row where the coverage rule starts
+        row = observability._window_nodes(self.trajectory.sample_times, sc.schedule, start,
+                                          delta)[0][3]
+        truth = dynamics.project(self.trajectory.states[row])
         report = {
             "s": start,
             "delta": delta,
             "lambda_min": gram.lambda_min,
             "estimate": estimate,
+            "error_vs_truth": float(np.linalg.norm(estimate - truth)),
         }
-        idx = self.trajectory.index_at(start)
-        if idx is not None:
-            truth = self.trajectory.states[idx] - self.trajectory.initial_average
-            report["error_vs_truth"] = float(np.linalg.norm(estimate - truth))
         return {"edge_signals.csv": self.trace, "reconstruction.json": report}
 
     def task_rate(self, skip_time, fit_dt):
         fit = analysis.fit_exponential_rate(self.trajectory, skip_time=skip_time, fit_dt=fit_dt)
-        return {"rate.json": {**fit._asdict(), "converged": fit.converged}}
+        return {"rate.json": fit._asdict()}
 
     def task_robustness(self, t_end, sample_dt):
         sc = self.scenario
