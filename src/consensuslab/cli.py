@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, graph, observability
-from .errors import ConfigurationError, ConsensusLabError, HorizonError, ScenarioError
+from .errors import ConfigurationError, ConsensusLabError
 
 # still accepted on connectivity and bounds, so that older scenarios validate
 STRIDE_DOC = "ignored: the window starts follow from the schedule"
@@ -96,7 +96,7 @@ def _task_end(name, params):
 
 
 def _fail(msg):
-    raise ScenarioError(msg)
+    raise ConfigurationError(msg)
 
 
 def _refuse_unknown(spec, known, what):
@@ -173,7 +173,7 @@ class Scenario:
                 _fail(f"schedule file not found: {path}")
             return graph.load_schedule(path)
         except (ConsensusLabError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"invalid schedule: {exc}") from exc
+            raise ConfigurationError(f"invalid schedule: {exc}") from exc
 
     def _seed_child(self, index):
         if self.seed is None:
@@ -245,7 +245,7 @@ class Scenario:
                     self.schedule.segment_index_at(end)
                     if name in ("simulate", "robustness"):
                         dynamics._step_count(end, params["sample_dt"])
-                except (ConfigurationError, HorizonError) as exc:
+                except ConfigurationError as exc:
                     _fail(f"task '{name}': {exc}")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
@@ -442,12 +442,12 @@ class _Runner:
 def load_scenario(path):
     path = Path(path)
     if not path.is_file():
-        raise ScenarioError(f"scenario file not found: {path}")
+        raise ConfigurationError(f"scenario file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"scenario is not valid UTF-8 JSON: {exc}") from exc
+        raise ConfigurationError(f"scenario is not valid UTF-8 JSON: {exc}") from exc
     return Scenario(data, path.parent)
 
 
@@ -455,7 +455,8 @@ def _resolve_output_dir(scenario, flag_value):
     out = Path(flag_value or scenario.base_dir / scenario.output_dir)
     for path in (out, *out.parents):  # os.path, which takes a name too long as absent
         if os.path.exists(path) and not os.path.isdir(path):
-            raise ScenarioError(f"output directory {out}: {path} exists and is not a directory")
+            raise ConfigurationError(
+                f"output directory {out}: {path} exists and is not a directory")
     return out
 
 
@@ -511,15 +512,11 @@ def main(argv=None):
             # the scenario validated, so a failed domain check is a math error
             raise ConsensusLabError(str(exc)) from exc
         except OSError as exc:
-            raise ScenarioError(f"output directory {out}: {exc.strerror or exc}") from exc
+            raise ConfigurationError(f"output directory {out}: {exc.strerror or exc}") from exc
         return 0
-    except ScenarioError as exc:
+    except ConfigurationError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except ConsensusLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

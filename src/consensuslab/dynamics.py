@@ -353,24 +353,21 @@ def _carry(sched, pieces, grid, x, noise):
     # around a skipped sliver of a segment holds no unwritten row
     end_rows = np.searchsorted(grid, [tb for _, tb, _ in pieces], side="right").tolist()
     start_rows = [1] + end_rows[:-1]
-    if noise is not None:
-        breaks, rows = noise.breakpoints, noise.values
-        # breakpoints strictly inside each piece, and the noise row at its start
-        first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right").tolist()
-        last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left").tolist()
-        break_rows = np.searchsorted(grid, breaks, side="right").tolist()
+    breaks = np.empty(0) if noise is None else noise.breakpoints
+    # breakpoints strictly inside each piece, and the noise row at its start
+    first = np.searchsorted(breaks, [ta for ta, _, _ in pieces], side="right").tolist()
+    last = np.searchsorted(breaks, [tb for _, tb, _ in pieces], side="left").tolist()
+    break_rows = np.searchsorted(grid, breaks, side="right").tolist()
+    breaks = breaks.tolist()
     for p, (ta, tb, k) in enumerate(pieces):
         lam, q = sched.spectrum(k)
         c = q.T @ x
-        if noise is None:
-            cuts, bounds = (ta, tb), (start_rows[p], end_rows[p])
-        else:
-            cuts = [ta, *breaks[first[p]:last[p]].tolist(), tb]
-            bounds = [start_rows[p], *break_rows[first[p]:last[p]], end_rows[p]]
+        cuts = [ta, *breaks[first[p]:last[p]], tb]
+        bounds = [start_rows[p], *break_rows[first[p]:last[p]], end_rows[p]]
         for i in range(len(cuts) - 1):
             u0, h = cuts[i], cuts[i + 1] - cuts[i]
             if noise is not None:
-                qw = q.T @ rows[min(max(first[p] - 1 + i, 0), rows.shape[0] - 1)]
+                qw = q.T @ noise.values[min(max(first[p] - 1 + i, 0), len(noise.values) - 1)]
             if bounds[i] < bounds[i + 1]:
                 spans.append((bounds[i], bounds[i + 1], k, u0))
                 coords.append(c)

@@ -5,12 +5,9 @@ class ConsensusLabError(Exception):
     """Base class for every error raised by consensuslab."""
 
 
-class InvalidSnapshotError(ConsensusLabError):
-    """Weight matrix is not exactly symmetric with a zero diagonal."""
-
-
-class SignedGraphError(ConsensusLabError):
-    """An operation defined for nonnegative weights received a negative edge."""
+class ConfigurationError(ConsensusLabError):
+    """Bad input: weight matrices, times past a horizon, grids, edge orders,
+    noise windows, scenario fields (CLI exit code 2)."""
 
 
 class NegativeLinkError(ConsensusLabError):
@@ -25,21 +22,9 @@ class NegativeLinkError(ConsensusLabError):
         self.segment = segment
 
 
-class HorizonError(ConsensusLabError):
-    """Requested time window leaves the horizon of a non-periodic schedule."""
-
-
-class ConfigurationError(ConsensusLabError):
-    """Inconsistent inputs: grids, edge orders, noise windows, file fields."""
-
-
 class UnobservableWindowError(ConsensusLabError):
     """Observability Gramian is numerically singular on the window."""
 
     def __init__(self, message, lambda_min=None):
         super().__init__(message)
         self.lambda_min = lambda_min
-
-
-class ScenarioError(ConsensusLabError):
-    """Scenario file failed schema validation (CLI exit code 2)."""

@@ -15,13 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    HorizonError,
-    InvalidSnapshotError,
-    NegativeLinkError,
-    SignedGraphError,
-)
+from .errors import ConfigurationError, NegativeLinkError
 
 __all__ = [
     "WeightSchedule",
@@ -58,14 +52,14 @@ def _checked_weights(weights):
     """
     w = np.array(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InvalidSnapshotError(f"weight matrix must be square, got shape {w.shape}")
+        raise ConfigurationError(f"weight matrix must be square, got shape {w.shape}")
     # finiteness first: NaN != NaN would otherwise read as asymmetry
     if not np.all(np.isfinite(w)):
-        raise InvalidSnapshotError("weights must be finite")
+        raise ConfigurationError("weights must be finite")
     if not np.array_equal(w, w.T):
-        raise InvalidSnapshotError("weight matrix must be exactly symmetric")
+        raise ConfigurationError("weight matrix must be exactly symmetric")
     if np.any(np.diag(w) != 0.0):
-        raise InvalidSnapshotError("weight matrix must have a zero diagonal")
+        raise ConfigurationError("weight matrix must have a zero diagonal")
     w.setflags(write=False)
     return w
 
@@ -112,7 +106,7 @@ def incidence(w):
     """Build the weighted incidence matrix H of a nonnegative weight matrix."""
     w = _checked_weights(w)
     if np.any(w < 0.0):
-        raise SignedGraphError("incidence factorization needs nonnegative weights")
+        raise ConfigurationError("incidence factorization needs nonnegative weights")
     return IncidenceMatrix(entries=_factor_incidence(w)[0], edge_order=tuple(edge_pairs(len(w))))
 
 
@@ -224,13 +218,13 @@ class WeightSchedule:
         if not math.isfinite(t):
             raise ValueError(f"time {t} is not finite")
         if t < 0.0:
-            raise HorizonError(f"time {t} is before the schedule start")
+            raise ConfigurationError(f"time {t} is before the schedule start")
         if self.periodic:
             _, tau = divmod(t, self.period)
             return self._local_index(tau)
         tol = 1e-9 * max(1.0, self.horizon)
         if t > self.horizon + tol:
-            raise HorizonError(f"time {t} exceeds the horizon {self.horizon}")
+            raise ConfigurationError(f"time {t} exceeds the horizon {self.horizon}")
         return self._local_index(min(t, self.horizon))
 
     def pieces(self, t0, t1):
@@ -249,12 +243,12 @@ class WeightSchedule:
         if t1 - t0 <= tiny:
             return []
         if t0 < -tiny:
-            raise HorizonError(f"window start {t0} is before the schedule start")
+            raise ConfigurationError(f"window start {t0} is before the schedule start")
         t0 = max(t0, 0.0)
         if not self.periodic:
             tol = 1e-9 * max(1.0, self.horizon)
             if t1 > self.horizon + tol:
-                raise HorizonError(
+                raise ConfigurationError(
                     f"window [{t0}, {t1}] leaves the horizon {self.horizon} of a non-periodic schedule"
                 )
             # t0 <= t1 <= horizon: the walk below stops at the horizon, never wrapping
@@ -329,7 +323,8 @@ def window_starts(sched, window_length):
     if sched.periodic:
         vals = [v % sched.period if v % sched.period < sched.period - tol else 0.0 for v in vals]
     elif sched.horizon - window_length < -tol:
-        raise HorizonError(f"window length {window_length} exceeds the horizon {sched.horizon}")
+        raise ConfigurationError(
+            f"window length {window_length} exceeds the horizon {sched.horizon}")
     else:
         vals = [min(max(v, 0.0), max(sched.horizon - window_length, 0.0)) for v in vals]
     out = []  # sorted, each at least tol above the previous

@@ -145,15 +145,16 @@ def quarter_grid_cases():
     return cases()
 
 
-def nla_schedules(periodic=None):
+def nla_schedules(periodic=None, signed=True):
     """Hypothesis strategy of schedules that meet the Negative-Link
     Assumption: 2-5 nodes, 1-4 segments lasting 0.2-1.5, periodic or not
     as ``periodic`` says (drawn when None), every weight 0 or in [0.1, 2].
 
-    On about a third of the segments one absent edge inside a component of
-    the positive graph gets the weight -u / R_eff, u in [0.1, 0.8] and
-    R_eff the pair's effective resistance there.  Then L >= (1 - u) L+, so
-    L is PSD with the null space of L+, and no verdict sits at a tolerance.
+    When ``signed``, on about a third of the segments one absent edge
+    inside a component of the positive graph gets the weight -u / R_eff,
+    u in [0.1, 0.8] and R_eff the pair's effective resistance there.  Then
+    L >= (1 - u) L+, so L is PSD with the null space of L+, and no verdict
+    sits at a tolerance.
     """
     from hypothesis import strategies as st
 
@@ -169,7 +170,7 @@ def nla_schedules(periodic=None):
                 w[i, j] = w[j, i] = draw(weight)
             reach = np.linalg.matrix_power((w > 0.0) + np.eye(n), n) > 0.0
             free = [(i, j) for i, j in edge_pairs(n) if w[i, j] == 0.0 and reach[i, j]]
-            if free and draw(st.integers(0, 2)) == 0:
+            if signed and free and draw(st.integers(0, 2)) == 0:
                 i, j = draw(st.sampled_from(free))
                 b = np.zeros(n)
                 b[i], b[j] = 1.0, -1.0

@@ -13,7 +13,7 @@ import consensuslab
 import consensuslab.cli as cli_module
 from consensuslab import edge_signals, project, reconstruct, schedule_from_dict, simulate
 from consensuslab.cli import list_tasks, load_scenario, main
-from consensuslab.errors import ConfigurationError, ScenarioError
+from consensuslab.errors import ConfigurationError
 from consensuslab.observability import _window_nodes
 from helpers import check_certificate
 
@@ -99,7 +99,7 @@ def test_package_exports_exactly_the_submodule_names():
     expected |= {name for name, value in vars(errors).items()
                  if isinstance(value, type) and issubclass(value, Exception)}
     assert exported == expected
-    assert len(exported) == 48
+    assert len(exported) == 44
 
 
 def _valid_scenario():
@@ -685,6 +685,31 @@ def _agreement_case(rng):
     return data
 
 
+# the exit-3 messages of a validated run that the README names: the fit's
+# error floor and its window, the Negative-Link Assumption and cond_tol
+_DOMAIN_REFUSALS = ("need at least 10 samples above the error floor", "fit window is empty",
+                    "Negative-Link Assumption violated", "at or below cond_tol")
+
+
+def _validate_then_run(scn, data, capsys, refusals):
+    """Validate and run a generated scenario that writes into ``out`` beside
+    ``scn``, and check that they agree: validate 2 means run 2 with the same
+    message, validate 0 means run 0 or run 3 with one of ``refusals``, and a
+    failed run writes nothing.  Returns run's exit code and its stderr."""
+    scn.write_text(json.dumps(data))
+    valid = main(["validate", str(scn)])
+    refusal = capsys.readouterr().err
+    code = main(["run", str(scn)])
+    err = capsys.readouterr().err
+    if valid == 2:
+        assert code == 2 and err == refusal, (data, err)
+    else:
+        assert valid == 0 and (code == 0 or code == 3 and any(m in err for m in refusals)), \
+            (data, err)
+    assert (scn.parent / "out").exists() == (code == 0), (data, err)
+    return code, err
+
+
 def test_validate_agrees_with_run_on_reconstruct_and_rate(tmp_path, capsys):
     # validate 0: run exits 0 and reports error_vs_truth, or exits 3 from a fit
     # that the README names (too few samples above the floor or in its tail);
@@ -693,26 +718,104 @@ def test_validate_agrees_with_run_on_reconstruct_and_rate(tmp_path, capsys):
     scn, out = tmp_path / "case.json", tmp_path / "out"
     seen = {"reconstruct": 0, "rate": 0, "ran": 0}
     for case in range(200):
-        data = _agreement_case(rng)
-        scn.write_text(json.dumps(data))
-        valid = main(["validate", str(scn)])
-        refusal = capsys.readouterr().err
-        code = main(["run", str(scn)])
-        err = capsys.readouterr().err
-        if valid == 2:
-            assert code == 2 and err == refusal and not out.exists(), (case, data, err)
+        code, err = _validate_then_run(scn, _agreement_case(rng), capsys, _DOMAIN_REFUSALS[:2])
+        if code == 2:
             seen["rate" if "task 'rate'" in err else "reconstruct"] += 1
-            continue
-        assert valid == 0 and code in (0, 3), (case, data, err)
-        if code == 3:
-            assert ("need at least 10 samples above the error floor" in err
-                    or "fit window is empty" in err), (case, data, err)
-            assert not out.exists(), case
-            continue
-        assert "error_vs_truth" in json.loads((out / "reconstruction.json").read_text()), case
-        seen["ran"] += 1
-        shutil.rmtree(out)
+        elif code == 0:
+            assert "error_vs_truth" in json.loads((out / "reconstruction.json").read_text()), case
+            seen["ran"] += 1
+            shutil.rmtree(out)
     assert min(seen.values()) >= 20, seen
+
+
+def _near(rng, t, scale):
+    """t, an ulp either side of it, or 1e-10 * scale either side of it."""
+    return float(rng.choice([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                             t + 1e-10 * scale, t - 1e-10 * scale]))
+
+
+def _every_kind_case(rng):
+    """A 2-4-node schedule, periodic or not, of 1-4 segments (one a 1e-7
+    sliver in about a fifth of the cases) over a period of 0.25 or more,
+    about a tenth of its edges negative; a simulate task, then each other
+    task kind with probability 0.6 in random order, each end at a multiple
+    of the horizon or near one (``_near``) and each window start at 0,
+    +-1e-13 or -1e-9; and no noise, windowed-random noise (margin 0 or 0.3)
+    or table noise."""
+    n = int(rng.integers(2, 5))
+    lengths = rng.uniform(0.05, 1.5, int(rng.integers(1, 5)))
+    if rng.random() < 0.2:
+        lengths[rng.integers(lengths.size)] = 1e-7
+    lengths *= max(1.0, 0.25 / lengths.sum())
+    cuts = np.concatenate(([0.0], np.cumsum(lengths))).tolist()
+    horizon, periodic = cuts[-1], bool(rng.random() < 0.5)
+    segments = [{"t0": t0, "t1": t1, "edges": [
+        {"i": i, "j": j, "w": float(rng.uniform(0.2, 2.0) * (-0.5 if rng.random() < 0.1 else 1.0))}
+        for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.6]}
+        for t0, t1 in zip(cuts[:-1], cuts[1:])]
+
+    def end():
+        return _near(rng, horizon * (int(rng.integers(1, 4)) if periodic else 1), horizon)
+
+    def start():
+        return float(rng.choice([0.0, 0.0, 0.0, 1e-13, 1e-13, -1e-13, -1e-9]))
+
+    t_end = end()
+    dt = float(rng.choice([horizon / rng.integers(4, 40), rng.uniform(0.01, 0.1)]))
+    noise = ("none", "windowed-random", "table")[rng.integers(3)]
+    tasks = [{"task": "simulate", "t_end": t_end, "sample_dt": dt}]
+    for kind in rng.permutation(["connectivity", "bounds", "gramian", "reconstruct", "rate",
+                                 "robustness"]).tolist():
+        s = start()
+        if rng.random() < 0.4 or kind == "robustness" and noise == "none" and rng.random() < 0.9:
+            continue
+        task = {"connectivity": {"delta": float(rng.uniform(0.01, 0.5)), "T": end()},
+                "bounds": {"delta": end()},
+                "gramian": {"start": s, "delta": end() - s},
+                "rate": {"skip_time": float(rng.choice([0.0, rng.uniform(0.0, t_end / 2)]))},
+                "robustness": {"t_end": end(), "sample_dt": dt}}.get(kind, {})
+        if kind == "reconstruct":
+            s = s if rng.random() < 0.5 else dt * int(rng.integers(0, 4))
+            task = {"start": s, "delta": _near(rng, t_end, horizon) - s}
+            if rng.random() < 0.5:
+                task["cond_tol"] = 1e-300
+        if kind == "rate" and rng.random() < 0.5:
+            task["fit_dt"] = float(rng.choice([horizon, dt * int(rng.integers(1, 4))]))
+        tasks.append({"task": kind, **task})
+    data = {"schedule": {"nodes": n, "periodic": periodic, "segments": segments},
+            "initial_state": rng.uniform(-1.0, 1.0, n).tolist(), "seed": int(rng.integers(1000)),
+            "output_dir": "out", "tasks": tasks}
+    if noise == "windowed-random":
+        data["noise"] = {"kind": noise, "zeta": float(rng.uniform(0.1, 1.0)),
+                         "B0": float(rng.uniform(0.1, 2.0)), "margin": float(rng.choice([0.0, 0.3]))}
+    elif noise == "table":
+        # over the latest t_end, 1e-10 of it past that or 1.2 times it; B0 the
+        # whole table's energy, or a bound that some window breaks
+        span = max(t["t_end"] for t in tasks if "t_end" in t) * rng.choice([1.0, 1.0 + 1e-10, 1.2])
+        breaks = np.linspace(0.0, span, int(rng.integers(2, 12)))
+        values = rng.uniform(-1.0, 1.0, (breaks.size - 1, n))
+        energy = float(np.diff(breaks) @ np.sum(values ** 2, axis=1))
+        data["noise"] = {"kind": noise, "zeta": float(rng.uniform(0.1, 1.0)),
+                         "B0": energy * float(rng.choice([1.0, 1.0, 1.0, 0.3])),
+                         "breakpoints": breaks.tolist(), "values": values.tolist()}
+    return data
+
+
+def test_validate_agrees_with_run_on_every_task_kind(tmp_path, capsys):
+    # the property of the test above, over every task kind, signed schedules,
+    # noise, and ends and window starts within ulps of their boundaries
+    rng = np.random.default_rng(1)
+    scn, out = tmp_path / "case.json", tmp_path / "out"
+    reached = dict.fromkeys(cli_module.TASKS, 0)
+    for case in range(200):
+        data = _every_kind_case(rng)
+        if _validate_then_run(scn, data, capsys, _DOMAIN_REFUSALS)[0] == 0:
+            for task in data["tasks"]:
+                reached[task["task"]] += 1
+            if (out / "reconstruction.json").exists():
+                assert "error_vs_truth" in json.loads((out / "reconstruction.json").read_text())
+            shutil.rmtree(out)
+    assert min(reached.values()) >= 20, reached
 
 
 def test_zero_noise_robustness_report(tmp_path):
@@ -835,6 +938,20 @@ def test_non_finite_report_value_exits_3_without_outputs(tmp_path, monkeypatch, 
     code, _ = run_scenario("k2_constant", tmp_path, out_name="nested/out")
     assert code == 3
     assert "not JSON compliant" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json"]
+
+
+def test_bad_input_found_by_a_task_exits_2_without_outputs(tmp_path, monkeypatch, capsys):
+    # the exit code follows the class: a ConfigurationError is a bad input
+    # (2) even where a task of the run, not validate, raises it
+    def refuse(*args, **kw):
+        raise ConfigurationError("trace does not cover the window")
+
+    monkeypatch.setattr(cli_module.analysis, "fit_exponential_rate", refuse)
+    code, _ = run_scenario("k2_constant", tmp_path, out_name="nested/out")
+    assert code == 2
+    assert capsys.readouterr().err == "scenario error: trace does not cover the window\n"
+    # no output directory, no parent made for it and no .partial-* sibling
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json"]
 
 
@@ -1043,7 +1160,7 @@ def test_list_tasks_text():
         assert name + ":" in text
     single = list_tasks("simulate")
     assert "t_end (required)" in single
-    with pytest.raises(ScenarioError, match="did you mean"):
+    with pytest.raises(ConfigurationError, match="did you mean"):
         list_tasks("gramian2")
 
 

@@ -1,9 +1,10 @@
 """Cost gates: operation counts, not timings, so that a kernel whose work
 grows faster than its input fails here whatever the host's speed.
 
-The count is the rows that ``WeightSchedule.pieces`` returns, taken by
-wrapping the method where its callers look it up, as the benchmark's
-tracer does.
+Each count wraps a function where its callers look it up, as the
+benchmark's tracer does: the rows that ``WeightSchedule.pieces`` returns,
+the ``np.linalg.eigh`` calls (one per spectrum cache miss), the rows that
+``_csvtext.write_rows`` writes and the ``integrated_weights`` calls.
 """
 
 import numpy as np
@@ -11,27 +12,34 @@ import pytest
 
 from consensuslab import (
     WeightSchedule,
+    _csvtext,
     check_joint_connectivity,
     edge_signals,
+    graph,
     simulate,
     uniform_bounds_check,
 )
 
 
 @pytest.fixture
-def piece_rows(monkeypatch):
-    """A one-item list holding the rows that ``pieces`` has returned since
-    the last reset."""
-    rows = [0]
-    pieces = WeightSchedule.pieces
+def counter(monkeypatch):
+    """``counter(owner, name, size)`` wraps ``owner.name`` and returns a
+    one-item list holding the sum of ``size(args, result)`` over its calls
+    since then (one per call by default)."""
 
-    def counted(self, t0, t1):
-        out = pieces(self, t0, t1)
-        rows[0] += len(out)
-        return out
+    def wrap(owner, name, size=lambda args, out: 1):
+        total = [0]
+        inner = getattr(owner, name)
 
-    monkeypatch.setattr(WeightSchedule, "pieces", counted)
-    return rows
+        def counted(*args, **kw):
+            out = inner(*args, **kw)
+            total[0] += size(args, out)
+            return out
+
+        monkeypatch.setattr(owner, name, counted)
+        return total
+
+    return wrap
 
 
 def _unit_segments(count, n=6, seed=0):
@@ -46,23 +54,48 @@ def _unit_segments(count, n=6, seed=0):
 
 
 @pytest.mark.parametrize("count", [50, 100, 200, 400])
-def test_simulate_and_edge_signals_visit_each_segment_twice(piece_rows, count):
+def test_simulate_and_edge_signals_visit_each_segment_twice(counter, count):
     # linear: one piece per segment in each of the two kernels
     sched = _unit_segments(count)
+    rows = counter(WeightSchedule, "pieces", lambda args, out: len(out))
     traj = simulate(sched, np.arange(6.0), float(count), 0.25)
     edge_signals(traj, sched)
-    assert piece_rows[0] == 2 * count
+    assert rows[0] == 2 * count
+
+
+@pytest.mark.parametrize("count", [50, 100, 200, 400])
+def test_simulate_decomposes_each_segment_once(counter, count):
+    # a fresh schedule caches no spectrum, so each segment costs one eigh
+    sched = _unit_segments(count)
+    calls = counter(np.linalg, "eigh")
+    simulate(sched, np.arange(6.0), float(count), 0.25)
+    assert calls[0] == count
+
+
+@pytest.mark.parametrize("count", [50, 100, 200, 400])
+def test_csv_rows_are_the_samples_and_the_trace_rows(counter, tmp_path, count):
+    # 4 S + 1 samples at sample_dt 0.25, and 5 trace rows on each segment
+    # piece: its 4 steps with both ends
+    sched = _unit_segments(count)
+    rows = counter(_csvtext, "write_rows", lambda args, out: len(args[1]))
+    traj = simulate(sched, np.arange(6.0), float(count), 0.25)
+    traj.write_csv(tmp_path / "trajectory.csv")
+    edge_signals(traj, sched).write_csv(tmp_path / "edge_signals.csv")
+    assert rows[0] == (4 * count + 1) + 5 * count == 9 * count + 1
 
 
 @pytest.mark.parametrize("m,rows", [(10, 3910), (160, 38560)])
-def test_window_scans_visit_the_pieces_of_every_kink(piece_rows, m, rows):
+def test_window_scans_visit_the_pieces_of_every_kink(counter, m, rows):
     # the one quadratic count, held as an exemption: on S unit segments each
     # of the S + 1 - m window starts integrates its m pieces, (S + 1 - m) m
-    # rows, while the kinks fit in one block.  One prefix table per schedule
-    # would make it linear in S.
+    # rows in S + 1 - m integrated_weights calls (391 and 241 here), while
+    # the kinks fit in one block.  One prefix table per schedule would make
+    # the rows linear in S.
     sched = _unit_segments(400)
-    uniform_bounds_check(sched, float(m))
-    assert piece_rows[0] == (401 - m) * m == rows
-    piece_rows[0] = 0
-    check_joint_connectivity(sched, 0.5, float(m))
-    assert piece_rows[0] == rows
+    for scan in (lambda: uniform_bounds_check(sched, float(m)),
+                 lambda: check_joint_connectivity(sched, 0.5, float(m))):
+        pieces = counter(WeightSchedule, "pieces", lambda args, out: len(out))
+        integrals = counter(graph, "integrated_weights")
+        scan()
+        assert pieces[0] == (401 - m) * m == rows
+        assert integrals[0] == 401 - m

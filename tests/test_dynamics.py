@@ -144,9 +144,7 @@ class TestTransitionMatrix:
         assert np.abs(phi @ proj - phi).max() < 1e-9
 
     def test_window_outside_horizon(self):
-        from consensuslab import HorizonError
-
-        with pytest.raises(HorizonError):
+        with pytest.raises(ConfigurationError):
             transition_matrix("raw", k2_schedule(horizon=5.0), 2.0, 7.0)
 
     def test_projector_commutes_with_laplacian(self):

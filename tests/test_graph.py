@@ -3,10 +3,7 @@ import pytest
 
 from consensuslab import (
     ConfigurationError,
-    HorizonError,
-    InvalidSnapshotError,
     NoiseProcess,
-    SignedGraphError,
     WeightSchedule,
     WindowEvidence,
     check_joint_connectivity,
@@ -62,11 +59,11 @@ class TestLaplacian:
         assert np.allclose(eigs, [0.0, 0.2, 3.0], atol=1e-12)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidSnapshotError):
+        with pytest.raises(ConfigurationError):
             laplacian([[0.0, 1.0], [0.5, 0.0]])
 
     def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(InvalidSnapshotError):
+        with pytest.raises(ConfigurationError):
             laplacian([[1.0, 1.0], [1.0, 0.0]])
 
 
@@ -91,7 +88,7 @@ class TestIncidence:
         assert np.abs(h.entries @ h.entries.T - laplacian(w)).max() < 1e-15
 
     def test_negative_weight_redirects(self):
-        with pytest.raises(SignedGraphError, match="nonnegative weights"):
+        with pytest.raises(ConfigurationError, match="nonnegative weights"):
             incidence(weights(2, (0, 1, -1.0)))
 
     def test_factorization_and_connectivity_on_random_graphs(self):
@@ -136,7 +133,7 @@ class TestIntegration:
             assert np.abs(lhs - rhs).max() < 1e-12 * 3 * (t1 + t2)
 
     def test_window_beyond_horizon(self):
-        with pytest.raises(HorizonError):
+        with pytest.raises(ConfigurationError):
             integrated_weights(k2_schedule(horizon=5.0), 4.0, 2.0)
 
 
@@ -236,7 +233,7 @@ class TestJointConnectivity:
         check()
 
     def test_window_longer_than_horizon(self):
-        with pytest.raises(HorizonError):
+        with pytest.raises(ConfigurationError):
             check_joint_connectivity(k2_schedule(horizon=5.0), 0.1, 6.0)
 
 
@@ -301,9 +298,9 @@ class TestWeightSchedule:
             for _ in range(20):
                 t0, t1 = sorted(rng.choice(points, 2))
                 assert sched.pieces(t0, t1) == twin.pieces(t0, t1)
-            with pytest.raises(HorizonError):
+            with pytest.raises(ConfigurationError):
                 sched.pieces(rng.uniform(0.0, h), h + 1e-6 * max(1.0, h))
-            with pytest.raises(HorizonError):
+            with pytest.raises(ConfigurationError):
                 sched.pieces(h + 1.0, h + 2.0)
 
     def test_incidence_is_cached_and_read_only(self):

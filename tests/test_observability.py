@@ -11,6 +11,7 @@ from consensuslab import (
     edge_signals,
     gramian,
     incidence,
+    integrated_weights,
     laplacian,
     negative_link_assumption_holds,
     read_edge_signals_csv,
@@ -35,6 +36,7 @@ from helpers import (
     reference_uniform_bounds,
     signed_triangle_adversarial,
     signed_triangle_symmetric,
+    union_find_connected,
     weights,
 )
 
@@ -162,9 +164,7 @@ class TestGramian:
         assert np.abs(g.entries - w_oracle).max() < 1e-7
 
     def test_window_outside_horizon(self):
-        from consensuslab import HorizonError
-
-        with pytest.raises(HorizonError):
+        with pytest.raises(ConfigurationError):
             gramian(k2_schedule(horizon=5.0), 3.0, 4.0)
 
     def test_negative_link_violation_raises(self):
@@ -352,6 +352,35 @@ class TestConnectivityObservabilityEquivalence:
             assert uniform_bounds_check(sched, period).observable == (rho < 1.0 - 1e-9)
 
         check()
+
+    def test_nonnegative_verdicts_agree_with_connectivity(self):
+        # on nonnegative periodic schedules two graph verdicts join the two
+        # above: the union graph of the edges with a positive integral over a
+        # period, and the (delta, P) certificate with delta half the smallest
+        # such integral (at the integral itself a window's interpolated
+        # integral can land an ulp under delta)
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+
+        seen = set()
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(sched=nla_schedules(periodic=True, signed=False))
+        def check(sched):
+            period, n = sched.period, sched.node_count
+            monodromy = transition_matrix("projected", sched, 0.0, period).entries
+            integrals = integrated_weights(sched, 0.0, period)
+            positive = integrals[integrals > 0.0]
+            delta = positive.min() / 2.0 if positive.size else 1.0
+            verdicts = {np.abs(np.linalg.eigvals(monodromy)).max() < 1.0 - 1e-9,
+                        uniform_bounds_check(sched, period).observable,
+                        union_find_connected(n, integrals),
+                        check_joint_connectivity(sched, delta, period).connected}
+            assert len(verdicts) == 1
+            seen.update(verdicts)
+
+        check()
+        assert seen == {True, False}
 
 
 class TestCertifiedRate:
