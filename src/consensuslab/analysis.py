@@ -25,8 +25,8 @@ def consensus_error(traj):
     Measured against the running average; for noiseless runs the average is
     conserved, so this equals the error against the initial average.
     """
-    means = traj.states.mean(axis=1, keepdims=True)
-    return np.abs(traj.states - means).max(axis=1)
+    dev = traj.states - traj.states.mean(axis=1, keepdims=True)
+    return np.abs(dev, out=dev).max(axis=1)  # in place: one table-sized temporary
 
 
 def max_state_difference(traj):

@@ -78,19 +78,20 @@ def _grid_tolerance(times):
     return 1e-6 * float(positive.min()) if positive.size else 1e-12
 
 
-def _rows_within(times, ta, tb, tol):
-    """Row range [lo, hi) of the sorted times within tol of [ta, tb]."""
-    lo = int(np.searchsorted(times, ta - tol, side="left"))
-    hi = int(np.searchsorted(times, tb + tol, side="right"))
+def _piece_rows(times, pieces, tol):
+    """Row ranges [lo, hi) of the sorted times within tol of each piece
+    (ta, tb, k), as the lists lo and hi: two searches for the whole list."""
+    lo = np.searchsorted(times, [ta - tol for ta, _, _ in pieces], side="left").tolist()
+    hi = np.searchsorted(times, [tb + tol for _, tb, _ in pieces], side="right").tolist()
     return lo, hi
 
 
 def _trace_rows(sched, times):
     """Rows (lo, hi, k) of the run sampled at ``times`` within the grid
     tolerance of each of its pieces, and the edge-signal trace's times."""
-    tol = _grid_tolerance(times)
-    ranges = [(*_rows_within(times, ta, tb, tol), k)
-              for ta, tb, k in _run_pieces(sched, times[0], times[-1])]
+    pieces = _run_pieces(sched, times[0], times[-1])
+    ranges = [(lo, hi, k) for lo, hi, (_, _, k)
+              in zip(*_piece_rows(times, pieces, _grid_tolerance(times)), pieces)]
     return ranges, np.concatenate([times[lo:hi] for lo, hi, _ in ranges])
 
 
@@ -291,32 +292,25 @@ def _simpson(y, x):
     return weights @ y
 
 
-def _piece_node_rows(times, ta, tb, tol):
-    """Row range [lo, hi) of the trace samples on the piece [ta, tb]."""
-    lo, hi = _rows_within(times, ta, tb, tol)
-    # rows duplicated at a boundary, or at a sliver segment's ends: keep the
-    # right limit at the piece start and the left limit at the piece end
-    while hi - lo >= 2 and times[lo + 1] - times[lo] <= tol:
-        lo += 1
-    while hi - lo >= 2 and times[hi - 1] - times[hi - 2] <= tol:
-        hi -= 1
-    return lo, hi
-
-
 def _window_nodes(times, sched, s, delta):
     """Each segment piece [ta, tb] of the window [s, s + delta] as (ta, tb,
     k, lo, hi, nodes): the rows of a trace sampled at ``times`` that
     reconstruct integrates, and their times with the ends set to ta and tb.
 
     The one coverage rule, also run by ``validate`` on the run's sample
-    grid, which differs from its trace only by the boundary rows that
-    :func:`_piece_node_rows` drops: a piece with fewer than two rows, an
-    end row beyond the tolerance or nodes not strictly increasing raises
-    ConfigurationError."""
+    grid, which differs from its trace only by the boundary rows dropped
+    here: a piece with fewer than two rows, an end row beyond the tolerance
+    or nodes not strictly increasing raises ConfigurationError."""
     tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
+    pieces = sched.pieces(s, s + delta)
     out = []
-    for ta, tb, k in sched.pieces(s, s + delta):
-        lo, hi = _piece_node_rows(times, ta, tb, tol)
+    for lo, hi, (ta, tb, k) in zip(*_piece_rows(times, pieces, tol), pieces):
+        # rows duplicated at a boundary, or at a sliver segment's ends: keep the
+        # right limit at the piece start and the left limit at the piece end
+        while hi - lo >= 2 and times[lo + 1] - times[lo] <= tol:
+            lo += 1
+        while hi - lo >= 2 and times[hi - 1] - times[hi - 2] <= tol:
+            hi -= 1
         nodes = np.concatenate(([ta], times[lo + 1:hi - 1], [tb]))
         if (hi - lo < 2 or abs(times[lo] - ta) > tol or abs(times[hi - 1] - tb) > tol
                 or not np.all(np.diff(nodes) > 0.0)):

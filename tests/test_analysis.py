@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from consensuslab import (
     NoiseProcess,
+    Trajectory,
     WeightSchedule,
     consensus_error,
     fit_exponential_rate,
@@ -39,6 +42,20 @@ class TestConsensusError:
         sched = WeightSchedule([(0.0, 10.0, np.zeros((2, 2)))])
         traj = simulate(sched, [1.0, -1.0], 10.0, 0.5)
         assert np.all(consensus_error(traj) == 1.0)
+
+    def test_holds_one_table_sized_temporary(self):
+        # the deviations from the mean are taken absolute in place
+        rng = np.random.default_rng(3)
+        traj = Trajectory(np.arange(4001) / 20.0, rng.standard_normal((4001, 100)))
+        expected = np.abs(traj.states - traj.states.mean(axis=1, keepdims=True)).max(axis=1)
+        tracemalloc.start()
+        try:
+            e = consensus_error(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(e, expected)
+        assert peak <= 1.25 * traj.states.nbytes, peak / traj.states.nbytes
 
     def test_consensus_start_stays(self):
         traj = simulate(signed_triangle_symmetric(), np.full(3, 1.0), 10.0, 0.1)

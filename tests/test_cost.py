@@ -4,7 +4,8 @@ grows faster than its input fails here whatever the host's speed.
 Each count wraps a function where its callers look it up, as the
 benchmark's tracer does: the rows that ``WeightSchedule.pieces`` returns,
 the ``np.linalg.eigh`` calls (one per spectrum cache miss), the rows that
-``_csvtext.write_rows`` writes and the ``integrated_weights`` calls.
+``_csvtext.write_rows`` writes, the ``integrated_weights`` calls and the
+``np.searchsorted`` calls that find each segment piece's sample rows.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from consensuslab import (
     simulate,
     uniform_bounds_check,
 )
+from consensuslab.observability import _window_nodes
 
 
 @pytest.fixture
@@ -61,6 +63,26 @@ def test_simulate_and_edge_signals_visit_each_segment_twice(counter, count):
     traj = simulate(sched, np.arange(6.0), float(count), 0.25)
     edge_signals(traj, sched)
     assert rows[0] == 2 * count
+
+
+@pytest.mark.parametrize("count", [50, 100, 200, 400])
+def test_edge_signals_find_their_rows_in_two_searches(counter, count):
+    # every piece start in one searchsorted and every piece end in another
+    sched = _unit_segments(count)
+    traj = simulate(sched, np.arange(6.0), float(count), 0.25)
+    calls = counter(np, "searchsorted")
+    edge_signals(traj, sched)
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_window_nodes_find_their_rows_in_two_searches(counter, m):
+    # the coverage rule on a trace's times: m pieces, two searches in all
+    sched = _unit_segments(64)
+    times = edge_signals(simulate(sched, np.arange(6.0), 64.0, 0.25), sched).sample_times
+    calls = counter(np, "searchsorted")
+    assert len(_window_nodes(times, sched, 0.0, float(m))) == m
+    assert calls[0] == 2
 
 
 @pytest.mark.parametrize("count", [50, 100, 200, 400])

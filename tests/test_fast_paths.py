@@ -51,7 +51,7 @@ from consensuslab.graph import (
     incidence,
     window_starts,
 )
-from consensuslab.observability import _piece_node_rows, _rows_within, uniform_bounds_check
+from consensuslab.observability import _piece_rows, _window_nodes, uniform_bounds_check
 from helpers import (
     check_certificate,
     five_node_schedule,
@@ -244,36 +244,61 @@ def test_row_ranges_match_masks():
     rng = np.random.default_rng(5)
     for _ in range(300):
         times = np.sort(rng.choice(np.round(rng.uniform(0, 5, 30), 1), 40))
-        ta, tb = np.sort(rng.choice(np.concatenate((times, rng.uniform(-1, 6, 5))), 2))
+        ends = np.concatenate((times, rng.uniform(-1, 6, 5)))
+        pieces = [(*np.sort(rng.choice(ends, 2)), 0) for _ in range(rng.integers(0, 6))]
         tol = float(rng.choice([0.0, 1e-9, 0.05, 0.1]))
-        lo, hi = _rows_within(times, ta, tb, tol)
-        assert np.array_equal(np.arange(lo, hi), reference_piece_mask(times, ta, tb, tol))
+        lo, hi = _piece_rows(times, pieces, tol)
+        assert len(lo) == len(hi) == len(pieces)
+        for a, b, (ta, tb, _) in zip(lo, hi, pieces):
+            assert np.array_equal(np.arange(a, b), reference_piece_mask(times, ta, tb, tol))
 
 
 def check_piece_rows_on_a_trace(sched):
+    # _window_nodes on the window [0.5, 5.5] and on each of its pieces alone:
+    # it keeps the masked rows less every duplicated row at a piece end, and
+    # refuses exactly the pieces left with fewer than two rows
     traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 6.0, 0.05)
-    trace = edge_signals(traj, sched)
-    times, tol = trace.sample_times, 5e-8  # 1e-6 times the sample step, as reconstruct has it
-    for ta, tb, _ in sched.pieces(0.5, 5.5):
+    times = edge_signals(traj, sched).sample_times
+    tol = 5e-8  # 1e-6 times the sample step, as _window_nodes has it
+    pieces = sched.pieces(0.5, 5.5)
+    expected = []
+    for ta, tb, _ in pieces:
         idx = reference_piece_mask(times, ta, tb, tol)
         # every duplicated row at a piece end goes
         while idx.size >= 2 and times[idx[1]] - times[idx[0]] <= tol:
             idx = idx[1:]
         while idx.size >= 2 and times[idx[-1]] - times[idx[-2]] <= tol:
             idx = idx[:-1]
-        lo, hi = _piece_node_rows(times, ta, tb, tol)
+        expected.append(idx)
+        if idx.size < 2:
+            with pytest.raises(ConsensusLabError, match=f"keeps {idx.size} samples there"):
+                _window_nodes(times, sched, ta, tb - ta)
+        else:
+            ((_, _, _, lo, hi, _),) = _window_nodes(times, sched, ta, tb - ta)
+            assert np.array_equal(np.arange(lo, hi), idx)
+    sizes = [idx.size for idx in expected]
+    if min(sizes) < 2:
+        with pytest.raises(ConsensusLabError, match="trace does not cover segment piece"):
+            _window_nodes(times, sched, 0.5, 5.0)
+        return sizes
+    rows = _window_nodes(times, sched, 0.5, 5.0)
+    assert [(ta, tb, k) for ta, tb, k, _, _, _ in rows] == pieces
+    for (_, _, _, lo, hi, _), idx in zip(rows, expected):
         assert np.array_equal(np.arange(lo, hi), idx)
+    return sizes
 
 
 def test_piece_rows_match_masks_on_a_trace():
-    check_piece_rows_on_a_trace(five_node_schedule())
+    assert min(check_piece_rows_on_a_trace(five_node_schedule())) >= 2
 
 
 def test_piece_rows_match_masks_around_a_sliver():
     # a 1e-9 segment after 2.0, which the run samples once: three rows at 2.0
     a, b = (seg.weights for seg in five_node_schedule().segments)
-    check_piece_rows_on_a_trace(
+    sizes = check_piece_rows_on_a_trace(
         WeightSchedule([(0.0, 2.0, a), (2.0, 2.000000001, b), (2.000000001, 6.0, a)]))
+    # the sliver keeps one of them and is refused; its neighbours are not
+    assert sizes[1] == 1 and min(sizes[0], sizes[2]) >= 2
 
 
 @pytest.mark.parametrize("sample_dt", [0.05, 0.3])
