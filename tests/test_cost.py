@@ -65,24 +65,18 @@ def test_simulate_and_edge_signals_visit_each_segment_twice(counter, count):
     assert rows[0] == 2 * count
 
 
-@pytest.mark.parametrize("count", [50, 100, 200, 400])
-def test_edge_signals_find_their_rows_in_two_searches(counter, count):
-    # every piece start in one searchsorted and every piece end in another
-    sched = _unit_segments(count)
-    traj = simulate(sched, np.arange(6.0), float(count), 0.25)
-    calls = counter(np, "searchsorted")
-    edge_signals(traj, sched)
-    assert calls[0] == 2
+def test_piece_row_searches_do_not_grow_with_the_pieces(counter):
+    # the edge trace of S segments and a coverage window of m of them find
+    # their sample rows in as many searchsorted calls at S = 400 as at S = 50
+    def searches(count, m):
+        sched = _unit_segments(count)
+        traj = simulate(sched, np.arange(6.0), float(count), 0.25)
+        calls = counter(np, "searchsorted")
+        times = edge_signals(traj, sched).sample_times
+        assert len(_window_nodes(times, sched, 0.0, float(m))) == m
+        return calls[0]
 
-
-@pytest.mark.parametrize("m", [4, 16, 64])
-def test_window_nodes_find_their_rows_in_two_searches(counter, m):
-    # the coverage rule on a trace's times: m pieces, two searches in all
-    sched = _unit_segments(64)
-    times = edge_signals(simulate(sched, np.arange(6.0), 64.0, 0.25), sched).sample_times
-    calls = counter(np, "searchsorted")
-    assert len(_window_nodes(times, sched, 0.0, float(m))) == m
-    assert calls[0] == 2
+    assert searches(50, 4) == searches(400, 64)
 
 
 @pytest.mark.parametrize("count", [50, 100, 200, 400])
