@@ -99,12 +99,6 @@ def _fail(msg):
     raise ConfigurationError(msg)
 
 
-def _refuse_unknown(spec, known, what):
-    unknown = set(spec) - known
-    if unknown:
-        _fail(f"unknown {what} fields: {sorted(unknown)}")
-
-
 def _unknown_task(name):
     hint = difflib.get_close_matches(str(name), TASKS, n=1)
     _fail(f"unknown task {name!r}" + (f"; did you mean '{hint[0]}'?" if hint else ""))
@@ -149,8 +143,8 @@ class Scenario:
         except UnicodeEncodeError as exc:
             _fail(f"'output_dir' is not a valid path: {exc}")
 
-        _refuse_unknown(data, {"name", "seed", "schedule", "schedule_file", "initial_state",
-                               "noise", "output_dir", "tasks"}, "scenario")
+        graph._refuse_unknown(data, {"name", "seed", "schedule", "schedule_file",
+                                     "initial_state", "noise", "output_dir", "tasks"}, "scenario")
 
         self.schedule = self._load_schedule(data)
         self.initial_state = self._resolve_initial_state(data)
@@ -195,7 +189,7 @@ class Scenario:
         scale = _optional_number(spec, "scale", "initial_state", 1.0)
         if not isinstance(kind, str) or kind not in INITIAL_STATE_FIELDS:
             _fail(f"unknown initial_state kind {kind!r}")
-        _refuse_unknown(spec, INITIAL_STATE_FIELDS[kind], "initial_state")
+        graph._refuse_unknown(spec, INITIAL_STATE_FIELDS[kind], "initial_state")
         if kind == "consensus":
             return np.full(n, _optional_number(spec, "value", "initial_state", 0.0))
         if kind == "seeded-random":
@@ -286,7 +280,7 @@ class Scenario:
         if not isinstance(spec, dict) or spec.get("kind") not in NOISE_KINDS:
             _fail(f"noise 'kind' must be one of {NOISE_KINDS}")
         kind = spec["kind"]
-        _refuse_unknown(spec, NOISE_FIELDS[kind], "noise")
+        graph._refuse_unknown(spec, NOISE_FIELDS[kind], "noise")
         if kind == "zero":
             return None
         for key in ("zeta", "B0"):  # NoiseProcess checks their ranges

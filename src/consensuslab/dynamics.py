@@ -46,10 +46,6 @@ class Trajectory:
     def node_count(self):
         return self.states.shape[1]
 
-    @property
-    def initial_average(self):
-        return float(self.states[0].mean())
-
     def index_at(self, t):
         """Index of the sample within 1e-9 of time t, or None if t is off the grid."""
         k = int(np.searchsorted(self.sample_times, t))
@@ -168,13 +164,6 @@ class NoiseProcess:
     def covers(self, t0, t1):
         tol = 1e-9 * max(1.0, abs(t1))
         return self.breakpoints[0] <= t0 + tol and t1 <= self.breakpoints[-1] + tol
-
-    def values_at(self, t):
-        """Noise vector at time t (right-continuous at breakpoints)."""
-        if not self.covers(t, t):
-            raise ConfigurationError(f"noise is undefined at t = {t}")
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return self.values[min(max(idx, 0), self.values.shape[0] - 1)]
 
     def window_energies(self):
         """Exact energies of the declared zeta-grid windows.
@@ -471,4 +460,4 @@ def project(x):
 def average_drift(traj):
     """Max deviation of the running state average from its initial value."""
     means = traj.states.mean(axis=1)
-    return float(np.abs(means - traj.initial_average).max())
+    return float(np.abs(means - traj.states[0].mean()).max())

@@ -28,7 +28,6 @@ __all__ = [
     "incidence",
     "integrated_weights",
     "integrated_laplacian",
-    "lambda2",
     "window_starts",
     "check_joint_connectivity",
     "negative_link_assumption_holds",
@@ -165,18 +164,6 @@ class WeightSchedule:
         self._full_pieces = {}  # kept by observability._piece_factors, one entry per segment
         self._last_gramian = None  # kept by observability.gramian
 
-    def __len__(self):
-        return len(self.segments)
-
-    def scaled(self, factor):
-        """Same switching pattern with every weight multiplied by ``factor``."""
-        return WeightSchedule(
-            [(s.t_start, s.t_end, s.weights * factor) for s in self.segments],
-            periodic=self.periodic,
-            weight_bound=abs(factor) * self.weight_bound,
-            name=self.name,
-        )
-
     def spectrum(self, k):
         """Eigendecomposition L_k = Q diag(lam) Q' of segment k's Laplacian.
 
@@ -294,17 +281,6 @@ _BLOCK_ENTRIES = 1 << 16
 def integrated_laplacian(sched, s, duration):
     """Exact segment-wise integral of the Laplacian over [s, s+duration]."""
     return _laplacian(integrated_weights(sched, s, duration))
-
-
-def lambda2(matrix):
-    """Second-smallest eigenvalue of a symmetric matrix (ascending order)."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise ValueError(f"expected a square matrix of size >= 2, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix must be symmetric")
-    return float(np.linalg.eigvalsh((m + m.T) / 2.0)[1])
 
 
 def window_starts(sched, window_length):
@@ -529,9 +505,16 @@ def _is_number(v):
         return False
 
 
+def _refuse_unknown(spec, known, what):
+    unknown = set(spec) - known
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def schedule_from_dict(data, name=None):
     if not isinstance(data, dict):
         raise ConfigurationError("schedule must be a JSON object")
+    _refuse_unknown(data, {"nodes", "bound", "periodic", "period", "name", "segments"}, "schedule")
     if "nodes" not in data:
         raise ConfigurationError("schedule is missing required field 'nodes'")
     n = data["nodes"]
@@ -544,6 +527,7 @@ def schedule_from_dict(data, name=None):
     for k, seg in enumerate(raw_segments):
         if not isinstance(seg, dict) or "t0" not in seg or "t1" not in seg:
             raise ConfigurationError(f"segment {k} needs 't0' and 't1'")
+        _refuse_unknown(seg, {"t0", "t1", "edges"}, f"segment {k}")
         if not (_is_number(seg["t0"]) and _is_number(seg["t1"])):
             raise ConfigurationError(f"segment {k}: 't0' and 't1' must be finite numbers")
         if not isinstance(seg.get("edges", []), list):
@@ -557,6 +541,7 @@ def schedule_from_dict(data, name=None):
                 raise ConfigurationError(
                     f"segment {k}: each edge needs 'i', 'j', 'w'"
                 ) from exc
+            _refuse_unknown(e, {"i", "j", "w"}, f"segment {k} edge")
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j)):
                 raise ConfigurationError(f"segment {k}: edge indices must be integers")
             if i >= j:
@@ -580,6 +565,8 @@ def schedule_from_dict(data, name=None):
     bound = data.get("bound")
     if bound is not None and not (_is_number(bound) and bound > 0):
         raise ConfigurationError(f"'bound' must be a positive finite number, got {bound!r}")
+    if not periodic and "period" in data:
+        raise ConfigurationError("'period' is only valid with 'periodic': true")
     if periodic and "period" in data and data["period"] != segments[-1][1]:
         raise ConfigurationError(
             f"declared period {data['period']} differs from the last segment end {segments[-1][1]}"

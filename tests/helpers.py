@@ -259,7 +259,8 @@ def reference_simulate(sched, x0_values, t_end, sample_dt, noise=None):
             z = -lam * (u1 - u0)
             c = np.exp(z) * c
             if noisy:
-                c += (u1 - u0) * _reference_phi1(z) * (q.T @ noise.values_at((u0 + u1) / 2.0))
+                k = np.searchsorted(noise.breakpoints, (u0 + u1) / 2.0, side="right") - 1
+                c += (u1 - u0) * _reference_phi1(z) * (q.T @ noise.values[k])
         states[step + 1] = q @ c
     return grid, states
 

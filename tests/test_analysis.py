@@ -9,7 +9,6 @@ from consensuslab import (
     WeightSchedule,
     consensus_error,
     fit_exponential_rate,
-    lambda2,
     laplacian,
     max_state_difference,
     robustness_report,
@@ -102,7 +101,7 @@ class TestRateFit:
             x0 = vecs[:, 1]
             traj = simulate(sched, x0, 8.0, 0.01)
             fit = fit_exponential_rate(traj)
-            assert fit.alpha == pytest.approx(lambda2(lap), abs=1e-5)
+            assert fit.alpha == pytest.approx(lam[1], abs=1e-5)
             assert 1.0 - 1e-5 <= fit.beta <= np.sqrt(sched.node_count)
 
     def test_rate_scales_with_weights(self):
@@ -110,7 +109,8 @@ class TestRateFit:
         lap = laplacian(base.segments[0].weights)
         x0 = np.linalg.eigh(lap)[1][:, 1]
         alpha1 = fit_exponential_rate(simulate(base, x0, 6.0, 0.01)).alpha
-        alpha2 = fit_exponential_rate(simulate(base.scaled(2.0), x0, 3.0, 0.005)).alpha
+        doubled = WeightSchedule([(s.t_start, s.t_end, 2.0 * s.weights) for s in base.segments])
+        alpha2 = fit_exponential_rate(simulate(doubled, x0, 3.0, 0.005)).alpha
         assert alpha2 == pytest.approx(2.0 * alpha1, abs=1e-5)
 
     def test_switched_fit_on_period_grid(self):

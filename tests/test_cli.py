@@ -99,7 +99,7 @@ def test_package_exports_exactly_the_submodule_names():
     expected |= {name for name, value in vars(errors).items()
                  if isinstance(value, type) and issubclass(value, Exception)}
     assert exported == expected
-    assert len(exported) == 44
+    assert len(exported) == 43
 
 
 def _valid_scenario():
@@ -304,6 +304,31 @@ def test_malformed_scenario_exits_2_without_outputs(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("scenario error:") and message in err, (label, err)
         assert [p.name for p in case_dir.iterdir()] == ["bad.json"], label
+
+
+def _rename(spec, old, new):
+    spec[new] = spec.pop(old)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda s: _rename(s["segments"][0], "edges", "edge"), "unknown segment 0 fields: ['edge']"),
+    (lambda s: _rename(s, "periodic", "periodc"), "unknown schedule fields: ['periodc']"),
+    (lambda s: s["segments"][1]["edges"][0].update(weight=2.0),
+     "unknown segment 1 edge fields: ['weight']"),
+    (lambda s: s.update(periodic=False), "'period' is only valid with 'periodic': true"),
+], ids=["edge", "periodc", "weight", "period_without_periodic"])
+def test_schedule_field_it_does_not_read_exits_2_without_outputs(tmp_path, capsys,
+                                                                 mutate, message):
+    # each was dropped in silence: an edgeless segment, a non-periodic
+    # schedule, a lost weight, a period without its wrap-around windows
+    data = json.loads((SCENARIOS / "alternating_triangle.json").read_text())
+    mutate(data["schedule"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 2, command
+        assert capsys.readouterr().err == f"scenario error: invalid schedule: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def _file_scenario_bytes():

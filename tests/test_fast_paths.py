@@ -323,7 +323,7 @@ def test_edge_signals_hold_one_copy_of_the_trace():
     sched = WeightSchedule([(float(k), k + 1.0, random_weights(rng, 20, density=0.2))
                             for k in range(16)], periodic=True)
     traj = simulate(sched, rng.standard_normal(20), 16.0, 1 / 104)
-    for k in range(len(sched)):
+    for k in range(len(sched.segments)):
         sched.incidence(k)  # cached before the measurement: not part of the trace
     tracemalloc.start()
     try:
@@ -657,6 +657,23 @@ def test_read_back_trace_rewrites_to_the_same_bytes(tmp_path, monkeypatch):
     traj.write_csv(tmp_path / "x.csv")
     read_trajectory_csv(tmp_path / "x.csv").write_csv(tmp_path / "y.csv")
     assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name,table", [
+    # edge_signals.csv is mostly zeros, whose runs the writer finds in the values
+    ("five_node_reconstruct", "edge_signals.csv"),
+    ("five_node_reconstruct", "trajectory.csv"),
+    # its times reach 40: fixed layouts with digits before the point
+    ("alternating_triangle", "trajectory.csv"),
+])
+def test_read_back_golden_table_rewrites_to_the_same_bytes(tmp_path, name, table):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    assert main(["run", str(scenario), "--output-dir", str(tmp_path / "out")]) == 0
+    written = tmp_path / "out" / table
+    read = read_edge_signals_csv if table == "edge_signals.csv" else read_trajectory_csv
+    read(written).write_csv(tmp_path / "rewritten.csv")
+    assert written.stat().st_size
+    assert (tmp_path / "rewritten.csv").read_bytes() == written.read_bytes()
 
 
 def test_negative_zero_among_positive_zeros_keeps_its_sign(tmp_path, monkeypatch):
@@ -1013,7 +1030,7 @@ def assert_piece_cache_exact(sched, windows, trace, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(observability, "_piece_factors", uncached_piece_factors)
                 assert bits(lambda: call(fresh)) == fast, (s, delta)
-    assert len(sched._full_pieces) <= len(sched)
+    assert len(sched._full_pieces) <= len(sched.segments)
 
 
 @pytest.mark.parametrize("name", GOLDENS)
@@ -1078,7 +1095,7 @@ def test_piece_cache_holds_at_most_one_entry_per_segment():
     for s, delta in zip(rng.uniform(0.0, 50.0 * sched.horizon, 500),
                         rng.uniform(0.05, 3.0 * sched.horizon, 500)):
         gramian(sched, s, delta)
-    assert 0 < len(sched._full_pieces) <= len(sched)
+    assert 0 < len(sched._full_pieces) <= len(sched.segments)
     for k, factors in sched._full_pieces.items():
         assert not any(a.flags.writeable for a in factors)
 

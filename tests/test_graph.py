@@ -12,7 +12,6 @@ from consensuslab import (
     incidence,
     integrated_laplacian,
     integrated_weights,
-    lambda2,
     laplacian,
     load_schedule,
     negative_link_assumption_holds,
@@ -103,7 +102,7 @@ class TestIncidence:
             eigs = np.linalg.eigvalsh(lap)
             assert eigs[0] > -1e-12 * n * bound
             # lambda2 > 0 exactly when the positive-edge graph is connected
-            assert (lambda2(lap) > 1e-9) == union_find_connected(n, w)
+            assert (eigs[1] > 1e-9) == union_find_connected(n, w)
 
 
 class TestIntegration:
@@ -135,23 +134,6 @@ class TestIntegration:
     def test_window_beyond_horizon(self):
         with pytest.raises(ConfigurationError):
             integrated_weights(k2_schedule(horizon=5.0), 4.0, 2.0)
-
-
-class TestLambda2:
-    def test_complete_graph(self):
-        assert lambda2(laplacian(np.ones((3, 3)) - np.eye(3))) == pytest.approx(3.0)
-
-    def test_path_graph(self):
-        # char poly of P3 Laplacian gives eigenvalues {0, 1, 3}
-        assert lambda2(laplacian(weights(3, (0, 1, 1.0), (1, 2, 1.0)))) == pytest.approx(1.0)
-
-    def test_disconnected_blocks(self):
-        lap = laplacian(weights(4, (0, 1, 1.0), (2, 3, 1.0)))
-        assert abs(lambda2(lap)) < 1e-12
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            lambda2([[0.0, 1.0], [0.5, 0.0]])
 
 
 class TestJointConnectivity:
