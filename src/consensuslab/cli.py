@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import os
 import shutil
@@ -322,10 +323,44 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# json encodes this string, and no other, as _PLACEHOLDER_TEXT
+_PLACEHOLDER = "\0array"
+_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
+
+
 def _write_json(path, payload):
     """Write payload as sorted-key, 2-space-indented JSON plus a newline, in one write;
-    a non-finite number raises ValueError, as strict JSON has none."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_numpy_to_json)
+    a non-finite number raises ValueError, as strict JSON has none.
+
+    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``, whose
+    encoder visits every item in Python.  So each finite, non-empty, 1-D float64
+    array is encoded as a placeholder and spliced in afterwards: its items, written
+    with ``float.__repr__`` as json writes a float, on lines of the placeholder's
+    indent plus two.  Other arrays go through ``_numpy_to_json``, and a payload
+    holding the placeholder string itself is encoded again without splicing."""
+    arrays = []
+
+    def swap(obj):
+        if (type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64 and obj.size
+                and np.isfinite(obj).all()):
+            arrays.append(obj)  # json meets the arrays in the order of its text
+            return _PLACEHOLDER
+        return _numpy_to_json(obj)
+
+    encode = functools.partial(json.dumps, payload, indent=2, sort_keys=True, allow_nan=False)
+    text = encode(default=swap)
+    parts = text.split(_PLACEHOLDER_TEXT) if arrays else [text]
+    if len(parts) != len(arrays) + 1:
+        text = encode(default=_numpy_to_json)
+    elif arrays:
+        pieces = [parts[0]]
+        for array, rest in zip(arrays, parts[1:]):
+            line = pieces[-1][pieces[-1].rfind("\n") + 1:]  # up to the placeholder
+            outer = " " * (len(line) - len(line.lstrip(" ")))
+            pad = "\n" + outer + "  "
+            pieces += ["[", pad, ("," + pad).join(map(float.__repr__, array.tolist())),
+                       "\n", outer, "]", rest]
+        text = "".join(pieces)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -488,8 +523,21 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # one parser per process, shared by every main call: parse_args does not
+    # mutate it, and no action has a mutable default
+    return _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code: 0, 2 for a bad scenario or 3 for a math-domain error (a bad
+    command line exits 2 through argparse).
+
+    Every call parses with the process's one parser (``_parser``), so repeated
+    in-process calls do not build it again."""
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-tasks":
             sys.stdout.write(list_tasks(args.task))

@@ -571,6 +571,8 @@ def schedule_from_dict(data, name=None):
         raise ConfigurationError(
             f"declared period {data['period']} differs from the last segment end {segments[-1][1]}"
         )
+    if "name" in data and not isinstance(data["name"], str):
+        raise ConfigurationError(f"'name' must be a string, got {data['name']!r}")
     return WeightSchedule(
         segments,
         periodic=periodic,

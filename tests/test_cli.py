@@ -316,11 +316,13 @@ def _rename(spec, old, new):
     (lambda s: s["segments"][1]["edges"][0].update(weight=2.0),
      "unknown segment 1 edge fields: ['weight']"),
     (lambda s: s.update(periodic=False), "'period' is only valid with 'periodic': true"),
-], ids=["edge", "periodc", "weight", "period_without_periodic"])
+    (lambda s: s.update(name=[1, 2]), "'name' must be a string, got [1, 2]"),
+], ids=["edge", "periodc", "weight", "period_without_periodic", "name_list"])
 def test_schedule_field_it_does_not_read_exits_2_without_outputs(tmp_path, capsys,
                                                                  mutate, message):
     # each was dropped in silence: an edgeless segment, a non-periodic
-    # schedule, a lost weight, a period without its wrap-around windows
+    # schedule, a lost weight, a period without its wrap-around windows;
+    # and a name that is not a string was kept, to be written back
     data = json.loads((SCENARIOS / "alternating_triangle.json").read_text())
     mutate(data["schedule"])
     bad = tmp_path / "bad.json"

@@ -5,22 +5,32 @@ Each count wraps a function where its callers look it up, as the
 benchmark's tracer does: the rows that ``WeightSchedule.pieces`` returns,
 the ``np.linalg.eigh`` calls (one per spectrum cache miss), the rows that
 ``_csvtext.write_rows`` writes, the ``integrated_weights`` calls and the
-``np.searchsorted`` calls that find each segment piece's sample rows.
+``np.searchsorted`` calls that find each segment piece's sample rows, the
+argument parsers that ``cli.main`` builds and the finite float arrays that
+``cli._write_json`` leaves to json's per-item Python encoder.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from consensuslab import (
+    NoiseProcess,
     WeightSchedule,
     _csvtext,
     check_joint_connectivity,
+    cli,
     edge_signals,
     graph,
+    robustness_report,
     simulate,
     uniform_bounds_check,
 )
 from consensuslab.observability import _window_nodes
+from helpers import reference_write_json
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -115,3 +125,41 @@ def test_window_scans_visit_the_pieces_of_every_kink(counter, m, rows):
         scan()
         assert pieces[0] == (401 - m) * m == rows
         assert integrals[0] == 401 - m
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+def test_main_builds_one_parser_per_process(counter, tmp_path, capsys):
+    # a run, an argparse error, list-tasks and the run again share one parser
+    cli._parser.cache_clear()
+    built = counter(cli, "_build_parser")
+    scenario = str(SCENARIOS / "robust_noise.json")
+    assert cli.main(["run", scenario, "--output-dir", str(tmp_path / "first")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", scenario, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert cli.main(["list-tasks"]) == 0
+    assert cli.main(["run", scenario, "--output-dir", str(tmp_path / "again")]) == 0
+    capsys.readouterr()
+    assert built[0] == 1
+    assert _tree(tmp_path / "first") == _tree(tmp_path / "again")
+
+
+def test_json_writer_hands_no_finite_float_array_to_the_hook(counter, tmp_path):
+    # a robustness report of 8001 samples: its two arrays are spliced in, so
+    # json's Python encoder never visits their items
+    def finite_vector(obj):
+        return (type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64
+                and obj.size > 0 and bool(np.isfinite(obj).all()))
+
+    sched = WeightSchedule([(0.0, 1.0, np.array([[0.0, 1.0], [1.0, 0.0]]))], periodic=True)
+    noise = NoiseProcess.windowed_random(2, 1.0, 1.0, 7, 40.0)
+    payload = robustness_report(sched, noise, 40.0, sample_dt=0.005)._asdict()
+    assert [len(payload[key]) for key in ("sample_times", "errors")] == [8001, 8001]
+    handed = counter(cli, "_numpy_to_json", lambda args, out: finite_vector(args[0]))
+    cli._write_json(tmp_path / "new.json", payload)
+    reference_write_json(tmp_path / "old.json", payload)
+    assert handed[0] == 0
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()

@@ -917,8 +917,10 @@ def test_json_report_bytes_match_reference_writer(tmp_path):
         "floats": [0.1, -0.0, 1e-310, 1e22],
         "numpy_scalars": [np.float64(1.0 / 3.0), np.float32(0.1), np.int64(-7), np.intc(3)],
         "arrays": {"matrix": np.arange(6.0).reshape(2, 3) / 7.0, "ints": np.arange(4),
-                   "empty": np.zeros((0, 2))},
+                   "empty": np.zeros((0, 2)), "vector": np.array([0.1, -0.0, 1e-310])},
         "nested": ({"b": (1, 2.5, None), "a": [True, False, "text"]},),
+        # a string that reads as the writer's placeholder for a float array
+        "\0array": ["\0array", np.arange(3.0)],
         "z_last": np.float64(-2.0),
     }
     _write_json(tmp_path / "new.json", payload)
@@ -976,8 +978,11 @@ def test_json_writer_matches_reference_on_generated_trees(tmp_path):
         max_leaves=40,
     )
 
+    # a 1-D float64 array with a non-finite item is not spliced: json refuses it
     non_finite = st.sampled_from(NON_FINITE).flatmap(
-        lambda v: st.sampled_from([v, np.float64(v), np.float32(v), np.array(v)]))
+        lambda v: st.sampled_from([v, np.float64(v), np.float32(v), np.array(v)])
+        | st.tuples(st.lists(floats, max_size=4), st.lists(floats, max_size=4)).map(
+            lambda ends: np.array(ends[0] + [v] + ends[1])))
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(tree=trees, bad=non_finite)
