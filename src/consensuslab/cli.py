@@ -440,11 +440,9 @@ class _Runner:
         sc = self.scenario
         if self.trace is None:
             self.trace = observability.edge_signals(self.trajectory, sc.schedule)
-        estimate = observability.reconstruct(self.trace, sc.schedule, start, delta, cond_tol=cond_tol)
-        gram = observability.gramian(sc.schedule, start, delta)
-        # the truth y(s) = x(s) - mean(x(s)), on the row where the coverage rule starts
-        row = observability._window_nodes(self.trajectory.sample_times, sc.schedule, start,
-                                          delta)[0][3]
+        estimate, gram, t0 = observability._reconstruct(self.trace, sc.schedule, start, delta, cond_tol)
+        # the truth y(s) = x(s) - mean(x(s)) at t0, a copy of one of the trajectory's times
+        row = np.searchsorted(self.trajectory.sample_times, t0)
         truth = dynamics.project(self.trajectory.states[row])
         report = {
             "s": start,

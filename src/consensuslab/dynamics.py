@@ -260,6 +260,7 @@ def _phi1(z):
     return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises below, once
 def simulate(sched, x0, t_end, sample_dt, noise=None):
     """Integrate dx/dt = -L(t) x + w(t) over [0, t_end].
 
@@ -284,7 +285,8 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     c from each sub-piece's start to its end (and x = Qc to the next
     piece).  One elementwise pass then writes the c(t) of every sample,
     in blocks of rows, straight into the state table, and one matrix
-    product per sub-piece turns its rows into x(t) = Q c(t).
+    product per sub-piece turns its rows into x(t) = Q c(t).  A state
+    that overflows raises ValueError.
 
     Returns
     -------
@@ -323,6 +325,9 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     _fill_coordinates(sched, states, grid, spans, coords, drives)
     for a, b, k, _ in spans:
         states[a:b] = states[a:b] @ sched.spectrum(k)[1].T
+    if not np.isfinite(states).all():
+        row = np.isfinite(states).all(axis=1).argmin()
+        raise ValueError(f"the state overflows: not finite from t = {grid[row]} on")
     return Trajectory(grid, states)
 
 

@@ -162,7 +162,6 @@ class WeightSchedule:
         self._spectra = {}
         self._incidences = {}
         self._full_pieces = {}  # kept by observability._piece_factors, one entry per segment
-        self._last_gramian = None  # kept by observability.gramian
 
     def spectrum(self, k):
         """Eigendecomposition L_k = Q diag(lam) Q' of segment k's Laplacian.

@@ -166,17 +166,10 @@ def gramian(sched, s, delta):
     the projected flow from s to the piece start and G the closed-form
     piece Gramian of :func:`_gramian_increment`; each piece's G and flow
     come from :func:`_piece_factors`.  Refuses a schedule that violates the
-    Negative-Link Assumption, whose L + J has no real output factor D.  The
-    schedule keeps the last window's Gramian (entries read-only), so asking
-    again for the same window, as a reconstruction followed by a report of
-    its Gramian does, builds it once.
+    Negative-Link Assumption, whose L + J has no real output factor D.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    start, delta = float(s), float(delta)
-    last = sched._last_gramian
-    if last is not None and (last.start, last.delta) == (start, delta):
-        return last
     negative_link_assumption_holds(sched).require()
     n = sched.node_count
     w = np.zeros((n, n))
@@ -186,16 +179,14 @@ def gramian(sched, s, delta):
         w += phi.T @ increment @ phi
         phi = flow @ phi
     w = (w + w.T) / 2.0
-    w.setflags(write=False)
     eigs = np.linalg.eigvalsh(w)
-    sched._last_gramian = ObservabilityGramian(
-        start=start,
-        delta=delta,
+    return ObservabilityGramian(
+        start=float(s),
+        delta=float(delta),
         entries=w,
         lambda_min=float(eigs[0]),
         lambda_max=float(eigs[-1]),
     )
-    return sched._last_gramian
 
 
 class UniformBounds(NamedTuple):
@@ -322,24 +313,9 @@ def _window_nodes(times, sched, s, delta):
     return out
 
 
-def reconstruct(z, sched, s, delta, cond_tol=1e-8):
-    """Estimate the disagreement y(s) = x(s) - x_ave(s) * 1 from edge signals.
-
-    Computes W^{-1} int_s^{s+delta} Phi'(t, s) H(t) S(t) z~(t) dt where W is
-    the exact observability Gramian of :func:`gramian`, Phi the projected
-    transition matrix, z~ the trace signals, H the incidence of |a_ij| and S
-    the edge signs: H S z~ = L x = (L + J) y, so signed schedules take the
-    same path under the Gramian's Negative-Link Assumption.  The correlation
-    integrates sampled data, so it is composite Simpson on the trace's own
-    sample grid, piecewise per segment: halving the trace sampling step
-    halves the quadrature step everywhere.
-
-    The trace must sample every segment piece of the window from end to
-    end, as :func:`_window_nodes` checks before any integral.  A Gramian
-    eigenvalue at or below cond_tol raises UnobservableWindowError instead
-    of regularizing: a near-singular window means joint connectivity fails
-    on it.
-    """
+def _reconstruct(z, sched, s, delta, cond_tol):
+    """:func:`reconstruct`'s estimate, the Gramian it inverts, and the time
+    of the trace row where the coverage rule starts the window."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if not cond_tol > 0.0:
@@ -368,4 +344,25 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
         corr += _simpson(flowed, sub_t) @ phi
         phi = flow @ phi
     lam_w, q_w = np.linalg.eigh(gram.entries)
-    return q_w @ ((q_w.T @ corr) / lam_w)
+    return q_w @ ((q_w.T @ corr) / lam_w), gram, z.sample_times[pieces[0][3]]
+
+
+def reconstruct(z, sched, s, delta, cond_tol=1e-8):
+    """Estimate the disagreement y(s) = x(s) - x_ave(s) * 1 from edge signals.
+
+    Computes W^{-1} int_s^{s+delta} Phi'(t, s) H(t) S(t) z~(t) dt where W is
+    the exact observability Gramian of :func:`gramian`, Phi the projected
+    transition matrix, z~ the trace signals, H the incidence of |a_ij| and S
+    the edge signs: H S z~ = L x = (L + J) y, so signed schedules take the
+    same path under the Gramian's Negative-Link Assumption.  The correlation
+    integrates sampled data, so it is composite Simpson on the trace's own
+    sample grid, piecewise per segment: halving the trace sampling step
+    halves the quadrature step everywhere.
+
+    The trace must sample every segment piece of the window from end to
+    end, as :func:`_window_nodes` checks before any integral.  A Gramian
+    eigenvalue at or below cond_tol raises UnobservableWindowError instead
+    of regularizing: a near-singular window means joint connectivity fails
+    on it.  :func:`_reconstruct` also returns W and the start row's time.
+    """
+    return _reconstruct(z, sched, s, delta, cond_tol)[0]

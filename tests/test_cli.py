@@ -11,7 +11,8 @@ import pytest
 
 import consensuslab
 import consensuslab.cli as cli_module
-from consensuslab import edge_signals, project, reconstruct, schedule_from_dict, simulate
+from consensuslab import (edge_signals, project, read_trajectory_csv, reconstruct,
+                          schedule_from_dict, simulate)
 from consensuslab.cli import list_tasks, load_scenario, main
 from consensuslab.errors import ConfigurationError
 from consensuslab.observability import _window_nodes
@@ -745,11 +746,20 @@ def test_validate_agrees_with_run_on_reconstruct_and_rate(tmp_path, capsys):
     scn, out = tmp_path / "case.json", tmp_path / "out"
     seen = {"reconstruct": 0, "rate": 0, "ran": 0}
     for case in range(200):
-        code, err = _validate_then_run(scn, _agreement_case(rng), capsys, _DOMAIN_REFUSALS[:2])
+        data = _agreement_case(rng)
+        code, err = _validate_then_run(scn, data, capsys, _DOMAIN_REFUSALS[:2])
         if code == 2:
             seen["rate" if "task 'rate'" in err else "reconstruct"] += 1
         elif code == 0:
-            assert "error_vs_truth" in json.loads((out / "reconstruction.json").read_text()), case
+            report = json.loads((out / "reconstruction.json").read_text())
+            # the reference truth row: the coverage rule run on the trajectory
+            traj = read_trajectory_csv(out / "trajectory.csv")
+            rec = next(t for t in data["tasks"] if t["task"] == "reconstruct")
+            row = _window_nodes(traj.sample_times, load_scenario(scn).schedule, rec["start"],
+                                rec["delta"])[0][3]
+            truth = project(traj.states[row])
+            assert report["error_vs_truth"] == float(
+                np.linalg.norm(np.array(report["estimate"]) - truth)), case
             seen["ran"] += 1
             shutil.rmtree(out)
     assert min(seen.values()) >= 20, seen
@@ -1109,6 +1119,26 @@ def test_math_domain_error_exits_3(tmp_path, capsys):
     }))
     assert main(["run", str(scn)]) == 3
     assert "Gramian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight,x0,t_end,sample_dt,first", [
+    (-1.0, [1.0, -1.0], 400.0, 1.0, 355.0),  # a signed edge: x grows as e^{2t}
+    (1.0, [1.7e308, -1.7e308], 1.0, 0.5, 0.5),  # Q'x overflows on the first step
+])
+def test_state_that_overflows_exits_3_without_outputs(tmp_path, capsys, weight, x0, t_end,
+                                                      sample_dt, first):
+    scn = tmp_path / "overflow.json"
+    scn.write_text(json.dumps({
+        "schedule": {"nodes": 2, "periodic": True, "segments": [
+            {"t0": 0, "t1": 1, "edges": [{"i": 1, "j": 2, "w": weight}]}]},
+        "initial_state": x0,
+        "tasks": [{"task": "simulate", "t_end": t_end, "sample_dt": sample_dt}],
+    }))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the state overflows: not finite from t = {first} on\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.json"]
 
 
 def test_negative_link_violation_exits_3(tmp_path, capsys):

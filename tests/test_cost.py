@@ -6,8 +6,9 @@ benchmark's tracer does: the rows that ``WeightSchedule.pieces`` returns,
 the ``np.linalg.eigh`` calls (one per spectrum cache miss), the rows that
 ``_csvtext.write_rows`` writes, the ``integrated_weights`` calls and the
 ``np.searchsorted`` calls that find each segment piece's sample rows, the
-argument parsers that ``cli.main`` builds and the finite float arrays that
-``cli._write_json`` leaves to json's per-item Python encoder.
+argument parsers that ``cli.main`` builds, the finite float arrays that
+``cli._write_json`` leaves to json's per-item Python encoder, and the
+coverage checks and Gramians that a run with a reconstruct task asks for.
 """
 
 from pathlib import Path
@@ -23,6 +24,7 @@ from consensuslab import (
     cli,
     edge_signals,
     graph,
+    observability,
     robustness_report,
     simulate,
     uniform_bounds_check,
@@ -163,3 +165,14 @@ def test_json_writer_hands_no_finite_float_array_to_the_hook(counter, tmp_path):
     reference_write_json(tmp_path / "old.json", payload)
     assert handed[0] == 0
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_reconstruct_task_asks_for_its_window_once(counter, tmp_path):
+    # validate's coverage check and reconstruct's own, and the gramian task's
+    # Gramian and the one reconstruct inverts: the task reads its Gramian and
+    # truth row from the reconstruction, not from a second request
+    windows = counter(observability, "_window_nodes")
+    gramians = counter(observability, "gramian")
+    scenario = str(SCENARIOS / "five_node_reconstruct.json")
+    assert cli.main(["run", scenario, "--output-dir", str(tmp_path / "out")]) == 0
+    assert (windows[0], gramians[0]) == (2, 2)
