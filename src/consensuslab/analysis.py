@@ -87,7 +87,12 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     e = consensus_error(traj)
     t = traj.sample_times
     t0 = t[0]
-    floor = 100.0 * np.finfo(float).eps * float(np.linalg.norm(traj.states[0]))
+    x0, scale = traj.states[0], 100.0 * np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        floor = scale * float(np.linalg.norm(x0))
+    if not np.isfinite(floor):  # ||x0|| overflows near the float limit: rescale by max |x0_i|
+        big = float(np.abs(x0).max())
+        floor = scale * big * float(np.linalg.norm(x0 / big))
     eligible = np.nonzero(e > floor)[0]
     if eligible.size < 10:
         raise ValueError(

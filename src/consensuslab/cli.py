@@ -160,7 +160,7 @@ class Scenario:
             _fail("scenario needs exactly one of 'schedule' or 'schedule_file'")
         try:
             if "schedule" in data:
-                return graph.schedule_from_dict(data["schedule"], name=self.name)
+                return graph.schedule_from_dict(data["schedule"])
             if not isinstance(data["schedule_file"], str):
                 _fail(f"'schedule_file' must be a string, got {data['schedule_file']!r}")
             path = self.base_dir / data["schedule_file"]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +31,7 @@ __all__ = [
     "check_joint_connectivity",
     "negative_link_assumption_holds",
     "schedule_from_dict",
-    "schedule_to_dict",
     "load_schedule",
-    "save_schedule",
 ]
 
 
@@ -123,7 +120,7 @@ class WeightSchedule:
     it.  ``weight_bound`` is the declared bound A* with |a_ij(t)| <= A*.
     """
 
-    def __init__(self, segments, periodic=False, weight_bound=None, name=None):
+    def __init__(self, segments, periodic=False, weight_bound=None):
         segs = []
         for raw in segments:
             t0, t1, w = raw
@@ -155,7 +152,6 @@ class WeightSchedule:
         self.node_count = n
         self.periodic = bool(periodic)
         self.weight_bound = float(weight_bound)
-        self.name = name
         self.horizon = segs[-1].t_end
         self.period = self.horizon if self.periodic else None
         self._starts = [s.t_start for s in segs]
@@ -510,7 +506,7 @@ def _refuse_unknown(spec, known, what):
         raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
 
 
-def schedule_from_dict(data, name=None):
+def schedule_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigurationError("schedule must be a JSON object")
     _refuse_unknown(data, {"nodes", "bound", "periodic", "period", "name", "segments"}, "schedule")
@@ -572,43 +568,9 @@ def schedule_from_dict(data, name=None):
         )
     if "name" in data and not isinstance(data["name"], str):
         raise ConfigurationError(f"'name' must be a string, got {data['name']!r}")
-    return WeightSchedule(
-        segments,
-        periodic=periodic,
-        weight_bound=bound,
-        name=data.get("name", name),
-    )
-
-
-def schedule_to_dict(sched):
-    segments = []
-    for seg in sched.segments:
-        edges = []
-        for i, j in edge_pairs(sched.node_count):
-            if seg.weights[i, j] != 0.0:
-                edges.append({"i": i + 1, "j": j + 1, "w": float(seg.weights[i, j])})
-        segments.append({"t0": seg.t_start, "t1": seg.t_end, "edges": edges})
-    out = {
-        "nodes": sched.node_count,
-        "bound": sched.weight_bound,
-        "periodic": sched.periodic,
-        "segments": segments,
-    }
-    if sched.periodic:
-        out["period"] = sched.period
-    if sched.name is not None:
-        out["name"] = sched.name
-    return out
+    return WeightSchedule(segments, periodic=periodic, weight_bound=bound)
 
 
 def load_schedule(path):
-    path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return schedule_from_dict(data, name=path.stem)
-
-
-def save_schedule(sched, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule_to_dict(sched), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        return schedule_from_dict(json.load(fh))

@@ -99,6 +99,8 @@ def edge_signals(traj, sched):
     """Extract z(t_k) = H' x(t_k), H the incidence of |a_ij|, from a trajectory.
 
     Interior segment boundaries produce two rows, one per one-sided limit of H.
+    A finite trajectory whose signals overflow raises ValueError; inf and
+    nan states pass through to the signals.
     """
     if traj.node_count != sched.node_count:
         raise ConfigurationError("trajectory and schedule node counts differ")
@@ -107,9 +109,13 @@ def edge_signals(traj, sched):
     # one table, each piece's product written into its rows
     z = np.empty((sum(hi - lo for lo, hi, _ in ranges), len(pairs)))
     r = 0
-    for lo, hi, k in ranges:
-        np.matmul(traj.states[lo:hi], sched.incidence(k), out=z[r:r + hi - lo])
-        r += hi - lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, k in ranges:
+            np.matmul(traj.states[lo:hi], sched.incidence(k), out=z[r:r + hi - lo])
+            r += hi - lo
+    if not np.isfinite(z).all() and np.isfinite(traj.states).all():
+        row = np.isfinite(z).all(axis=1).argmin()
+        raise ValueError(f"the edge signals overflow: not finite at t = {trace_times[row]}")
     return EdgeSignalTrace(trace_times, z, pairs)
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_package_exports_exactly_the_submodule_names():
     expected |= {name for name, value in vars(errors).items()
                  if isinstance(value, type) and issubclass(value, Exception)}
     assert exported == expected
-    assert len(exported) == 43
+    assert len(exported) == 41
 
 
 def _valid_scenario():
@@ -992,6 +993,17 @@ def test_bad_input_found_by_a_task_exits_2_without_outputs(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json"]
 
 
+def _refuse_manifest_writes(monkeypatch):
+    write_json = cli_module._write_json
+
+    def fail_on_manifest(path, payload):
+        if path.name == "manifest.json":
+            raise OSError(f"cannot write {path}")
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli_module, "_write_json", fail_on_manifest)
+
+
 def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, capsys):
     code, out = run_scenario("k2_constant", tmp_path)
     assert code == 0
@@ -1003,14 +1015,7 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out", "short.json"]
     capsys.readouterr()
     # a write that fails while publishing, into a fresh nested directory and into out
-    write_json = cli_module._write_json
-
-    def fail_on_manifest(path, payload):
-        if path.name == "manifest.json":
-            raise OSError(f"cannot write {path}")
-        write_json(path, payload)
-
-    monkeypatch.setattr(cli_module, "_write_json", fail_on_manifest)
+    _refuse_manifest_writes(monkeypatch)
     for target in (tmp_path / "nested" / "fresh", out):
         assert main(["run", str(tmp_path / "k2_constant.json"), "--output-dir", str(target)]) == 2
         err = capsys.readouterr().err
@@ -1018,6 +1023,25 @@ def test_failed_run_leaves_previous_outputs_untouched(tmp_path, monkeypatch, cap
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k2_constant.json", "out",
                                                               "short.json"]
+
+
+def test_cleanup_stops_at_a_made_parent_it_cannot_remove(tmp_path, monkeypatch, capsys):
+    # a failed write removes the parents made for it, innermost first; one
+    # that is still there after rmdir holds something else, and so do its own
+    removed = []
+
+    def busy_rmdir(path):
+        removed.append(path)
+        raise OSError(f"busy: {path}")
+
+    _refuse_manifest_writes(monkeypatch)
+    monkeypatch.setattr(Path, "rmdir", busy_rmdir)
+    target = tmp_path / "a" / "b" / "out"
+    shutil.copy(SCENARIOS / "k2_constant.json", tmp_path)
+    assert main(["run", str(tmp_path / "k2_constant.json"), "--output-dir", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario error: output directory {target}: ")
+    assert removed == [tmp_path / "a" / "b"]
+    assert list((tmp_path / "a" / "b").iterdir()) == []
 
 
 def _repeated_reports(last_start):
@@ -1139,6 +1163,41 @@ def test_state_that_overflows_exits_3_without_outputs(tmp_path, capsys, weight, 
     assert capsys.readouterr().err == (
         f"error: the state overflows: not finite from t = {first} on\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.json"]
+
+
+def _near_limit(task):
+    """A unit edge from [1e308, -1e308]: the state is finite, but its norm and
+    its edge signal x_2 - x_1 are beyond the float range until t ~ 0.05."""
+    return {
+        "schedule": {"nodes": 2, "segments": [
+            {"t0": 0, "t1": 1, "edges": [{"i": 1, "j": 2, "w": 1.0}]}]},
+        "initial_state": [1e308, -1e308],
+        "tasks": [{"task": "simulate", "t_end": 1.0, "sample_dt": 0.01}, task],
+    }
+
+
+def test_edge_signals_that_overflow_exit_3_without_outputs(tmp_path, capsys):
+    scn = tmp_path / "overflow.json"
+    scn.write_text(json.dumps(_near_limit({"task": "reconstruct", "start": 0.0, "delta": 1.0})))
+    assert main(["validate", str(scn)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: the edge signals overflow: not finite at t = 0.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.json"]
+
+
+def test_rate_from_a_state_near_the_float_limit(tmp_path):
+    # ||x(0)|| overflows; the error floor is taken from the rescaled norm
+    scn = tmp_path / "near_limit.json"
+    scn.write_text(json.dumps(_near_limit({"task": "rate"})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 0
+    rate = json.loads((tmp_path / "out" / "rate.json").read_text())
+    assert abs(rate["alpha"] - 2.0) <= 1e-9
+    assert rate["window"] == [0.5, 1.0] and rate["sample_count"] == 51
 
 
 def test_negative_link_violation_exits_3(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from consensuslab import (
     ConfigurationError,
     NoiseProcess,
+    Trajectory,
     WeightSchedule,
     average_drift,
     incidence,
@@ -301,3 +304,40 @@ def test_simulate_rejects_bad_initial_state():
         simulate(sched, [[1.0, 0.0, -1.0]], 1.0, 0.1)
     with pytest.raises(ConfigurationError, match="2 entries for a 3-node"):
         simulate(sched, [1.0, -1.0], 1.0, 0.1)
+
+
+# (call, exception class, message fragment) of each refusal no other test reaches
+REFUSALS = {
+    "trajectory-lengths": (lambda: Trajectory([0.0, 1.0], [[1.0, -1.0]]), ValueError,
+                           "matching lengths"),
+    "trajectory-empty": (lambda: Trajectory([], np.zeros((0, 2))), ValueError,
+                         "at least one sample"),
+    "noise-shape": (lambda: NoiseProcess([0.0, 1.0, 2.0], [[0.1, 0.1]], 1.0, 1.0),
+                    ConfigurationError, "noise values must have shape (2, 2), got (1, 2)"),
+    "simulate-noise-nodes": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], 1.0, 0.5,
+                                              noise=NoiseProcess([0.0, 1.0], [[0.1, 0.1]], 1.0, 1.0)),
+                             ConfigurationError, "noise node count does not match"),
+    "transition-system": (lambda: transition_matrix("signed", k2_schedule(), 0.0, 1.0),
+                          ValueError, "must be 'raw' or 'projected', got 'signed'"),
+    "transition-backwards": (lambda: transition_matrix("raw", k2_schedule(), 1.0, 0.5),
+                             ValueError, "requires t >= s"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_index_at_is_none_off_the_grid():
+    traj = Trajectory([0.0, 0.5, 1.0], [[1.0], [0.5], [0.0]])
+    assert traj.index_at(0.5 + 5e-10) == 1
+    assert traj.index_at(0.25) is None
+    assert traj.index_at(1.0 + 1e-8) is None
+
+
+def test_noise_shorter_than_the_grid_tolerance_has_no_window():
+    noise = NoiseProcess([0.0, 1e-13], [[0.1, 0.1]], zeta=1.0, energy_bound=1.0)
+    assert noise.window_energies() == []

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from consensuslab import (
     laplacian,
     load_schedule,
     negative_link_assumption_holds,
-    save_schedule,
     schedule_from_dict,
     simulate,
     transition_matrix,
@@ -316,7 +318,10 @@ class TestScheduleFiles:
     def test_roundtrip(self, tmp_path):
         sched = alternating_schedule()
         path = tmp_path / "sched.json"
-        save_schedule(sched, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"nodes": 3, "periodic": True, "period": 2.0, "name": "x", "segments": [
+                {"t0": 0.0, "t1": 1.0, "edges": [{"i": 1, "j": 2, "w": 1.0}]},
+                {"t0": 1.0, "t1": 2.0, "edges": [{"i": 2, "j": 3, "w": 1.0}]}]}, fh)
         loaded = load_schedule(path)
         assert loaded.node_count == 3
         assert loaded.periodic
@@ -420,3 +425,33 @@ def test_non_finite_lengths_raise(name):
     error, call = NON_FINITE_LENGTHS[name]
     with pytest.raises(error, match="finite"):
         call(alternating_schedule())
+
+
+# (call, exception class, message fragment) of each refusal no other test reaches
+REFUSALS = {
+    "weights-not-square": (lambda: laplacian(np.zeros((2, 3))), ConfigurationError,
+                           "must be square, got shape (2, 3)"),
+    "weights-nan": (lambda: laplacian([[0.0, np.nan], [np.nan, 0.0]]), ConfigurationError,
+                    "weights must be finite"),
+    "no-segments": (lambda: WeightSchedule([]), ConfigurationError, "at least one segment"),
+    "one-node": (lambda: WeightSchedule([(0.0, 1.0, [[0.0]])]), ConfigurationError,
+                 "at least two nodes"),
+    "node-counts-differ": (lambda: WeightSchedule([(0.0, 1.0, np.zeros((2, 2))),
+                                                   (1.0, 2.0, np.zeros((3, 3)))]),
+                           ConfigurationError, "share the node count"),
+    "time-before-start": (lambda: alternating_schedule().segment_index_at(-0.5),
+                          ConfigurationError, "time -0.5 is before the schedule start"),
+    "window-reversed": (lambda: alternating_schedule().pieces(1.0, 0.5), ValueError,
+                        "window end 0.5 precedes start 1.0"),
+    "window-before-start": (lambda: alternating_schedule().pieces(-1.0, 0.5), ConfigurationError,
+                            "window start -1.0 is before the schedule start"),
+    "negative-duration": (lambda: integrated_weights(alternating_schedule(), 0.0, -1.0),
+                          ValueError, "duration must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from consensuslab import (
     ConfigurationError,
     EdgeSignalTrace,
     NegativeLinkError,
+    Trajectory,
     UnobservableWindowError,
     WeightSchedule,
     check_joint_connectivity,
@@ -627,3 +630,31 @@ def test_window_outcome_is_the_same_on_the_grid_and_on_the_trace():
             assert all(np.array_equal(a[4], b[4]) for a, b in zip(on_grid, on_trace))
 
     check()
+
+
+# (call, exception class, message fragment) of each refusal no other test reaches
+REFUSALS = {
+    "trace-lengths": (lambda: EdgeSignalTrace([0.0, 1.0], [[0.0]], [(0, 1)]), ValueError,
+                      "sample_times and signals must have matching lengths"),
+    "trace-width": (lambda: EdgeSignalTrace([0.0, 1.0], np.zeros((2, 2)), [(0, 1)]), ValueError,
+                    "signal width must match the edge order"),
+    "signals-node-count": (lambda: edge_signals(simulate(k2_schedule(), [1.0, -1.0], 1.0, 0.5),
+                                                k3_schedule()),
+                           ConfigurationError, "trajectory and schedule node counts differ"),
+    "bounds-delta-obs": (lambda: uniform_bounds_check(k2_schedule(), 0.0), ValueError,
+                         "delta_obs must be positive"),
+    "reconstruct-delta": (lambda: reconstruct(
+        edge_signals(simulate(k2_schedule(), [1.0, -1.0], 1.0, 0.5), k2_schedule()),
+        k2_schedule(), 0.0, 0.0), ValueError, "delta must be positive"),
+    # x is finite, but x_2 - x_1 is beyond the float range in the first row
+    "signals-overflow": (lambda: edge_signals(
+        Trajectory([0.0, 0.5], [[1e308, -1e308], [1e307, -1e307]]), k2_schedule()),
+        ValueError, "the edge signals overflow: not finite at t = 0.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
