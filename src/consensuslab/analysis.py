@@ -81,11 +81,15 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     of transients.  For switching schedules pass ``fit_dt`` equal to the
     period: log e(t) of a switched system carries a periodic modulation,
     and sampling the fit at period multiples removes it from the residual.
+    A trajectory whose consensus error is not finite raises ValueError.
     """
     if fit_dt is not None and not (fit_dt > 0.0 and np.isfinite(fit_dt)):
         raise ValueError(f"fit_dt must be positive and finite, got {fit_dt}")
-    e = consensus_error(traj)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = consensus_error(traj)
     t = traj.sample_times
+    if not np.isfinite(e).all():
+        raise ValueError(f"the consensus error is not finite at t = {t[np.isfinite(e).argmin()]}")
     t0 = t[0]
     x0, scale = traj.states[0], 100.0 * np.finfo(float).eps
     with np.errstate(over="ignore"):

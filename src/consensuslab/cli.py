@@ -530,8 +530,9 @@ def _parser():
 
 def main(argv=None):
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return its
-    exit code: 0, 2 for a bad scenario or 3 for a math-domain error (a bad
-    command line exits 2 through argparse).
+    exit code: 0, 2 for a bad scenario (also one whose tables cannot be
+    allocated) or 3 for a math-domain error (a bad command line exits 2
+    through argparse).
 
     Every call parses with the process's one parser (``_parser``), so repeated
     in-process calls do not build it again."""
@@ -554,7 +555,7 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigurationError(f"output directory {out}: {exc.strerror or exc}") from exc
         return 0
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except ConsensusLabError as exc:

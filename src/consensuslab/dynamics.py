@@ -191,10 +191,13 @@ class NoiseProcess:
 
 
 def _step_count(length, step):
-    """length / step, refused where a tiny step overflows it to inf."""
+    """length / step, refused where a tiny step overflows it to inf, or makes
+    it 2**53 or more, where a float no longer counts steps exactly."""
     count = length / step
     if not math.isfinite(count):
         raise ConfigurationError(f"{length} / {step} is not a finite count of steps")
+    if count >= 2.0 ** 53:
+        raise ConfigurationError(f"{length} / {step} is {count:.3g} steps, 2**53 or more")
     return count
 
 

@@ -122,9 +122,15 @@ class WeightSchedule:
 
     def __init__(self, segments, periodic=False, weight_bound=None):
         segs = []
-        for raw in segments:
-            t0, t1, w = raw
+        for k, (t0, t1, w) in enumerate(segments):
+            if not (_is_number(t0) and _is_number(t1)):
+                raise ConfigurationError(f"segment {k}: 't0' and 't1' must be finite numbers")
             segs.append(Segment(float(t0), float(t1), _checked_weights(w)))
+        if not isinstance(periodic, (bool, np.bool_)):
+            raise ConfigurationError(f"'periodic' must be true or false, got {periodic!r}")
+        if weight_bound is not None and not (_is_number(weight_bound) and weight_bound > 0):
+            raise ConfigurationError(
+                f"'bound' must be a positive finite number, got {weight_bound!r}")
         if not segs:
             raise ConfigurationError("schedule needs at least one segment")
         n = segs[0].weights.shape[0]
@@ -490,9 +496,9 @@ def negative_link_assumption_holds(sched):
 
 
 def _is_number(v):
-    """Whether v is a finite int or float; an int beyond the float range
-    (JSON allows any number of digits) counts as non-finite."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    """Whether v is a finite int or float, numpy's included; an int beyond
+    the float range (JSON allows any number of digits) counts as non-finite."""
+    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
         return False
     try:
         return math.isfinite(v)
@@ -523,8 +529,6 @@ def schedule_from_dict(data):
         if not isinstance(seg, dict) or "t0" not in seg or "t1" not in seg:
             raise ConfigurationError(f"segment {k} needs 't0' and 't1'")
         _refuse_unknown(seg, {"t0", "t1", "edges"}, f"segment {k}")
-        if not (_is_number(seg["t0"]) and _is_number(seg["t1"])):
-            raise ConfigurationError(f"segment {k}: 't0' and 't1' must be finite numbers")
         if not isinstance(seg.get("edges", []), list):
             raise ConfigurationError(f"segment {k}: 'edges' must be a list")
         w = np.zeros((n, n))
@@ -554,21 +558,17 @@ def schedule_from_dict(data):
             seen.add((i, j))
             w[i - 1, j - 1] = w[j - 1, i - 1] = float(wt)
         segments.append((seg["t0"], seg["t1"], w))
-    periodic = data.get("periodic", False)
-    if not isinstance(periodic, bool):
-        raise ConfigurationError(f"'periodic' must be true or false, got {periodic!r}")
-    bound = data.get("bound")
-    if bound is not None and not (_is_number(bound) and bound > 0):
-        raise ConfigurationError(f"'bound' must be a positive finite number, got {bound!r}")
-    if not periodic and "period" in data:
+    sched = WeightSchedule(segments, periodic=data.get("periodic", False),
+                           weight_bound=data.get("bound"))
+    if not sched.periodic and "period" in data:
         raise ConfigurationError("'period' is only valid with 'periodic': true")
-    if periodic and "period" in data and data["period"] != segments[-1][1]:
+    if sched.periodic and "period" in data and data["period"] != sched.horizon:
         raise ConfigurationError(
-            f"declared period {data['period']} differs from the last segment end {segments[-1][1]}"
+            f"declared period {data['period']} differs from the last segment end {sched.horizon}"
         )
     if "name" in data and not isinstance(data["name"], str):
         raise ConfigurationError(f"'name' must be a string, got {data['name']!r}")
-    return WeightSchedule(segments, periodic=periodic, weight_bound=bound)
+    return sched
 
 
 def load_schedule(path):

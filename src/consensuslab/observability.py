@@ -66,8 +66,11 @@ def read_edge_signals_csv(path):
         header = fh.readline().strip().split(",")
     pairs = []
     for label in header[1:]:
-        _, i, j = label.split("_")
-        pairs.append((int(i) - 1, int(j) - 1))
+        try:
+            _, i, j = label.split("_")
+            pairs.append((int(i) - 1, int(j) - 1))
+        except ValueError:
+            raise ConfigurationError(f"edge signal column {label!r} is not z_<i>_<j>") from None
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return EdgeSignalTrace(sample_times=data[:, 0], signals=data[:, 1:], edge_order=tuple(pairs))
 

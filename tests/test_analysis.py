@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,17 @@ class TestRateFit:
     def test_too_few_samples_above_floor(self):
         traj = simulate(k2_schedule(), [1.0, 1.0], 5.0, 0.1)  # e(t) == 0
         with pytest.raises(ValueError, match="floor"):
+            fit_exponential_rate(traj)
+
+    @pytest.mark.parametrize("row,first", [(0, 0.0), (7, 0.7)])
+    def test_non_finite_trajectory_is_refused_with_its_own_error(self, row, first):
+        # inf - mean is nan: the fit names the sample, with no numpy warning
+        # (pytest's filterwarnings turns one into an error)
+        states = np.tile([1.0, -1.0], (20, 1)) * np.exp(-np.arange(20.0))[:, None]
+        states[row:] = [np.inf, 0.0]
+        traj = Trajectory(0.1 * np.arange(20), states)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the consensus error is not finite at t = {first}")):
             fit_exponential_rate(traj)
 
     def test_constant_graph_rate_and_prefactor(self):

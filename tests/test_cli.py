@@ -55,7 +55,7 @@ def test_five_node_reconstruction_report(tmp_path):
     assert cert["verdict"] == "connected"
     check_certificate(load_scenario(tmp_path / "five_node_reconstruct.json").schedule, 0.9, 2.0,
                       cert)
-    assert (out / "edge_signals.csv").is_file()
+    assert (out / "edge_signals.csv").stat().st_size > 0
 
 
 def test_alternating_reports(tmp_path):
@@ -433,6 +433,12 @@ def _reconstruct_scenario(cuts, t_end, sample_dt, start, delta, cond_tol=1e-8):
                        "cond_tol": cond_tol}]}
 
 
+def _golden_with(name, mutate):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    mutate(data)
+    return data
+
+
 def _golden_with_last_task(name, **params):
     """A golden scenario writing into ``out``, with its last task's parameters updated."""
     data = json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -454,6 +460,9 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
      "task 'gramian': window start -1.0 is before the schedule start"),
     (_horizon_scenario([{"task": "connectivity", "delta": 0.5, "T": 5.0}]),
      "exceeds the horizon"),
+    # a message that ends in a newline is the whole of stderr
+    (_golden_with("k2_constant", _set(["tasks"], [{"task": "bounds", "delta": 20.0}])),
+     "scenario error: task 'bounds': time 20.0 exceeds the horizon 10.0\n"),
     (_horizon_scenario([{"task": "simulate", "t_end": 3.0, "sample_dt": 0.1}],
                        noise={"kind": "table", "zeta": 1.0, "B0": 1.0,
                               "breakpoints": [0.0, 2.0], "values": [[0.1, 0.0, 0.0]]}),
@@ -498,7 +507,7 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
     (_reconstruct_scenario(_OFF_GRID_CUTS, 3.0, 0.25, 0.25, 2.000000075),
      "trace does not cover segment piece [0.25, 2.25000007"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "gramian-before-start",
-        "connectivity-past-horizon",
+        "connectivity-past-horizon", "bounds-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
         "reconstruct-before-start",
         "rate-skips-whole-trace", "rate-keeps-one-sample", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
@@ -513,6 +522,8 @@ def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
     for command in ("validate", "run"):
         assert main([command, str(scn)]) == 2, command
         err = capsys.readouterr().err
+        if message.endswith("\n"):
+            assert err == message, (command, err)
         assert err.startswith("scenario error:") and message in err, (command, err)
         assert not (tmp_path / "out").exists(), command
 
@@ -1129,20 +1140,27 @@ def test_unknown_task_suggestion(tmp_path, capsys):
     assert "did you mean 'simulate'" in capsys.readouterr().err
 
 
+# reconstruction over a window that is never jointly connected
+_UNOBSERVABLE = {
+    "schedule": {"nodes": 3, "segments": [
+        {"t0": 0, "t1": 5, "edges": [{"i": 1, "j": 2, "w": 1.0}]}]},
+    "initial_state": [1.0, -1.0, 0.5],
+    "tasks": [
+        {"task": "simulate", "t_end": 5.0, "sample_dt": 0.01},
+        {"task": "reconstruct", "start": 0.0, "delta": 5.0},
+    ],
+}
+
+
 def test_math_domain_error_exits_3(tmp_path, capsys):
-    # reconstruction over a window that is never jointly connected
     scn = tmp_path / "unobservable.json"
-    scn.write_text(json.dumps({
-        "schedule": {"nodes": 3, "segments": [
-            {"t0": 0, "t1": 5, "edges": [{"i": 1, "j": 2, "w": 1.0}]}]},
-        "initial_state": [1.0, -1.0, 0.5],
-        "tasks": [
-            {"task": "simulate", "t_end": 5.0, "sample_dt": 0.01},
-            {"task": "reconstruct", "start": 0.0, "delta": 5.0},
-        ],
-    }))
+    scn.write_text(json.dumps(_UNOBSERVABLE))
     assert main(["run", str(scn)]) == 3
     assert "Gramian" in capsys.readouterr().err
+    # the last task fails: no nested output directory, parent or .partial-* sibling
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "failed" / "out")]) == 3
+    assert "Gramian" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["unobservable.json"]
 
 
 @pytest.mark.parametrize("weight,x0,t_end,sample_dt,first", [
@@ -1163,6 +1181,40 @@ def test_state_that_overflows_exits_3_without_outputs(tmp_path, capsys, weight, 
     assert capsys.readouterr().err == (
         f"error: the state overflows: not finite from t = {first} on\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.json"]
+
+
+# scenarios whose tables hold 1e15 or more elements: numpy refuses each before
+# it allocates anything.  (scenario, validate's exit code, stderr of run)
+ALLOCATIONS = {
+    # validate builds no grid for a simulate task alone
+    "simulate-sample-dt-1e-14": (_golden_with("k2_constant", _set(["tasks"], [
+        {"task": "simulate", "t_end": 10.0, "sample_dt": 1e-14}])), 0,
+        "scenario error: Unable to allocate "),
+    # validate builds the grid a rate task reads
+    "rate-grid-sample-dt-1e-14": (_golden_with("k2_constant",
+                                               _set(["tasks", 0, "sample_dt"], 1e-14)), 2,
+                                  "scenario error: Unable to allocate "),
+    "windowed-random-zeta-1e-14": (_golden_with("robust_noise", _set(["noise", "zeta"], 1e-14)),
+                                   2, "scenario error: Unable to allocate "),
+    # 1e291 steps: a finite count, but past 2**53 no float counts steps exactly
+    "simulate-sample-dt-1e-290": (_golden_with("k2_constant", _set(["tasks"], [
+        {"task": "simulate", "t_end": 10.0, "sample_dt": 1e-290}])), 2,
+        "scenario error: task 'simulate': 10.0 / 1e-290 is 1e+291 steps, 2**53 or more\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALLOCATIONS))
+def test_scenario_too_big_to_allocate_exits_2_without_outputs(tmp_path, capsys, case):
+    data, validate_code, message = ALLOCATIONS[case]
+    scn = tmp_path / "big.json"
+    scn.write_text(json.dumps(data))
+    assert main(["validate", str(scn)]) == validate_code
+    validate_err = capsys.readouterr().err
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "nested" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err, err
+    assert validate_err in ("", err)
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
 def _near_limit(task):
@@ -1253,18 +1305,46 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
-def test_runs_without_scipy(tmp_path, name):
+def _python(*args):
+    """Run ``python *args`` in a fresh process that imports this package."""
     src = str(Path(consensuslab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, "run", str(SCENARIOS / f"{name}.json"),
-         "--output-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_runs_without_scipy(tmp_path, name):
+    proc = _python("-c", _RUN_WITHOUT_SCIPY, "run", str(SCENARIOS / f"{name}.json"),
+                   "--output-dir", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+# (command, scenario, output directory under tmp_path or None, exit code,
+# start of stderr) of `python -m consensuslab`
+ENTRY_POINT = {
+    "validate-golden": ("validate", json.loads((SCENARIOS / "k2_constant.json").read_text()),
+                        None, 0, ""),
+    "validate-malformed": ("validate", _valid_scenario() | {"schedules": {}}, None, 2,
+                           "scenario error: unknown scenario fields: ['schedules']\n"),
+    "run-unobservable-nested": ("run", _UNOBSERVABLE, "failed/out", 3,
+                                "error: Gramian eigenvalue "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_POINT))
+def test_module_entry_point_exit_codes(tmp_path, case):
+    # __main__.py hands main's code to the shell, with no traceback
+    command, data, out, code, err = ENTRY_POINT[case]
+    scn = tmp_path / "scenario.json"
+    scn.write_text(json.dumps(data))
+    output = ["--output-dir", str(tmp_path / out)] if out else []
+    proc = _python("-m", "consensuslab", command, str(scn), *output)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr, proc.stderr
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
 
 
 def test_validate_command(tmp_path, capsys):

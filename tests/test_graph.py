@@ -447,7 +447,26 @@ REFUSALS = {
                             "window start -1.0 is before the schedule start"),
     "negative-duration": (lambda: integrated_weights(alternating_schedule(), 0.0, -1.0),
                           ValueError, "duration must be nonnegative"),
+    # the values schedule_from_dict refuses, refused by the constructor itself
+    "bound-inf": (lambda: _unit_edge_schedule(weight_bound=np.inf), ConfigurationError,
+                  "'bound' must be a positive finite number, got inf"),
+    "bound-nan": (lambda: _unit_edge_schedule(weight_bound=np.nan), ConfigurationError,
+                  "'bound' must be a positive finite number, got nan"),
+    "bound-zero": (lambda: _unit_edge_schedule(weight_bound=0), ConfigurationError,
+                   "'bound' must be a positive finite number, got 0"),
+    "periodic-string": (lambda: _unit_edge_schedule(periodic="false"), ConfigurationError,
+                        "'periodic' must be true or false, got 'false'"),
+    "t1-inf": (lambda: _unit_edge_schedule(t1=np.inf), ConfigurationError,
+               "segment 0: 't0' and 't1' must be finite numbers"),
+    "t0-string": (lambda: _unit_edge_schedule(t0="0.0"), ConfigurationError,
+                  "segment 0: 't0' and 't1' must be finite numbers"),
+    "t1-boolean": (lambda: _unit_edge_schedule(t1=True), ConfigurationError,
+                   "segment 0: 't0' and 't1' must be finite numbers"),
 }
+
+
+def _unit_edge_schedule(t0=0.0, t1=1.0, **options):
+    return WeightSchedule([(t0, t1, weights(2, (0, 1, 1.0)))], **options)
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
@@ -455,3 +474,9 @@ def test_refusals(name):
     call, error, fragment = REFUSALS[name]
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+def test_numpy_times_and_flags_are_accepted():
+    sched = _unit_edge_schedule(np.int64(0), np.float32(2.0), periodic=np.bool_(True),
+                                weight_bound=np.float64(1.5))
+    assert (sched.horizon, sched.period, sched.periodic, sched.weight_bound) == (2.0, 2.0, True, 1.5)

@@ -1,4 +1,6 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,6 +634,14 @@ def test_window_outcome_is_the_same_on_the_grid_and_on_the_trace():
     check()
 
 
+def _read_header(header):
+    """read_edge_signals_csv of a one-row file under ``header``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(f"{header}\n0.0,1.0\n")
+        return read_edge_signals_csv(path)
+
+
 # (call, exception class, message fragment) of each refusal no other test reaches
 REFUSALS = {
     "trace-lengths": (lambda: EdgeSignalTrace([0.0, 1.0], [[0.0]], [(0, 1)]), ValueError,
@@ -650,6 +660,12 @@ REFUSALS = {
     "signals-overflow": (lambda: edge_signals(
         Trajectory([0.0, 0.5], [[1e308, -1e308], [1e307, -1e307]]), k2_schedule()),
         ValueError, "the edge signals overflow: not finite at t = 0.0"),
+    "header-three-indices": (lambda: _read_header("t,z_1_2_3"), ConfigurationError,
+                             "edge signal column 'z_1_2_3' is not z_<i>_<j>"),
+    "header-letters": (lambda: _read_header("t,z_a_b"), ConfigurationError,
+                       "edge signal column 'z_a_b' is not z_<i>_<j>"),
+    "header-of-a-trajectory": (lambda: _read_header("t,x1"), ConfigurationError,
+                               "edge signal column 'x1' is not z_<i>_<j>"),
 }
 
 
