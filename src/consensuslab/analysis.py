@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import simulate
+from .graph import _is_number
 
 __all__ = [
     "RateFit",
@@ -25,7 +26,13 @@ def consensus_error(traj):
     Measured against the running average; for noiseless runs the average is
     conserved, so this equals the error against the initial average.
     """
-    dev = traj.states - traj.states.mean(axis=1, keepdims=True)
+    x = traj.states
+    with np.errstate(over="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+    big = ~np.isfinite(mean[:, 0])
+    if big.any():  # the plain sum overflows: scale the states before adding them
+        mean[big] = (x[big] / x.shape[1]).sum(axis=1, keepdims=True)
+    dev = x - mean
     return np.abs(dev, out=dev).max(axis=1)  # in place: one table-sized temporary
 
 
@@ -85,6 +92,8 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     """
     if fit_dt is not None and not (fit_dt > 0.0 and np.isfinite(fit_dt)):
         raise ValueError(f"fit_dt must be positive and finite, got {fit_dt}")
+    if not _is_number(skip_time):
+        raise ValueError(f"skip_time must be a finite number, got {skip_time!r}")
     with np.errstate(invalid="ignore", over="ignore"):
         e = consensus_error(traj)
     t = traj.sample_times

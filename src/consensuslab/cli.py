@@ -13,6 +13,7 @@ import argparse
 import difflib
 import functools
 import json
+import math
 import os
 import shutil
 import sys
@@ -314,54 +315,43 @@ class Scenario:
         return noise
 
 
-def _numpy_to_json(obj):
-    # json calls this only for what it cannot encode itself
+# json's C encoder, for scalars and empty containers: a NaN or infinity raises
+# ValueError ("not JSON compliant"), any other object TypeError
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_text(obj, pad=""):
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    writes it on a line indented by ``pad``, numpy arrays as lists and numpy
+    scalars as Python values.  A list of exact ints, or of finite exact
+    floats, is joined in one pass; a key that is not a str raises TypeError."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-# json encodes this string, and no other, as _PLACEHOLDER_TEXT
-_PLACEHOLDER = "\0array"
-_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if type(obj) is int:
+        return repr(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _encode(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a string")
+        lines = (f"{_encode(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+        return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + "}"
+    kinds = set(map(type, obj))
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(obj)):
+        items = map(repr, obj)  # a finite sum: no item is NaN or infinite
+    else:
+        items = (_json_text(item, inner) for item in obj)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
 def _write_json(path, payload):
     """Write payload as sorted-key, 2-space-indented JSON plus a newline, in one write;
-    a non-finite number raises ValueError, as strict JSON has none.
-
-    The bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``, whose
-    encoder visits every item in Python.  So each finite, non-empty, 1-D float64
-    array is encoded as a placeholder and spliced in afterwards: its items, written
-    with ``float.__repr__`` as json writes a float, on lines of the placeholder's
-    indent plus two.  Other arrays go through ``_numpy_to_json``, and a payload
-    holding the placeholder string itself is encoded again without splicing."""
-    arrays = []
-
-    def swap(obj):
-        if (type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64 and obj.size
-                and np.isfinite(obj).all()):
-            arrays.append(obj)  # json meets the arrays in the order of its text
-            return _PLACEHOLDER
-        return _numpy_to_json(obj)
-
-    encode = functools.partial(json.dumps, payload, indent=2, sort_keys=True, allow_nan=False)
-    text = encode(default=swap)
-    parts = text.split(_PLACEHOLDER_TEXT) if arrays else [text]
-    if len(parts) != len(arrays) + 1:
-        text = encode(default=_numpy_to_json)
-    elif arrays:
-        pieces = [parts[0]]
-        for array, rest in zip(arrays, parts[1:]):
-            line = pieces[-1][pieces[-1].rfind("\n") + 1:]  # up to the placeholder
-            outer = " " * (len(line) - len(line.lstrip(" ")))
-            pad = "\n" + outer + "  "
-            pieces += ["[", pad, ("," + pad).join(map(float.__repr__, array.tolist())),
-                       "\n", outer, "]", rest]
-        text = "".join(pieces)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    a non-finite number raises ValueError, as strict JSON has none."""
+    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 class _Runner:

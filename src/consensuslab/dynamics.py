@@ -9,6 +9,7 @@ exponential integrators (Hochbruck & Ostermann, Acta Numerica 2010).
 from __future__ import annotations
 
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +78,23 @@ def _write_csv_rows(path, header, times, values):
         _csvtext.write_rows(fh, times, values)
 
 
+def _read_csv_rows(path):
+    """The rows under the header of a CSV file as a 2-D float array; a file
+    with no rows, ragged rows or a cell that is not a number raises
+    ConfigurationError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} is not a table of numbers: {exc}") from None
+    if data.shape[0] == 0:
+        raise ConfigurationError(f"{path} has no rows under its header")
+    return data
+
+
 def read_trajectory_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_csv_rows(path)
     return Trajectory(sample_times=data[:, 0], states=data[:, 1:])
 
 

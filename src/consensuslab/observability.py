@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, UnobservableWindowError
 from . import graph
 from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
-from .dynamics import _disagreement_flow, _run_pieces, _write_csv_rows
+from .dynamics import _disagreement_flow, _read_csv_rows, _run_pieces, _write_csv_rows
 
 __all__ = [
     "EdgeSignalTrace",
@@ -71,7 +71,7 @@ def read_edge_signals_csv(path):
             pairs.append((int(i) - 1, int(j) - 1))
         except ValueError:
             raise ConfigurationError(f"edge signal column {label!r} is not z_<i>_<j>") from None
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_csv_rows(path)
     return EdgeSignalTrace(sample_times=data[:, 0], signals=data[:, 1:], edge_order=tuple(pairs))
 
 
@@ -345,6 +345,10 @@ def _reconstruct(z, sched, s, delta, cond_tol):
     corr = np.zeros(n)
     phi = np.eye(n)
     for ta, tb, k, lo, hi, sub_t in pieces:
+        finite = np.isfinite(z.signals[lo:hi]).all(axis=1)
+        if not finite.all():
+            row = lo + finite.argmin()
+            raise ValueError(f"the edge signals are not finite at t = {z.sample_times[row]}")
         lam = sched.spectrum(k)[0]
         p, _, flow = _piece_factors(sched, k, tb - ta)
         v = z.signals[lo:hi] @ sched._incidence_pair(k)[1].T  # rows: H S z~(t_j), all in 1-perp
@@ -369,9 +373,10 @@ def reconstruct(z, sched, s, delta, cond_tol=1e-8):
     halves the quadrature step everywhere.
 
     The trace must sample every segment piece of the window from end to
-    end, as :func:`_window_nodes` checks before any integral.  A Gramian
-    eigenvalue at or below cond_tol raises UnobservableWindowError instead
-    of regularizing: a near-singular window means joint connectivity fails
-    on it.  :func:`_reconstruct` also returns W and the start row's time.
+    end, as :func:`_window_nodes` checks before any integral, with finite
+    signals in the rows it keeps (ValueError names the first row that is
+    not).  A Gramian eigenvalue at or below cond_tol raises
+    UnobservableWindowError instead of regularizing: a near-singular
+    window means joint connectivity fails on it.  :func:`_reconstruct` also returns W and the start row's time.
     """
     return _reconstruct(z, sched, s, delta, cond_tol)[0]

@@ -1,6 +1,8 @@
 """Shared schedule builders and small oracles for the test suite."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,14 @@ def weights(n, *edges):
     for i, j, val in edges:
         w[i, j] = w[j, i] = val
     return w
+
+
+def read_csv_text(reader, text):
+    """``reader`` called on a CSV file that holds ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(text)
+        return reader(path)
 
 
 def k2_schedule(weight=1.0, horizon=10.0):

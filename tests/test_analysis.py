@@ -104,6 +104,16 @@ class TestRateFit:
                 f"the consensus error is not finite at t = {first}")):
             fit_exponential_rate(traj)
 
+    def test_states_whose_sum_overflows_still_fit(self):
+        # every state and the error are finite, but 1.7e308 + 1.7e308 is not:
+        # a plain mean overflows and the fit would refuse the first sample
+        t = 0.1 * np.arange(20)
+        states = np.stack([np.full(20, 1.7e308), 1.7e308 - 1e300 * np.exp(-t)], axis=1)
+        traj = Trajectory(t, states)
+        assert consensus_error(traj) == pytest.approx(0.5e300 * np.exp(-t), rel=1e-6)
+        fit = fit_exponential_rate(traj)
+        assert fit.converged and fit.alpha == pytest.approx(1.0, rel=1e-6)
+
     def test_constant_graph_rate_and_prefactor(self):
         # projected dynamics of a constant graph decay at lambda2; seeding the
         # slow eigendirection makes the envelope exact with prefactor 1
@@ -152,6 +162,10 @@ class TestRateFit:
         for fit_dt in (float("inf"), float("nan"), 0.0, -2.0):
             with pytest.raises(ValueError, match="fit_dt must be positive and finite"):
                 fit_exponential_rate(traj, fit_dt=fit_dt)
+        for skip_time in (float("inf"), float("nan"), "1"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"skip_time must be a finite number, got {skip_time!r}")):
+                fit_exponential_rate(traj, skip_time=skip_time)
 
     def test_fit_dt_within_the_grid_tolerance_keeps_every_sample(self):
         # multiples of a fit_dt at most twice the tolerance 1e-9 * 20 lie

@@ -23,6 +23,7 @@ from helpers import (
     k2_schedule,
     k3_schedule,
     random_weights,
+    read_csv_text,
     weights,
 )
 
@@ -306,6 +307,10 @@ def test_simulate_rejects_bad_initial_state():
         simulate(sched, [1.0, -1.0], 1.0, 0.1)
 
 
+def _read_trajectory(text):
+    return read_csv_text(read_trajectory_csv, text)
+
+
 # (call, exception class, message fragment) of each refusal no other test reaches
 REFUSALS = {
     "trajectory-lengths": (lambda: Trajectory([0.0, 1.0], [[1.0, -1.0]]), ValueError,
@@ -321,6 +326,14 @@ REFUSALS = {
                           ValueError, "must be 'raw' or 'projected', got 'signed'"),
     "transition-backwards": (lambda: transition_matrix("raw", k2_schedule(), 1.0, 0.5),
                              ValueError, "requires t >= s"),
+    # numpy's loadtxt warns on the first and raises its bare ValueError on the others
+    "csv-header-only": (lambda: _read_trajectory("t,x1,x2\n"), ConfigurationError,
+                        "has no rows under its header"),
+    "csv-ragged-rows": (lambda: _read_trajectory("t,x1,x2\n0.0,1.0,2.0\n0.5,1.0\n"),
+                        ConfigurationError,
+                        "is not a table of numbers: the number of columns changed"),
+    "csv-not-a-number": (lambda: _read_trajectory("t,x1,x2\n0.0,1.0,abc\n"), ConfigurationError,
+                         "is not a table of numbers: could not convert string 'abc'"),
 }
 
 

@@ -919,8 +919,15 @@ def test_json_report_bytes_match_reference_writer(tmp_path):
         "arrays": {"matrix": np.arange(6.0).reshape(2, 3) / 7.0, "ints": np.arange(4),
                    "empty": np.zeros((0, 2)), "vector": np.array([0.1, -0.0, 1e-310])},
         "nested": ({"b": (1, 2.5, None), "a": [True, False, "text"]},),
-        # a string that reads as the writer's placeholder for a float array
         "\0array": ["\0array", np.arange(3.0)],
+        # the writer's edges: lists joined in one pass, and lists it writes item by item
+        "int_list": [3, -1, 0, 2 ** 70],
+        "int_list_with_bool": [1, True, 0],
+        "float_list": [-0.0, 5e-324, 1e22],
+        "float_list_whose_sum_overflows": [1.7e308, 1.7e308],
+        "ints_and_floats": [1, 2.5, -3],
+        "float_tuple": (0.5, -0.0, 1e-310),
+        "empty_dict_in_list": [{}],
         "z_last": np.float64(-2.0),
     }
     _write_json(tmp_path / "new.json", payload)
@@ -931,6 +938,9 @@ def test_json_report_bytes_match_reference_writer(tmp_path):
         for value in (bad, np.float64(bad), np.float32(bad), np.array([bad])):
             with pytest.raises(ValueError, match="not JSON compliant"):
                 _write_json(tmp_path / "bad.json", {**payload, "bad": value})
+    # json would write an int key as a string; a report key is a str or a mistake
+    with pytest.raises(TypeError, match="report key 1 is not a string"):
+        _write_json(tmp_path / "bad.json", {**payload, "bad": {1: "one"}})
     assert not (tmp_path / "bad.json").exists()
     certificates = []
     for name in GOLDENS:
@@ -978,7 +988,7 @@ def test_json_writer_matches_reference_on_generated_trees(tmp_path):
         max_leaves=40,
     )
 
-    # a 1-D float64 array with a non-finite item is not spliced: json refuses it
+    # a non-finite leaf, alone or inside a float array, is refused as json refuses it
     non_finite = st.sampled_from(NON_FINITE).flatmap(
         lambda v: st.sampled_from([v, np.float64(v), np.float32(v), np.array(v)])
         | st.tuples(st.lists(floats, max_size=4), st.lists(floats, max_size=4)).map(

@@ -1,6 +1,4 @@
 import re
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +36,7 @@ from helpers import (
     quarter_grid_cases,
     random_periodic_schedule,
     random_weights,
+    read_csv_text,
     reference_uniform_bounds,
     signed_triangle_adversarial,
     signed_triangle_symmetric,
@@ -634,12 +633,19 @@ def test_window_outcome_is_the_same_on_the_grid_and_on_the_trace():
     check()
 
 
-def _read_header(header):
-    """read_edge_signals_csv of a one-row file under ``header``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
-        path.write_text(f"{header}\n0.0,1.0\n")
-        return read_edge_signals_csv(path)
+def _read_header(header, rows="0.0,1.0\n"):
+    """read_edge_signals_csv of a file of ``rows`` under ``header``."""
+    return read_csv_text(read_edge_signals_csv, f"{header}\n{rows}")
+
+
+def _reconstruct_with(bad):
+    """reconstruct on [0, 1] of a K3 trace sampled every 0.25, whose row at
+    t = 0.75 (in the window) and 1.75 (past it) holds ``bad``."""
+    sched = k3_schedule()
+    trace = edge_signals(simulate(sched, [1.0, 0.0, -1.0], 2.0, 0.25), sched)
+    z = trace.signals.copy()
+    z[[3, 7], 1] = bad
+    return reconstruct(EdgeSignalTrace(trace.sample_times, z, trace.edge_order), sched, 0.0, 1.0)
 
 
 # (call, exception class, message fragment) of each refusal no other test reaches
@@ -666,6 +672,19 @@ REFUSALS = {
                        "edge signal column 'z_a_b' is not z_<i>_<j>"),
     "header-of-a-trajectory": (lambda: _read_header("t,x1"), ConfigurationError,
                                "edge signal column 'x1' is not z_<i>_<j>"),
+    "csv-empty-file": (lambda: read_csv_text(read_edge_signals_csv, ""), ConfigurationError,
+                       "has no rows under its header"),
+    "csv-header-only": (lambda: _read_header("t,z_1_2", ""), ConfigurationError,
+                        "has no rows under its header"),
+    "csv-ragged-rows": (lambda: _read_header("t,z_1_2", "0.0,1.0\n0.5\n"), ConfigurationError,
+                        "is not a table of numbers: the number of columns changed"),
+    "csv-not-a-number": (lambda: _read_header("t,z_1_2", "0.0,abc\n"), ConfigurationError,
+                         "is not a table of numbers: could not convert string 'abc'"),
+    # numpy would return [nan nan nan] for the NaN and warn in matmul on the inf
+    "reconstruct-nan-signal": (lambda: _reconstruct_with(np.nan), ValueError,
+                               "the edge signals are not finite at t = 0.75"),
+    "reconstruct-inf-signal": (lambda: _reconstruct_with(-np.inf), ValueError,
+                               "the edge signals are not finite at t = 0.75"),
 }
 
 
