@@ -494,7 +494,10 @@ def list_tasks(task=None):
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    # one parser per process, shared by every main call: parse_args does not
+    # mutate it, and no action has a mutable default
     parser = argparse.ArgumentParser(
         prog="consensuslab",
         description="Simulate and analyze continuous-time consensus dynamics "
@@ -509,13 +512,6 @@ def _build_parser():
     lt_p = sub.add_parser("list-tasks", help="describe the available tasks")
     lt_p.add_argument("--task", help="show a single task's parameters")
     return parser
-
-
-@functools.cache
-def _parser():
-    # one parser per process, shared by every main call: parse_args does not
-    # mutate it, and no action has a mutable default
-    return _build_parser()
 
 
 def main(argv=None):

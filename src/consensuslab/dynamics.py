@@ -56,9 +56,12 @@ class Trajectory:
         return None
 
     def write_csv(self, path):
-        n = self.node_count
-        header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        _write_csv_rows(path, header, self.sample_times, self.states)
+        _write_csv_rows(path, _trajectory_header(self.node_count), self.sample_times, self.states)
+
+
+def _trajectory_header(node_count):
+    """The header line, without its line ending, of a trajectory CSV."""
+    return "t," + ",".join(f"x{i + 1}" for i in range(node_count))
 
 
 def _write_csv_rows(path, header, times, values):
@@ -78,23 +81,24 @@ def _write_csv_rows(path, header, times, values):
         _csvtext.write_rows(fh, times, values)
 
 
-def _read_csv_rows(path):
-    """The rows under the header of a CSV file as a 2-D float array; a file
-    with no rows, ragged rows or a cell that is not a number raises
-    ConfigurationError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path} is not a table of numbers: {exc}") from None
+def read_trajectory_csv(path):
+    """The trajectory in a CSV file that ``Trajectory.write_csv`` wrote.  A
+    file with no rows, ragged rows, a cell that is not a number or a header
+    other than the one written for its row width raises ConfigurationError."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().removesuffix("\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path} is not a table of numbers: {exc}") from None
     if data.shape[0] == 0:
         raise ConfigurationError(f"{path} has no rows under its header")
-    return data
-
-
-def read_trajectory_csv(path):
-    data = _read_csv_rows(path)
+    expected = _trajectory_header(data.shape[1] - 1)
+    if header != expected:
+        raise ConfigurationError(
+            f"{path} has the header {header!r}, not a trajectory's {expected!r}")
     return Trajectory(sample_times=data[:, 0], states=data[:, 1:])
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, UnobservableWindowError
 from . import graph
 from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
-from .dynamics import _disagreement_flow, _read_csv_rows, _run_pieces, _write_csv_rows
+from .dynamics import _disagreement_flow, _run_pieces, _write_csv_rows
 
 __all__ = [
     "EdgeSignalTrace",
@@ -26,7 +26,6 @@ __all__ = [
     "gramian",
     "uniform_bounds_check",
     "reconstruct",
-    "read_edge_signals_csv",
 ]
 
 # uniform_bounds_check calls a schedule observable when alpha1 exceeds this
@@ -59,20 +58,6 @@ class EdgeSignalTrace:
     def write_csv(self, path):
         header = "t," + ",".join(f"z_{i + 1}_{j + 1}" for i, j in self.edge_order)
         _write_csv_rows(path, header, self.sample_times, self.signals)
-
-
-def read_edge_signals_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    pairs = []
-    for label in header[1:]:
-        try:
-            _, i, j = label.split("_")
-            pairs.append((int(i) - 1, int(j) - 1))
-        except ValueError:
-            raise ConfigurationError(f"edge signal column {label!r} is not z_<i>_<j>") from None
-    data = _read_csv_rows(path)
-    return EdgeSignalTrace(sample_times=data[:, 0], signals=data[:, 1:], edge_order=tuple(pairs))
 
 
 def _grid_tolerance(times):

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -92,16 +93,37 @@ def test_robustness_c_bound_is_the_measured_supremum(tmp_path):
     assert report["C_bound"] == report["sup_error"] == max(report["errors"])
 
 
-def test_package_exports_exactly_the_submodule_names():
+def _submodule_names():
+    """Each submodule's ``__all__`` and the exception classes of ``errors``."""
     from consensuslab import analysis, dynamics, errors, graph, observability
 
+    names = set().union(*(m.__all__ for m in (graph, dynamics, observability, analysis)))
+    return names | {name for name, value in vars(errors).items()
+                    if isinstance(value, type) and issubclass(value, Exception)}
+
+
+def test_package_exports_exactly_the_submodule_names():
     exported = {name for name, value in vars(consensuslab).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
-    expected = set().union(*(m.__all__ for m in (graph, dynamics, observability, analysis)))
-    expected |= {name for name, value in vars(errors).items()
-                 if isinstance(value, type) and issubclass(value, Exception)}
-    assert exported == expected
-    assert len(exported) == 41
+    assert exported == _submodule_names()
+    assert len(exported) == 40
+
+
+def test_every_exported_name_is_used_outside_the_unit_tests():
+    # a public name that only unit tests load is an API kept for its tests:
+    # each one is read as a name or an attribute in src/, bench/ or the
+    # acceptance suite (an import, a def or an __all__ string is no read)
+    root = SCENARIOS.parent
+    files = [*(root / "src").rglob("*.py"), *(root / "bench").glob("*.py"),
+             root / "tests" / "test_acceptance.py"]
+    loaded = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(_submodule_names() - loaded) == []
 
 
 def _valid_scenario():

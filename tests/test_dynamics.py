@@ -326,7 +326,9 @@ REFUSALS = {
                           ValueError, "must be 'raw' or 'projected', got 'signed'"),
     "transition-backwards": (lambda: transition_matrix("raw", k2_schedule(), 1.0, 0.5),
                              ValueError, "requires t >= s"),
-    # numpy's loadtxt warns on the first and raises its bare ValueError on the others
+    # numpy's loadtxt warns on the first two and raises its bare ValueError on the next two
+    "csv-empty-file": (lambda: _read_trajectory(""), ConfigurationError,
+                       "has no rows under its header"),
     "csv-header-only": (lambda: _read_trajectory("t,x1,x2\n"), ConfigurationError,
                         "has no rows under its header"),
     "csv-ragged-rows": (lambda: _read_trajectory("t,x1,x2\n0.0,1.0,2.0\n0.5,1.0\n"),
@@ -334,6 +336,11 @@ REFUSALS = {
                         "is not a table of numbers: the number of columns changed"),
     "csv-not-a-number": (lambda: _read_trajectory("t,x1,x2\n0.0,1.0,abc\n"), ConfigurationError,
                          "is not a table of numbers: could not convert string 'abc'"),
+    # an edge-signal table of one edge, and a header narrower than its rows
+    "csv-edge-header": (lambda: _read_trajectory("t,z_1_2\n0,1,2\n"), ConfigurationError,
+                        "has the header 't,z_1_2', not a trajectory's 't,x1,x2'"),
+    "csv-narrow-header": (lambda: _read_trajectory("t,x1\n0,1,2\n"), ConfigurationError,
+                          "has the header 't,x1', not a trajectory's 't,x1,x2'"),
 }
 
 

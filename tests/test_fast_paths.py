@@ -35,7 +35,6 @@ from consensuslab import (
     WeightSchedule,
     edge_signals,
     gramian,
-    read_edge_signals_csv,
     read_trajectory_csv,
     reconstruct,
     simulate,
@@ -643,12 +642,19 @@ def test_edge_signals_edited_in_place_are_written(tmp_path):
     assert_trace_csv_matches_reference(tmp_path / "e.csv", trace)
 
 
+def _read_edge_signals(path, node_count):
+    """The edge-signal trace of ``node_count`` nodes in a CSV file, built as
+    a recorded trace is: from its columns and ``edge_pairs``."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return EdgeSignalTrace(data[:, 0], data[:, 1:], edge_pairs(node_count))
+
+
 def test_read_back_trace_rewrites_to_the_same_bytes(tmp_path, monkeypatch):
     sched = five_node_schedule()
     traj = simulate(sched, [1.0, 0.0, -1.0, 2.0, 0.5], 7.3, 0.05)
     trace = edge_signals(traj, sched)
     assert_trace_csv_matches_reference(tmp_path / "a.csv", trace)
-    back = read_edge_signals_csv(tmp_path / "a.csv")
+    back = _read_edge_signals(tmp_path / "a.csv", sched.node_count)
     assert np.array_equal(back.signals.view(np.int64), trace.signals.view(np.int64))
     # the writer finds the +0.0 runs of the read-back signals too
     calls = counted_template_writes(monkeypatch)
@@ -670,8 +676,11 @@ def test_read_back_golden_table_rewrites_to_the_same_bytes(tmp_path, name, table
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
     assert main(["run", str(scenario), "--output-dir", str(tmp_path / "out")]) == 0
     written = tmp_path / "out" / table
-    read = read_edge_signals_csv if table == "edge_signals.csv" else read_trajectory_csv
-    read(written).write_csv(tmp_path / "rewritten.csv")
+    if table == "edge_signals.csv":
+        back = _read_edge_signals(written, load_scenario(scenario).schedule.node_count)
+    else:
+        back = read_trajectory_csv(written)
+    back.write_csv(tmp_path / "rewritten.csv")
     assert written.stat().st_size
     assert (tmp_path / "rewritten.csv").read_bytes() == written.read_bytes()
 
