@@ -479,8 +479,8 @@ def _resolve_output_dir(scenario, flag_value):
 
 def list_tasks(task=None):
     """Stable help text enumerating the tasks and their parameters."""
-    names = [task] if task else sorted(TASKS)
-    if task and task not in TASKS:
+    names = sorted(TASKS) if task is None else [task]
+    if task is not None and task not in TASKS:
         _unknown_task(task)
     lines = []
     for name in names:

@@ -83,8 +83,9 @@ def _write_csv_rows(path, header, times, values):
 
 def read_trajectory_csv(path):
     """The trajectory in a CSV file that ``Trajectory.write_csv`` wrote.  A
-    file with no rows, ragged rows, a cell that is not a number or a header
-    other than the one written for its row width raises ConfigurationError."""
+    file with no rows, ragged rows, a cell that is not a number, a header
+    other than the one written for its row width or times that are not
+    finite and strictly increasing raises ConfigurationError."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().removesuffix("\n")
         with warnings.catch_warnings():
@@ -99,7 +100,10 @@ def read_trajectory_csv(path):
     if header != expected:
         raise ConfigurationError(
             f"{path} has the header {header!r}, not a trajectory's {expected!r}")
-    return Trajectory(sample_times=data[:, 0], states=data[:, 1:])
+    try:
+        return Trajectory(sample_times=data[:, 0], states=data[:, 1:])
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not a trajectory: {exc}") from None
 
 
 class NoiseProcess:

@@ -26,7 +26,6 @@ __all__ = [
     "laplacian",
     "incidence",
     "integrated_weights",
-    "integrated_laplacian",
     "window_starts",
     "check_joint_connectivity",
     "negative_link_assumption_holds",
@@ -273,15 +272,21 @@ def integrated_weights(sched, s, duration):
     return acc
 
 
-# the window checks stack their integrals in blocks of about this many matrix
-# entries, max(1, _BLOCK_ENTRIES // N^2) kinks a block, so memory stays flat
-# in the number of kinks and of listed windows
 _BLOCK_ENTRIES = 1 << 16
 
 
-def integrated_laplacian(sched, s, duration):
-    """Exact segment-wise integral of the Laplacian over [s, s+duration]."""
-    return _laplacian(integrated_weights(sched, s, duration))
+def _block(n):
+    """Kinks, or windows, a block of the window checks on n nodes: about
+    _BLOCK_ENTRIES entries, so memory stays flat in their number."""
+    return max(1, _BLOCK_ENTRIES // n ** 2)
+
+
+def _window_integrals(sched, starts, length):
+    """Yield the :func:`integrated_weights` over [s, s + length] for the starts
+    in order, _block(N) a stack: the one integral path of both window checks."""
+    block = _block(sched.node_count)
+    for lo in range(0, len(starts), block):
+        yield np.stack([integrated_weights(sched, s, length) for s in starts[lo:lo + block]])
 
 
 def window_starts(sched, window_length):
@@ -364,9 +369,8 @@ def _deciding_windows(sched, delta, T):
     test is closed, a cut's graph holds the edges on both sides, and a piece
     whose left cut only adds edges (or right cut only drops them) holds its
     neighbour's.  The other, inclusion-minimal pieces are listed by midpoint.
-    Kink intervals go in blocks of max(1, _BLOCK_ENTRIES // N^2), each
-    integral exactly :func:`integrated_weights`; the kink that closes a
-    block opens the next and is integrated again.
+    The kinks' integrals come in blocks from :func:`_window_integrals`, each
+    kink once: a block's last row opens the next block's first interval.
     """
     kinks = window_starts(sched, T)
     # the last interval of a period ends at the period, whose integrals are
@@ -375,12 +379,12 @@ def _deciding_windows(sched, delta, T):
     pts = np.array(kinks + [sched.period if sched.periodic else kinks[0]] * wrap)
     ends = kinks + kinks[:1] * wrap  # not the period: pieces(P, P + T) rounds differently
     rows, cols = np.triu_indices(sched.node_count, 1)
-    block = max(1, _BLOCK_ENTRIES // sched.node_count ** 2)
-    for lo in range(0, len(ends) - 1, block):
-        seq = np.stack([integrated_weights(sched, s, T)[rows, cols]
-                        for s in ends[lo:lo + block + 1]])
+    block, lo, seq = _block(sched.node_count), 0, np.empty((0, rows.size))
+    for stack in _window_integrals(sched, ends, T):
+        seq = np.concatenate((seq[-1:], stack[:, rows, cols]))
         ia, slope = seq[:-1], seq[1:] - seq[:-1]
         a, span = pts[lo:lo + len(ia)], np.diff(pts[lo:lo + len(ia) + 1])
+        lo += len(ia)
         cross = np.divide(delta - ia, slope, out=np.ones_like(slope), where=slope != 0.0)
         # per interval: 0, the crossing fractions in ascending order, 1, with
         # the rising crossings first and the falling last at equal fractions

@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, UnobservableWindowError
-from . import graph
-from .graph import edge_pairs, integrated_laplacian, negative_link_assumption_holds, window_starts
+from .graph import _window_integrals, edge_pairs, negative_link_assumption_holds, window_starts
 from .dynamics import _disagreement_flow, _run_pieces, _write_csv_rows
 
 __all__ = [
@@ -204,10 +203,9 @@ def uniform_bounds_check(sched, delta_obs):
     eigenvalue is concave and its largest convex: alpha1 and alpha2 over
     the kinks alone are the extremes over all s >= 0 (the first kink
     attaining alpha1 is the worst window).  The verdict flag is
-    alpha1 > POSITIVE_TOL.  The kinks go in blocks of
-    max(1, graph._BLOCK_ENTRIES // N^2), each window exactly
-    :func:`consensuslab.graph.integrated_laplacian` plus the shift, with one
-    eigvalsh call per block.
+    alpha1 > POSITIVE_TOL.  Each block of kink integrals w from
+    :func:`consensuslab.graph._window_integrals` gives delta/N - w plus the
+    row sums of w on the diagonal, with one eigvalsh call per block.
 
     With Lambda = max(1, max_k lambda_max(L_k)) from the cached spectra,
     every window Gramian of :func:`gramian` has lambda_min at least
@@ -223,19 +221,17 @@ def uniform_bounds_check(sched, delta_obs):
     n = sched.node_count
     shift = delta_obs * (np.ones((n, n)) / n)
     starts = window_starts(sched, delta_obs)
-    block = max(1, graph._BLOCK_ENTRIES // (n * n))
-    alpha1 = np.inf
-    alpha2 = -np.inf
-    worst = 0.0
-    for lo in range(0, len(starts), block):
-        lap = np.stack([integrated_laplacian(sched, s, delta_obs) for s in starts[lo:lo + block]])
-        lap += shift
+    alpha1, alpha2, worst, lo = np.inf, -np.inf, 0.0, 0
+    for w in _window_integrals(sched, starts, delta_obs):
+        lap = shift - w
+        lap.reshape(len(w), -1)[:, ::n + 1] += w.sum(axis=2)  # the diagonals
         eigs = np.linalg.eigvalsh(lap)
         r = int(np.argmin(eigs[:, 0]))
         if eigs[r, 0] < alpha1:
             alpha1 = float(eigs[r, 0])
             worst = float(starts[lo + r])
         alpha2 = max(alpha2, float(eigs[:, -1].max()))
+        lo += len(w)
     observable = bool(alpha1 > POSITIVE_TOL)
     floor = rate = None
     if observable and negative_link_assumption_holds(sched):

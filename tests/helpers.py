@@ -10,7 +10,6 @@ from consensuslab import UniformBounds, WeightSchedule, laplacian
 from consensuslab.graph import (
     WindowEvidence,
     edge_pairs,
-    integrated_laplacian,
     integrated_weights,
 )
 
@@ -480,7 +479,8 @@ def reference_uniform_bounds(sched, delta_obs, starts=None):
     shift = np.ones((n, n)) / n
     alpha1, alpha2, worst = np.inf, -np.inf, 0.0
     for s in scan_starts(sched, delta_obs) if starts is None else starts:
-        eigs = np.linalg.eigvalsh(integrated_laplacian(sched, s, delta_obs) + delta_obs * shift)
+        lap = laplacian(integrated_weights(sched, s, delta_obs))
+        eigs = np.linalg.eigvalsh(lap + delta_obs * shift)
         if eigs[0] < alpha1:
             alpha1, worst = float(eigs[0]), float(s)
         alpha2 = max(alpha2, float(eigs[-1]))

@@ -106,7 +106,7 @@ def test_package_exports_exactly_the_submodule_names():
     exported = {name for name, value in vars(consensuslab).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == _submodule_names()
-    assert len(exported) == 40
+    assert len(exported) == 39
 
 
 def test_every_exported_name_is_used_outside_the_unit_tests():
@@ -1394,6 +1394,10 @@ def test_list_tasks_cli(capsys):
     assert main(["list-tasks", "--task", "simulate"]) == 0
     assert "sample_dt" in capsys.readouterr().out
     assert main(["list-tasks", "--task", "nope"]) == 2
+    capsys.readouterr()
+    assert main(["list-tasks", "--task", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown task ''" in captured.err
 
 
 # the keys of each JSON report; the records' field names reach them unchanged

@@ -341,6 +341,11 @@ REFUSALS = {
                         "has the header 't,z_1_2', not a trajectory's 't,x1,x2'"),
     "csv-narrow-header": (lambda: _read_trajectory("t,x1\n0,1,2\n"), ConfigurationError,
                           "has the header 't,x1', not a trajectory's 't,x1,x2'"),
+    # times that go down, and a time that is not a number
+    "csv-times-decrease": (lambda: _read_trajectory("t,x1,x2\n1,0,1\n0,1,2\n"),
+                           ConfigurationError, "is not a trajectory: sample_times must be finite"),
+    "csv-time-nan": (lambda: _read_trajectory("t,x1,x2\n0,0,1\nnan,1,2\n"),
+                     ConfigurationError, "is not a trajectory: sample_times must be finite"),
 }
 
 

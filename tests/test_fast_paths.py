@@ -851,23 +851,35 @@ def test_window_checks_match_reference_over_several_blocks(kind, n, monkeypatch)
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "nonperiodic"])
-def test_block_seam_integrates_its_kink_twice(periodic, monkeypatch):
-    # the kink that closes a block opens the next one and is integrated
-    # again; a period's last interval closes with the integrals at 0
+def test_each_kink_is_integrated_once(periodic, monkeypatch):
+    # a block's last kink opens the next block's first interval without a
+    # second integral; a period's last interval closes with the integrals at 0
     n = 5
     sched = random_schedule(np.random.default_rng(12), n, periodic, segments=6)
     T = 0.4 * sched.horizon
     kinks = window_starts(sched, T)
-    intervals = len(kinks) - 1 + periodic
-    blocks = -(-intervals // 2)
-    assert blocks >= 3
-    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 2 * n * n)  # two kink intervals per block
+    assert len(kinks) >= 6
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 2 * n * n)  # two kinks per block
     starts, pieces = [], WeightSchedule.pieces
     monkeypatch.setattr(WeightSchedule, "pieces",
                         lambda self, t0, t1: starts.append(t0) or pieces(self, t0, t1))
     check_joint_connectivity(sched, 0.1 * T, T)
-    assert len(starts) == len(kinks) + periodic + blocks - 1
-    assert set(starts) == set(kinks)
+    assert sorted(starts) == sorted(kinks + kinks[:1] * periodic)
+    starts.clear()
+    uniform_bounds_check(sched, T)
+    assert starts == kinks
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "nonperiodic"])
+def test_stacked_bounds_match_reference_at_n_100(periodic):
+    # no monkeypatch: 6 kinks a block, so the stacked row sums of the
+    # widest benchmark graphs are checked across block seams
+    sched = random_schedule(np.random.default_rng(100), 100, periodic, segments=8)
+    T = 0.4 * sched.horizon
+    starts = window_starts(sched, T)
+    assert len(starts) > graph._BLOCK_ENTRIES // 100 ** 2
+    bounds = uniform_bounds_check(sched, T)
+    assert bounds[:4] == reference_uniform_bounds(sched, T, starts)[:4]
 
 
 def test_worst_window_is_the_first_minimum(monkeypatch):

@@ -13,7 +13,6 @@ from consensuslab import (
     edge_pairs,
     gramian,
     incidence,
-    integrated_laplacian,
     integrated_weights,
     laplacian,
     load_schedule,
@@ -109,7 +108,7 @@ class TestIncidence:
 
 class TestIntegration:
     def test_constant_window(self):
-        acc = integrated_laplacian(k2_schedule(), 0.0, 2.0)
+        acc = laplacian(integrated_weights(k2_schedule(), 0.0, 2.0))
         assert np.allclose(acc, [[2, -2], [-2, 2]], atol=1e-14)
 
     def test_alternating_overlap(self):
@@ -120,7 +119,7 @@ class TestIntegration:
         assert acc[0, 2] == 0.0
 
     def test_zero_length_window(self):
-        assert np.all(integrated_laplacian(k2_schedule(), 1.0, 0.0) == 0.0)
+        assert np.all(laplacian(integrated_weights(k2_schedule(), 1.0, 0.0)) == 0.0)
 
     def test_additive_over_adjacent_windows(self):
         sched = alternating_schedule()
@@ -129,8 +128,9 @@ class TestIntegration:
             s = float(rng.uniform(0.0, 4.0))
             t1 = float(rng.uniform(0.1, 3.0))
             t2 = float(rng.uniform(0.1, 3.0))
-            lhs = integrated_laplacian(sched, s, t1) + integrated_laplacian(sched, s + t1, t2)
-            rhs = integrated_laplacian(sched, s, t1 + t2)
+            lhs = (laplacian(integrated_weights(sched, s, t1))
+                   + laplacian(integrated_weights(sched, s + t1, t2)))
+            rhs = laplacian(integrated_weights(sched, s, t1 + t2))
             assert np.abs(lhs - rhs).max() < 1e-12 * 3 * (t1 + t2)
 
     def test_window_beyond_horizon(self):
