@@ -16,8 +16,10 @@ it cuts the rows into runs whose +0.0 cells lie in the same columns.  A
 run with none goes to ``lines`` in blocks of ``BLOCK_VALUES`` values.  The
 edge signals are +0.0 in every column but the edges of a segment piece's
 graph.  For a run with +0.0 cells only the times and the other cells go
-through the 48-byte rows below, and each line is the run's template: the
-slots of those texts, and between them runs of separators and "0," cells.
+through the 48-byte rows below, each closed by ",".  One ``translate`` and
+one ``split`` give their texts, and ``%`` puts them into the copies of the
+run's bytes template: a ``%s`` per text, each followed by its separators
+and "0," cells.
 
 ``dynamics`` imports this module on its first CSV write, so neither the
 module nor its tables (about 2 ms to build) cost anything on
@@ -46,8 +48,8 @@ import numpy as np
 
 # values per block (see write_rows): the block's temporaries stay under
 # 2 MB (tracemalloc peaks of a whole write: 1.18 MB on an 8001 x 101 dense
-# table, 0.94 MB on an 8001 x 191 table 2 % nonzero, 1.37 MB on 8001 x 191
-# tables of +0.0 runs written by templates)
+# table, 0.94 MB on an 8001 x 191 table 2 % nonzero, 1.24 MB on 8001 x 191
+# tables of +0.0 runs written by templates, 0.51 MB on one of +0.0 alone)
 BLOCK_VALUES = 6144
 
 _POW_MIN, _POW_MAX = -270, 300  # 10**k for every k = 16 - d of the fast range
@@ -248,8 +250,7 @@ def _fill_digits(rows, code, pick, v):
 
 def _text_rows(rows, flat):
     """Fill the 48-byte rows of the values ``flat``, whose word 5 already
-    holds each value's separator byte (or NUL for none), and return their
-    keep masks."""
+    holds each value's separator byte, and return their keep masks."""
     mag = np.abs(flat)
     code = np.where(np.signbit(flat), (_LAYOUTS + 4) * 17, 4 * 17)  # "0" / "-0" until set below
     fast = (mag >= 1e-280) & (mag <= 1e280)
@@ -287,34 +288,19 @@ def lines(table):
     return text.tobytes().translate(None, b"\0")
 
 
-def _line_layout(cols, width):
-    """Template words of a line of ``width`` values that are +0.0 outside
-    the columns ``cols``, and the words of its text rows.
-
-    The line is the time's 48-byte row, then for each listed column the run
-    up to it and the column's row, then the run to the end of the line.  A
-    run holds the separators, so the texts go in without theirs: the ","
-    after a text, "0," for each +0.0 cell up to the next text, and "\\n"
-    instead of the last ",".  Each run is padded with NULs to whole words.
-    """
-    line = bytearray(_ROW)
-    slots = [0]
-    prev = -1
-    for c in cols.tolist() + [width]:
-        run = b",0" * (c - prev - 1) + (b"," if c < width else b"\n")
-        line += run + bytes(-len(run) % 8)
-        if c < width:
-            slots.append(len(line) // 8)
-            line += bytes(_ROW)
-        prev = c
-    slots = (np.array(slots)[:, None] + np.arange(_ROW // 8)).ravel()
-    return np.frombuffer(bytes(line), np.uint64), slots
+def _template(cols, width):
+    """The bytes format of a line of ``width`` values that are +0.0 outside
+    the columns ``cols``: a ``%s`` for the time and for each listed cell,
+    each followed by its separator and the "0," cells up to the next, with
+    "\\n" in place of the last ",".  No '%.17g' text holds "," or "%"."""
+    gaps = np.diff(cols, prepend=-1, append=width).tolist()
+    return b"".join(b"%s," + b"0," * (g - 1) for g in gaps)[:-1] + b"\n"
 
 
 def _support_lines(times, values, chunks):
-    """The lines of the rows [a, b) of every chunk (a, b, cols, layout) in
+    """The lines of the rows [a, b) of every chunk (a, b, cols, template) in
     turn: one digit pass over the times and the listed cells, whose texts
-    then go into each chunk's copies of its template."""
+    then fill each chunk's copies of its template."""
     counts = [(b - a) * (cols.size + 1) for a, b, cols, _ in chunks]
     flat = np.empty(sum(counts))
     v = 0
@@ -324,18 +310,16 @@ def _support_lines(times, values, chunks):
         cells[:, 1:] = values[a:b, cols]
         v += count
     rows = np.empty((flat.size, 6), np.uint64)
-    rows[:, 5] = 0  # no separator: the runs hold them
+    rows[:, 5] = _COMMA_WORD
     text = rows.view(np.uint8)
     text *= _text_rows(rows, flat).view(np.uint8)
-    out = np.empty(sum((b - a) * words.size for a, b, _, (words, _) in chunks), np.uint64)
-    o = v = 0
-    for (a, b, _, (words, slots)), count in zip(chunks, counts):
-        chunk_lines = out[o:o + (b - a) * words.size].reshape(b - a, words.size)
-        chunk_lines[:] = words
-        chunk_lines[:, slots] = rows[v:v + count].reshape(b - a, -1)
-        o += chunk_lines.size
+    texts = text.tobytes().translate(None, b"\0").split(b",")
+    parts = []
+    v = 0
+    for (a, b, _, template), count in zip(chunks, counts):
+        parts.append(template * (b - a) % tuple(texts[v:v + count]))
         v += count
-    return out.tobytes().translate(None, b"\0")
+    return b"".join(parts)
 
 
 def _runs(values, r, s):
@@ -364,23 +348,23 @@ def write_rows(fh, times, values):
     about ``BLOCK_VALUES`` cells at a time.  Any other run formats only the
     times and its other cells, and each line is the run's template with
     their texts in place; runs go in chunks of rows, and the chunks in
-    blocks weighed as formatted values plus a sixth of the template words (a
-    word of template holds a sixth of the memory of a value's 48-byte row).
+    blocks weighed as formatted values plus the template bytes / 48 (a
+    value's 48-byte row holds as much memory as 48 bytes of template).
     A scan block cut into more runs than a sixteenth of its rows (scattered
     zeros) is written whole by ``lines``, so it costs what the dense path
     costs.
     """
     width = values.shape[1]
     step = max(1, BLOCK_VALUES // (width + 1))
-    templates = {None: None}  # a run's (columns, layout) by its mask; None for lines
+    templates = {None: None}  # a run's (columns, template) by its mask; None for lines
     block, held = [], 0.0
     for q in range(0, times.size, 16 * step):
         for r, s, mask in _runs(values, q, min(q + 16 * step, times.size)):
             if mask not in templates:
                 cols = np.flatnonzero(np.frombuffer(mask, bool))
-                templates[mask] = (cols, _line_layout(cols, width)) if cols.size < width else None
-            cols, layout = templates[mask] or (None, None)
-            weight = width + 1 if cols is None else cols.size + 1 + layout[0].size / 6  # per line
+                templates[mask] = (cols, _template(cols, width)) if cols.size < width else None
+            cols, template = templates[mask] or (None, None)
+            weight = width + 1 if cols is None else cols.size + 1 + len(template) / 48  # per line
             run_step = max(1, int(BLOCK_VALUES // weight))
             for a in range(r, s, run_step):
                 b = min(a + run_step, s)
@@ -390,7 +374,7 @@ def write_rows(fh, times, values):
                 if cols is None:
                     fh.write(lines(np.column_stack((times[a:b], values[a:b]))))
                 else:
-                    block.append((a, b, cols, layout))
+                    block.append((a, b, cols, template))
                     held += (b - a) * weight
     if block:
         fh.write(_support_lines(times, values, block))

@@ -90,7 +90,7 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     and sampling the fit at period multiples removes it from the residual.
     A trajectory whose consensus error is not finite raises ValueError.
     """
-    if fit_dt is not None and not (fit_dt > 0.0 and np.isfinite(fit_dt)):
+    if fit_dt is not None and not (_is_number(fit_dt) and fit_dt > 0.0):
         raise ValueError(f"fit_dt must be positive and finite, got {fit_dt}")
     if not _is_number(skip_time):
         raise ValueError(f"skip_time must be a finite number, got {skip_time!r}")

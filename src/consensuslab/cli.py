@@ -139,6 +139,8 @@ class Scenario:
         for key in ("name", "output_dir"):
             if not isinstance(getattr(self, key), str):
                 _fail(f"'{key}' must be a string")
+        if not self.output_dir:
+            _fail("'output_dir' must name a directory, got ''")
         try:  # a path the OS takes: encodable to bytes, with no NUL byte
             if b"\0" in os.fsencode(self.output_dir):
                 _fail("'output_dir' must not contain a NUL character")
@@ -469,6 +471,8 @@ def load_scenario(path):
 
 
 def _resolve_output_dir(scenario, flag_value):
+    if flag_value == "":
+        raise ConfigurationError("--output-dir must name a directory, got ''")
     out = Path(flag_value or scenario.base_dir / scenario.output_dir)
     for path in (out, *out.parents):  # os.path, which takes a name too long as absent
         if os.path.exists(path) and not os.path.isdir(path):

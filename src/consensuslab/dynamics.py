@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
+from .graph import _is_number
 
 __all__ = [
     "Trajectory",
@@ -38,6 +39,8 @@ class Trajectory:
             raise ValueError("sample_times and states must have matching lengths")
         if t.size == 0:
             raise ValueError("trajectory must hold at least one sample")
+        if x.shape[1] == 0:
+            raise ValueError("trajectory must hold at least one node")
         if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
             raise ValueError("sample_times must be finite and strictly increasing")
         self.sample_times = t
@@ -330,7 +333,7 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
             f"initial state has {x0.size} entries for a {n}-node schedule"
         )
     for name, v in (("t_end", t_end), ("sample_dt", sample_dt)):
-        if not (v > 0.0 and math.isfinite(v)):
+        if not (_is_number(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {v}")
     if noise is not None:
         if noise.node_count != n:

@@ -159,7 +159,7 @@ class TestRateFit:
         assert fit_exponential_rate(traj).sample_count > 2
         with pytest.raises(ValueError, match="fit window is empty"):
             fit_exponential_rate(traj, fit_dt=1e300)
-        for fit_dt in (float("inf"), float("nan"), 0.0, -2.0):
+        for fit_dt in (float("inf"), float("nan"), 0.0, -2.0, True, "1"):
             with pytest.raises(ValueError, match="fit_dt must be positive and finite"):
                 fit_exponential_rate(traj, fit_dt=fit_dt)
         for skip_time in (float("inf"), float("nan"), "1"):

@@ -277,6 +277,7 @@ MALFORMED = [
      "'segment' must be"),
     ("numeric output_dir", _set(["output_dir"], 5), "'output_dir' must be a string"),
     ("NUL in output_dir", _set(["output_dir"], "a\u0000b"), "'output_dir' must not contain a NUL"),
+    ("empty output_dir", _set(["output_dir"], ""), "'output_dir' must name a directory, got ''"),
     ("lone surrogate in output_dir", _set(["output_dir"], "a\ud800b"),
      "'output_dir' is not a valid path"),
     ("numeric schedule_file", _schedule_file(5), "'schedule_file' must be a string"),
@@ -397,6 +398,14 @@ def test_output_path_through_a_file_exits_2_without_outputs(tmp_path, capsys, be
     assert err.startswith("scenario error:") and "not a directory" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.json", "taken"]
     assert taken.read_text() == "kept"
+
+
+def test_empty_output_dir_flag_exits_2_without_outputs(tmp_path, capsys):
+    # `--output-dir ""` wrote into the scenario's own output directory
+    shutil.copy(SCENARIOS / "k2_constant.json", tmp_path / "k2.json")
+    assert main(["run", str(tmp_path / "k2.json"), "--output-dir", ""]) == 2
+    assert capsys.readouterr().err == "scenario error: --output-dir must name a directory, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["k2.json"]
 
 
 @pytest.mark.parametrize("made", [(), ("ro",)], ids=["fresh", "below-existing"])
@@ -1344,8 +1353,9 @@ def test_runs_without_scipy(tmp_path, name):
     assert (tmp_path / "out" / "manifest.json").is_file()
 
 
-# (command, scenario, output directory under tmp_path or None, exit code,
-# start of stderr) of `python -m consensuslab`
+# (command, scenario, output directory under tmp_path, "" for an empty
+# --output-dir or None for none, exit code, start of stderr) of
+# `python -m consensuslab`
 ENTRY_POINT = {
     "validate-golden": ("validate", json.loads((SCENARIOS / "k2_constant.json").read_text()),
                         None, 0, ""),
@@ -1353,6 +1363,13 @@ ENTRY_POINT = {
                            "scenario error: unknown scenario fields: ['schedules']\n"),
     "run-unobservable-nested": ("run", _UNOBSERVABLE, "failed/out", 3,
                                 "error: Gramian eigenvalue "),
+    # an empty directory is refused, not read as the scenario's own or its directory
+    "run-empty-output-dir-flag": ("run", json.loads((SCENARIOS / "k2_constant.json").read_text()),
+                                  "", 2, "scenario error: --output-dir must name a directory, "
+                                  "got ''\n"),
+    "run-empty-output-dir-field": ("run", json.loads((SCENARIOS / "k2_constant.json").read_text())
+                                   | {"output_dir": ""}, None, 2,
+                                   "scenario error: 'output_dir' must name a directory, got ''\n"),
 }
 
 
@@ -1362,7 +1379,7 @@ def test_module_entry_point_exit_codes(tmp_path, case):
     command, data, out, code, err = ENTRY_POINT[case]
     scn = tmp_path / "scenario.json"
     scn.write_text(json.dumps(data))
-    output = ["--output-dir", str(tmp_path / out)] if out else []
+    output = [] if out is None else ["--output-dir", str(tmp_path / out) if out else ""]
     proc = _python("-m", "consensuslab", command, str(scn), *output)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr, proc.stderr

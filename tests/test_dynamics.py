@@ -317,11 +317,18 @@ REFUSALS = {
                            "matching lengths"),
     "trajectory-empty": (lambda: Trajectory([], np.zeros((0, 2))), ValueError,
                          "at least one sample"),
+    "trajectory-no-node": (lambda: Trajectory([0.0, 1.0], np.zeros((2, 0))), ValueError,
+                           "at least one node"),
     "noise-shape": (lambda: NoiseProcess([0.0, 1.0, 2.0], [[0.1, 0.1]], 1.0, 1.0),
                     ConfigurationError, "noise values must have shape (2, 2), got (1, 2)"),
     "simulate-noise-nodes": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], 1.0, 0.5,
                                               noise=NoiseProcess([0.0, 1.0], [[0.1, 0.1]], 1.0, 1.0)),
                              ConfigurationError, "noise node count does not match"),
+    # a bool or a string is not a time, though True > 0 and "0.1" converts to a float
+    "simulate-t-end-bool": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], True, 0.1),
+                            ValueError, "t_end must be positive and finite, got True"),
+    "simulate-sample-dt-string": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], 1.0, "0.1"),
+                                  ValueError, "sample_dt must be positive and finite, got 0.1"),
     "transition-system": (lambda: transition_matrix("signed", k2_schedule(), 0.0, 1.0),
                           ValueError, "must be 'raw' or 'projected', got 'signed'"),
     "transition-backwards": (lambda: transition_matrix("raw", k2_schedule(), 1.0, 0.5),
@@ -346,6 +353,9 @@ REFUSALS = {
                            ConfigurationError, "is not a trajectory: sample_times must be finite"),
     "csv-time-nan": (lambda: _read_trajectory("t,x1,x2\n0,0,1\nnan,1,2\n"),
                      ConfigurationError, "is not a trajectory: sample_times must be finite"),
+    # a column of times alone, under the header of 0 nodes
+    "csv-no-node-column": (lambda: _read_trajectory("t,\n0\n1\n"), ConfigurationError,
+                           "is not a trajectory: trajectory must hold at least one node"),
 }
 
 

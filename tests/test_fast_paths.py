@@ -717,9 +717,21 @@ def test_scattered_zeros_and_non_finite_rows_are_written(tmp_path, monkeypatch):
     assert_trace_csv_matches_reference(tmp_path / "n.csv", trace)
 
 
-def test_csv_writer_memory_stays_flat_on_supported_traces(tmp_path):
-    rng = np.random.default_rng(16)
-    times, values = supported_trace(rng, 8001, 190, 40, rng.standard_normal(100))
+def _one_column_trace(rng):
+    values = np.zeros((8001, 190))
+    values[:, 0] = rng.standard_normal(8001)
+    return np.linspace(0.0, 400.0, 8001), values
+
+
+# 8001 x 190 tables: pieces of random columns, and the template path's
+# longest lines, all "0," cells or one text among them
+@pytest.mark.parametrize("trace", [
+    lambda rng: supported_trace(rng, 8001, 190, 40, rng.standard_normal(100)),
+    lambda rng: (np.linspace(0.0, 400.0, 8001), np.zeros((8001, 190))),
+    _one_column_trace,
+], ids=["supported-trace", "all-zero", "one-column"])
+def test_csv_writer_memory_stays_flat_on_supported_traces(tmp_path, trace):
+    times, values = trace(np.random.default_rng(16))
     tracemalloc.start()
     try:
         _write_csv_rows(tmp_path / "supported.csv", "t", times, values)
