@@ -74,7 +74,7 @@ TASKS = {
 
 # parameters that must be positive wherever they appear: lengths of time or
 # steps, and the Gramian eigenvalue cutoff
-POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "zeta", "cond_tol")
+POSITIVE_PARAMS = ("t_end", "sample_dt", "delta", "T", "stride", "fit_dt", "cond_tol")
 
 # kind -> the fields that a noise or initial_state object of that kind may carry
 NOISE_FIELDS = {"zero": {"kind"}, "table": {"kind", "zeta", "B0", "breakpoints", "values"},
@@ -82,19 +82,6 @@ NOISE_FIELDS = {"zero": {"kind"}, "table": {"kind", "zeta", "B0", "breakpoints",
 NOISE_KINDS = tuple(NOISE_FIELDS)  # a tuple, so that an unhashable kind is refused, not raised
 INITIAL_STATE_FIELDS = {"consensus": {"kind", "value"}, "seeded-random": {"kind", "seed", "scale"},
                         "eigvector": {"kind", "segment", "index", "scale"}}
-
-
-def _task_end(name, params):
-    """Latest schedule time a task reads, or None for tasks that read none."""
-    if name in ("simulate", "robustness"):
-        return params["t_end"]
-    if name in ("gramian", "reconstruct"):
-        return params["start"] + params["delta"]
-    if name == "connectivity":
-        return params["T"]
-    if name == "bounds":
-        return params["delta"]
-    return None
 
 
 def _fail(msg):
@@ -106,17 +93,13 @@ def _unknown_task(name):
     _fail(f"unknown task {name!r}" + (f"; did you mean '{hint[0]}'?" if hint else ""))
 
 
-def _require_number(params, key, where):
-    v = params.get(key)
+def _require_number(params, key, where, default=None):
+    v = params.get(key, default)
     if not graph._is_number(v):
         _fail(f"{where}: parameter '{key}' must be a finite number, got {v!r}")
     if key in POSITIVE_PARAMS and v <= 0:
         _fail(f"{where}: parameter '{key}' must be positive, got {v!r}")
     return float(v)
-
-
-def _optional_number(params, key, where, default):
-    return _require_number(params, key, where) if key in params else default
 
 
 def _optional_seed(params, where):
@@ -190,12 +173,12 @@ class Scenario:
         if not isinstance(spec, dict) or "kind" not in spec:
             _fail("'initial_state' must be a vector or an object with 'kind'")
         kind = spec["kind"]
-        scale = _optional_number(spec, "scale", "initial_state", 1.0)
+        scale = _require_number(spec, "scale", "initial_state", 1.0)
         if not isinstance(kind, str) or kind not in INITIAL_STATE_FIELDS:
             _fail(f"unknown initial_state kind {kind!r}")
         graph._refuse_unknown(spec, INITIAL_STATE_FIELDS[kind], "initial_state")
         if kind == "consensus":
-            return np.full(n, _optional_number(spec, "value", "initial_state", 0.0))
+            return np.full(n, _require_number(spec, "value", "initial_state", 0.0))
         if kind == "seeded-random":
             seed = _optional_seed(spec, "initial_state")
             rng = np.random.default_rng(seed if seed is not None else self._seed_child(0))
@@ -234,22 +217,22 @@ class Scenario:
                 _require_number(params, key, f"task '{name}'")
             for key, (_, default) in optional.items():
                 params.setdefault(key, default)
-            end = _task_end(name, params)
-            if name == "gramian" and params["start"] < 0.0:
-                _fail(f"task 'gramian': window start {params['start']} is before the schedule "
-                      "start")
-            if end is not None:
-                try:
-                    self.schedule.segment_index_at(end)
-                    if name in ("simulate", "robustness"):
-                        dynamics._step_count(end, params["sample_dt"])
-                except ConfigurationError as exc:
-                    _fail(f"task '{name}': {exc}")
+            try:  # the schedule call that the task's run makes first refuses its times
+                if name in ("simulate", "robustness"):
+                    self.schedule.segment_index_at(params["t_end"])
+                    dynamics._step_count(params["t_end"], params["sample_dt"])
+                elif name in ("connectivity", "bounds"):  # the window length: T, or delta
+                    graph.window_starts(self.schedule, params.get("T", params["delta"]))
+                elif name == "gramian":
+                    self.schedule.pieces(params["start"], params["start"] + params["delta"])
+            except (ConfigurationError, ValueError) as exc:  # ValueError: an end past the floats
+                _fail(f"task '{name}': {exc}")
             if name in ("reconstruct", "rate") and sim_end is None:
                 _fail(f"task '{name}' needs a preceding simulate task")
             if sim_grid is None and name in ("reconstruct", "rate"):
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
+                end = params["start"] + params["delta"]
                 outside = (f"task 'reconstruct': window [{params['start']}, {end}] is not "
                            f"inside the simulated [0, {sim_end}]")
                 if params["start"] < 0.0:
@@ -257,7 +240,7 @@ class Scenario:
                 try:  # reconstruct's own check, on the run's sample grid
                     observability._window_nodes(sim_grid, self.schedule, params["start"],
                                                 params["delta"])
-                except ConfigurationError as exc:
+                except (ConfigurationError, ValueError) as exc:
                     # the grid decides the upper end, which may round an ulp past t_end
                     _fail(outside if end > sim_end else f"task 'reconstruct': {exc}")
             if name == "rate":
@@ -272,7 +255,7 @@ class Scenario:
             if name == "robustness" and self.noise_spec is None:
                 _fail("task 'robustness' needs a scenario 'noise' entry")
             if name == "simulate":
-                sim_end, sim_dt, sim_grid = end, params["sample_dt"], None
+                sim_end, sim_dt, sim_grid = params["t_end"], params["sample_dt"], None
             validated.append((name, params))
         return validated
 
@@ -287,23 +270,27 @@ class Scenario:
         graph._refuse_unknown(spec, NOISE_FIELDS[kind], "noise")
         if kind == "zero":
             return None
-        for key in ("zeta", "B0"):  # NoiseProcess checks their ranges
-            _require_number(spec, key, "noise")
         ends = [(name, p["t_end"]) for name, p in self.tasks if name in ("simulate", "robustness")]
-        if kind == "table" and ("breakpoints" not in spec or "values" not in spec):
-            _fail("table noise needs 'breakpoints' and 'values'")
+        if kind == "table":
+            if "breakpoints" not in spec or "values" not in spec:
+                _fail("table noise needs 'breakpoints' and 'values'")
+            # numpy takes a bool or a numeric string for a number: test each listed cell
+            rows = spec["values"] if isinstance(spec["values"], list) else []
+            for key, lists in (("breakpoints", [spec["breakpoints"]]), ("values", rows)):
+                bad = [v for cells in lists if isinstance(cells, list) for v in cells
+                       if not graph._is_number(v)]
+                if bad:
+                    _fail(f"invalid table noise: noise {key} must be finite numbers, got {bad[0]!r}")
         if kind == "windowed-random":
             seed = _optional_seed(spec, "noise")
-            _optional_number(spec, "margin", "noise", None)  # windowed_random checks its range
-            if seed is None:
-                seed = self._seed_child(1)
-        try:
+            seed = self._seed_child(1) if seed is None else seed
+        try:  # NoiseProcess refuses zeta, B0 and margin, also when missing (None)
             if kind == "table":
                 noise = dynamics.NoiseProcess.table(spec["breakpoints"], spec["values"],
-                                                    spec["zeta"], spec["B0"])
+                                                    spec.get("zeta"), spec.get("B0"))
             else:
                 noise = dynamics.NoiseProcess.windowed_random(
-                    self.schedule.node_count, spec["zeta"], spec["B0"], seed,
+                    self.schedule.node_count, spec.get("zeta"), spec.get("B0"), seed,
                     max((end for _, end in ends), default=0.0),
                     **{key: spec[key] for key in ("steps_per_window", "margin") if key in spec})
         except (ConsensusLabError, TypeError, ValueError) as exc:

@@ -127,8 +127,6 @@ class NoiseProcess:
                 f"noise values must be a table of rows, one value per node; got shape {v.shape}"
             )
         self.node_count = v.shape[1]
-        self.zeta = None if zeta is None else float(zeta)
-        self.energy_bound = float(energy_bound)
         b = np.asarray(breakpoints, dtype=float)
         if b.ndim != 1 or b.size < 2 or not np.all(np.isfinite(b)) or np.any(np.diff(b) <= 0.0):
             raise ConfigurationError("noise breakpoints must be finite and increasing, length >= 2")
@@ -138,12 +136,7 @@ class NoiseProcess:
             )
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("noise values must be finite")
-        if self.zeta is None or not (self.zeta > 0.0 and math.isfinite(self.zeta)):
-            raise ConfigurationError("noise needs a positive, finite window length zeta")
-        if not (self.energy_bound >= 0.0 and math.isfinite(self.energy_bound)):
-            raise ConfigurationError(
-                f"noise energy bound B0 must be finite and nonnegative, got {self.energy_bound}"
-            )
+        self.zeta, self.energy_bound = _window_and_bound(zeta, energy_bound)
         self.breakpoints = b
         self.values = v
         worst = max(self.window_energies(), default=0.0)
@@ -163,11 +156,10 @@ class NoiseProcess:
                         steps_per_window=4, margin=0.05):
         """Seeded noise from t = 0 over whole zeta-windows reaching t_end,
         each scaled to carry exactly (1 - margin) * B0 of energy."""
-        if not (zeta > 0.0 and math.isfinite(zeta)):
-            raise ConfigurationError(f"zeta must be positive and finite, got {zeta}")
-        if not math.isfinite(t_end):
-            raise ConfigurationError(f"t_end must be finite, got {t_end}")
-        if not 0.0 <= margin < 1.0:
+        zeta, energy_bound = _window_and_bound(zeta, energy_bound)
+        if not _is_number(t_end):
+            raise ConfigurationError(f"t_end must be finite, got {t_end!r}")
+        if not (_is_number(margin) and 0.0 <= margin < 1.0):
             raise ConfigurationError(f"'margin' must lie in [0, 1), got {margin!r}")
         if isinstance(steps_per_window, bool) or not (
                 isinstance(steps_per_window, (int, np.integer)) and steps_per_window >= 1):
@@ -177,14 +169,14 @@ class NoiseProcess:
         n_windows = max(1, math.ceil(_step_count(t_end, zeta)))
         step = zeta / steps_per_window
         breaks = step * np.arange(n_windows * steps_per_window + 1)
-        rows = []
+        # one draw for all windows: the same numbers, and window sums, as a draw per window
+        blocks = rng.standard_normal((n_windows, steps_per_window, node_count))
+        energies = np.sum(blocks * blocks, axis=(1, 2)) * step
         target = energy_bound * (1.0 - margin)
-        for _ in range(n_windows):
-            block = rng.standard_normal((steps_per_window, node_count))
-            energy = float(np.sum(block * block)) * step
-            scale = math.sqrt(target / energy) if energy > 0.0 and target > 0.0 else 0.0
-            rows.append(block * scale)
-        return cls(breaks, np.vstack(rows), zeta, energy_bound)
+        scales = np.sqrt(np.divide(target, energies, out=np.zeros(n_windows),
+                                   where=(energies > 0.0) & (target > 0.0)))
+        values = (blocks * scales[:, None, None]).reshape(breaks.size - 1, node_count)
+        return cls(breaks, values, zeta, energy_bound)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -215,6 +207,17 @@ class NoiseProcess:
         row_energy = np.append(np.einsum("ij,ij->i", v, v), 0.0)
         pieces = np.diff(cuts) * row_energy[np.searchsorted(b, cuts[:-1], side="right") - 1]
         return np.add.reduceat(pieces, np.searchsorted(cuts, starts)).tolist()
+
+
+def _window_and_bound(zeta, energy_bound):
+    """The noise window length zeta and energy bound B0 as floats; refused
+    unless zeta is a positive and B0 a nonnegative finite number."""
+    if not (_is_number(zeta) and zeta > 0.0):
+        raise ConfigurationError(f"noise needs a positive, finite window length zeta, got {zeta!r}")
+    if not (_is_number(energy_bound) and energy_bound >= 0.0):
+        raise ConfigurationError(
+            f"noise energy bound B0 must be finite and nonnegative, got {energy_bound!r}")
+    return float(zeta), float(energy_bound)
 
 
 def _step_count(length, step):

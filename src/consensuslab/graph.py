@@ -564,6 +564,8 @@ def schedule_from_dict(data):
         segments.append((seg["t0"], seg["t1"], w))
     sched = WeightSchedule(segments, periodic=data.get("periodic", False),
                            weight_bound=data.get("bound"))
+    if "period" in data and not _is_number(data["period"]):
+        raise ConfigurationError(f"'period' must be a finite number, got {data['period']!r}")
     if not sched.periodic and "period" in data:
         raise ConfigurationError("'period' is only valid with 'periodic': true")
     if sched.periodic and "period" in data and data["period"] != sched.horizon:

@@ -1,6 +1,7 @@
 """Shared schedule builders and small oracles for the test suite."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -334,6 +335,22 @@ def reference_window_energies(noise):
         out.append(total)
         s = t0 + noise.zeta * len(out)  # the declared grid t0 + k * zeta
     return out
+
+
+def reference_windowed_random(node_count, zeta, energy_bound, seed, t_end,
+                              steps_per_window=4, margin=0.05):
+    """The values of ``NoiseProcess.windowed_random``, drawn and scaled one
+    window at a time."""
+    rng = np.random.default_rng(seed)
+    step = zeta / steps_per_window
+    target = energy_bound * (1.0 - margin)
+    rows = []
+    for _ in range(max(1, math.ceil(t_end / zeta))):
+        block = rng.standard_normal((steps_per_window, node_count))
+        energy = float(np.sum(block * block)) * step
+        scale = math.sqrt(target / energy) if energy > 0.0 and target > 0.0 else 0.0
+        rows.append(block * scale)
+    return np.vstack(rows)
 
 
 def reference_csv_text(header, times, values):

@@ -14,7 +14,7 @@ import pytest
 import consensuslab
 import consensuslab.cli as cli_module
 from consensuslab import (edge_signals, project, read_trajectory_csv, reconstruct,
-                          schedule_from_dict, simulate)
+                          schedule_from_dict, simulate, window_starts)
 from consensuslab.cli import list_tasks, load_scenario, main
 from consensuslab.errors import ConfigurationError
 from consensuslab.observability import _window_nodes
@@ -239,15 +239,19 @@ MALFORMED = [
     ("zero fit_dt", _set(["tasks", 3, "fit_dt"], 0.0), "'fit_dt' must be positive"),
     ("null skip_time", _set(["tasks", 3, "skip_time"], None), "'skip_time' must be a finite"),
     ("negative robustness t_end", _set(["tasks", 4, "t_end"], -1.0), "must be positive"),
-    ("boolean zeta", _set(["noise", "zeta"], True), "'zeta'"),
-    ("string B0", _set(["noise", "B0"], "1.0"), "'B0'"),
+    ("boolean zeta", _set(["noise", "zeta"], True),
+     "noise needs a positive, finite window length zeta, got True"),
+    ("string B0", _set(["noise", "B0"], "1.0"),
+     "noise energy bound B0 must be finite and nonnegative, got '1.0'"),
+    ("missing B0", _drop(["noise", "B0"]),
+     "noise energy bound B0 must be finite and nonnegative, got None"),
     ("nan weight", _set(["schedule", "segments", 1, "edges", 0, "w"], float("nan")),
      "finite"),
     ("string weight", _set(["schedule", "segments", 0, "edges", 0, "w"], "abc"),
      "weight must be a finite number"),
     ("boolean weight", _set(["schedule", "segments", 0, "edges", 0, "w"], True),
      "weight must be a finite number"),
-    ("string margin", _set(["noise", "margin"], "abc"), "'margin' must be a finite number"),
+    ("string margin", _set(["noise", "margin"], "abc"), "'margin' must lie in [0, 1), got 'abc'"),
     ("margin of one", _set(["noise", "margin"], 1.0), "'margin' must lie in [0, 1)"),
     ("negative margin", _set(["noise", "margin"], -0.1), "'margin' must lie in [0, 1)"),
     ("zero steps_per_window", _set(["noise", "steps_per_window"], 0), "'steps_per_window'"),
@@ -293,6 +297,20 @@ MALFORMED = [
      "noise breakpoints must be finite"),
     ("object table values", _set(["noise"], _table_noise([0.0, 4.0], {"a": 1})),
      "invalid table noise"),
+    # numpy converts each of these cells to a float
+    ("boolean table breakpoint",
+     _set(["noise"], _table_noise([0.0, True, 4.0], [[0.1, 0.2, 0.0], [0.1, 0.2, 0.0]])),
+     "invalid table noise: noise breakpoints must be finite numbers, got True"),
+    ("string table breakpoint",
+     _set(["noise"], _table_noise([0.0, "1", 4.0], [[0.1, 0.2, 0.0], [0.1, 0.2, 0.0]])),
+     "invalid table noise: noise breakpoints must be finite numbers, got '1'"),
+    ("string table value", _set(["noise"], _table_noise([0.0, 4.0], [[0.1, "0.1", 0.0]])),
+     "invalid table noise: noise values must be finite numbers, got '0.1'"),
+    ("boolean table value", _set(["noise"], _table_noise([0.0, 4.0], [[0.1, 0.2, False]])),
+     "invalid table noise: noise values must be finite numbers, got False"),
+    ("boolean period", _set(["schedule"], {"nodes": 3, "periodic": True, "period": True,
+                                           "segments": [{"t0": 0.0, "t1": 1.0}]}),
+     "invalid schedule: 'period' must be a finite number, got True"),
     # t_end / step overflows to inf, a count that int() and math.ceil refuse
     ("subnormal sample_dt", _set(["tasks", 0, "sample_dt"], 1e-320),
      "task 'simulate': 4.0 / 1e-320 is not a finite count of steps"),
@@ -486,14 +504,20 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
     (_horizon_scenario([{"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}]),
      "exceeds the horizon"),
     (_horizon_scenario([{"task": "gramian", "start": 3.0, "delta": 2.0}]),
-     "exceeds the horizon"),
+     "window [3.0, 5.0] leaves the horizon 4.0 of a non-periodic schedule"),
     (_horizon_scenario([{"task": "gramian", "start": -1.0, "delta": 4.0}]),
      "task 'gramian': window start -1.0 is before the schedule start"),
+    # start + delta overflows to inf: a window with no finite end
+    (_horizon_scenario([{"task": "gramian", "start": 1e308, "delta": 1e308}]),
+     "scenario error: task 'gramian': window [1e+308, inf] must have finite ends\n"),
+    (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": 1e308, "delta": 1e308}]),
+     "scenario error: task 'reconstruct': window [1e+308, inf] is not inside the simulated "
+     "[0, 2.0]\n"),
     (_horizon_scenario([{"task": "connectivity", "delta": 0.5, "T": 5.0}]),
      "exceeds the horizon"),
     # a message that ends in a newline is the whole of stderr
     (_golden_with("k2_constant", _set(["tasks"], [{"task": "bounds", "delta": 20.0}])),
-     "scenario error: task 'bounds': time 20.0 exceeds the horizon 10.0\n"),
+     "scenario error: task 'bounds': window length 20.0 exceeds the horizon 10.0\n"),
     (_horizon_scenario([{"task": "simulate", "t_end": 3.0, "sample_dt": 0.1}],
                        noise={"kind": "table", "zeta": 1.0, "B0": 1.0,
                               "breakpoints": [0.0, 2.0], "values": [[0.1, 0.0, 0.0]]}),
@@ -538,7 +562,7 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
     (_reconstruct_scenario(_OFF_GRID_CUTS, 3.0, 0.25, 0.25, 2.000000075),
      "trace does not cover segment piece [0.25, 2.25000007"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "gramian-before-start",
-        "connectivity-past-horizon", "bounds-past-horizon",
+        "gramian-end-overflows", "reconstruct-end-overflows", "connectivity-past-horizon", "bounds-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
         "reconstruct-before-start",
         "rate-skips-whole-trace", "rate-keeps-one-sample", "rate-fit-grid-of-one-point", "rate-fit-grid-after-skip",
@@ -557,6 +581,32 @@ def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
             assert err == message, (command, err)
         assert err.startswith("scenario error:") and message in err, (command, err)
         assert not (tmp_path / "out").exists(), command
+
+
+@pytest.mark.parametrize("task,call", [
+    ({"task": "connectivity", "delta": 0.5, "T": 5.0}, lambda s: window_starts(s, 5.0)),
+    ({"task": "bounds", "delta": 6.0}, lambda s: window_starts(s, 6.0)),
+    ({"task": "gramian", "start": 3.0, "delta": 2.0}, lambda s: s.pieces(3.0, 5.0)),
+], ids=["connectivity", "bounds", "gramian"])
+def test_task_times_are_refused_by_the_schedule_call_of_the_run(tmp_path, capsys, task, call):
+    # validate keeps no copy of the rule: its message is the one of the call
+    # that the task's run makes first
+    data = _horizon_scenario([task])
+    with pytest.raises(ConfigurationError) as info:
+        call(schedule_from_dict(data["schedule"]))
+    scn = tmp_path / "range.json"
+    scn.write_text(json.dumps(data))
+    assert main(["validate", str(scn)]) == 2
+    assert capsys.readouterr().err.endswith(f": {info.value}\n")
+
+
+def test_gramian_start_within_the_pieces_tolerance_runs(tmp_path):
+    # pieces takes a start up to 1e-12 below 0 as 0, and so does validate
+    scn = tmp_path / "near_zero.json"
+    scn.write_text(json.dumps(_horizon_scenario([{"task": "gramian", "start": -1e-13,
+                                                  "delta": 4.0}])))
+    assert main(["run", str(scn)]) == 0
+    assert json.loads((tmp_path / "out" / "gramian.json").read_text())["start"] == -1e-13
 
 
 @pytest.mark.parametrize("fit_dt", [1.0, 5e-324])

@@ -321,6 +321,10 @@ REFUSALS = {
                            "at least one node"),
     "noise-shape": (lambda: NoiseProcess([0.0, 1.0, 2.0], [[0.1, 0.1]], 1.0, 1.0),
                     ConfigurationError, "noise values must have shape (2, 2), got (1, 2)"),
+    "noise-breakpoint-inf": (lambda: NoiseProcess([0.0, np.inf], [[0.1, 0.1]], 1.0, 1.0),
+                             ConfigurationError, "noise breakpoints must be finite and increasing"),
+    "noise-value-nan": (lambda: NoiseProcess([0.0, 1.0], [[0.1, np.nan]], 1.0, 1.0),
+                        ConfigurationError, "noise values must be finite"),
     "simulate-noise-nodes": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], 1.0, 0.5,
                                               noise=NoiseProcess([0.0, 1.0], [[0.1, 0.1]], 1.0, 1.0)),
                              ConfigurationError, "noise node count does not match"),
@@ -356,6 +360,21 @@ REFUSALS = {
     # a column of times alone, under the header of 0 nodes
     "csv-no-node-column": (lambda: _read_trajectory("t,\n0\n1\n"), ConfigurationError,
                            "is not a trajectory: trajectory must hold at least one node"),
+    # a bool or a string is not a window length, time or energy bound of noise
+    "windowed-random-zeta-bool": (lambda: NoiseProcess.windowed_random(2, True, 1.0, 0, 1.0),
+                                  ConfigurationError,
+                                  "noise needs a positive, finite window length zeta, got True"),
+    "windowed-random-t-end-bool": (lambda: NoiseProcess.windowed_random(2, 1.0, 1.0, 0, True),
+                                   ConfigurationError, "t_end must be finite, got True"),
+    "windowed-random-b0-string": (lambda: NoiseProcess.windowed_random(2, 1.0, "1.0", 0, 1.0),
+                                  ConfigurationError,
+                                  "noise energy bound B0 must be finite and nonnegative, got '1.0'"),
+    "table-zeta-bool": (lambda: NoiseProcess.table([0.0, 1.0], [[0.1, 0.1]], True, 1.0),
+                        ConfigurationError,
+                        "noise needs a positive, finite window length zeta, got True"),
+    "table-b0-bool": (lambda: NoiseProcess.table([0.0, 1.0], [[0.1, 0.1]], 1.0, True),
+                      ConfigurationError,
+                      "noise energy bound B0 must be finite and nonnegative, got True"),
 }
 
 

@@ -65,6 +65,7 @@ from helpers import (
     reference_uniform_bounds,
     reference_window,
     reference_window_energies,
+    reference_windowed_random,
     reference_write_json,
     uncached_piece_factors,
     uncovered_starts,
@@ -221,6 +222,18 @@ def test_windowed_random_energies_match_reference(zeta, t_end, steps):
     fast, slow = noise.window_energies(), reference_window_energies(noise)
     assert len(fast) == len(slow)
     assert np.abs(np.subtract(fast, slow)).max() <= 1e-12 * max(slow)
+
+
+def test_windowed_random_matches_a_draw_per_window():
+    # the one draw gives each window the stream and the energy sum of its own draw
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        n, steps = int(rng.integers(1, 41)), int(rng.integers(1, 17))
+        zeta, bound = float(rng.uniform(0.05, 2.0)), float(rng.choice([0.0, rng.uniform(0.1, 5.0)]))
+        args = (n, zeta, bound, int(rng.integers(2 ** 32)), float(rng.uniform(0.0, 30.0)), steps,
+                float(rng.choice([0.0, 0.05, rng.uniform(0.0, 1.0)])))
+        assert np.array_equal(NoiseProcess.windowed_random(*args).values,
+                              reference_windowed_random(*args)), args
 
 
 def test_table_energies_match_reference():
