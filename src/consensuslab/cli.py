@@ -218,13 +218,13 @@ class Scenario:
             for key, (_, default) in optional.items():
                 params.setdefault(key, default)
             try:  # the schedule call that the task's run makes first refuses its times
-                if name in ("simulate", "robustness"):
-                    self.schedule.segment_index_at(params["t_end"])
+                if name in ("simulate", "robustness"):  # the run's pieces(0, t_end)
+                    self.schedule._span(0.0, params["t_end"])
                     dynamics._step_count(params["t_end"], params["sample_dt"])
                 elif name in ("connectivity", "bounds"):  # the window length: T, or delta
                     graph.window_starts(self.schedule, params.get("T", params["delta"]))
                 elif name == "gramian":
-                    self.schedule.pieces(params["start"], params["start"] + params["delta"])
+                    self.schedule._span(params["start"], params["start"] + params["delta"])
             except (ConfigurationError, ValueError) as exc:  # ValueError: an end past the floats
                 _fail(f"task '{name}': {exc}")
             if name in ("reconstruct", "rate") and sim_end is None:
@@ -233,16 +233,13 @@ class Scenario:
                 sim_grid = dynamics._sample_grid(self.schedule, sim_end, sim_dt)[0]
             if name == "reconstruct":
                 end = params["start"] + params["delta"]
-                outside = (f"task 'reconstruct': window [{params['start']}, {end}] is not "
-                           f"inside the simulated [0, {sim_end}]")
-                if params["start"] < 0.0:
-                    _fail(outside)
                 try:  # reconstruct's own check, on the run's sample grid
                     observability._window_nodes(sim_grid, self.schedule, params["start"],
                                                 params["delta"])
                 except (ConfigurationError, ValueError) as exc:
                     # the grid decides the upper end, which may round an ulp past t_end
-                    _fail(outside if end > sim_end else f"task 'reconstruct': {exc}")
+                    _fail("task 'reconstruct': " + (f"window [{params['start']}, {end}] is not "
+                          f"inside the simulated [0, {sim_end}]" if end > sim_end else str(exc)))
             if name == "rate":
                 # the fit reads the samples of the run from skip_time on (on the
                 # multiples of fit_dt, given one), so count them on the grid the run samples
@@ -272,13 +269,13 @@ class Scenario:
             return None
         ends = [(name, p["t_end"]) for name, p in self.tasks if name in ("simulate", "robustness")]
         if kind == "table":
-            if "breakpoints" not in spec or "values" not in spec:
-                _fail("table noise needs 'breakpoints' and 'values'")
-            # numpy takes a bool or a numeric string for a number: test each listed cell
-            rows = spec["values"] if isinstance(spec["values"], list) else []
+            if not all(isinstance(spec.get(key), list) for key in ("breakpoints", "values")):
+                _fail("table noise needs 'breakpoints' and 'values' lists")
+            # numpy takes a bool or a numeric string for a number, and overflows on an int
+            # past the floats: test each cell, and each row that is not a list, first
+            rows = [row if isinstance(row, list) else [row] for row in spec["values"]]
             for key, lists in (("breakpoints", [spec["breakpoints"]]), ("values", rows)):
-                bad = [v for cells in lists if isinstance(cells, list) for v in cells
-                       if not graph._is_number(v)]
+                bad = [v for cells in lists for v in cells if not graph._is_number(v)]
                 if bad:
                     _fail(f"invalid table noise: noise {key} must be finite numbers, got {bad[0]!r}")
         if kind == "windowed-random":

@@ -167,6 +167,9 @@ class NoiseProcess:
                 f"'steps_per_window' must be a positive integer, got {steps_per_window!r}")
         rng = np.random.default_rng(seed)
         n_windows = max(1, math.ceil(_step_count(t_end, zeta)))
+        if n_windows * steps_per_window >= 2 ** 53:  # in integers: a float no longer counts them
+            raise ConfigurationError(f"{n_windows} windows of {steps_per_window} steps are "
+                                     "2**53 breakpoints or more")
         step = zeta / steps_per_window
         breaks = step * np.arange(n_windows * steps_per_window + 1)
         # one draw for all windows: the same numbers, and window sums, as a draw per window
@@ -474,8 +477,6 @@ def transition_matrix(system, sched, s, t):
     """
     if system not in ("raw", "projected"):
         raise ValueError(f"system must be 'raw' or 'projected', got {system!r}")
-    if t < s:
-        raise ValueError("transition matrix requires t >= s")
     n = sched.node_count
     phi = np.eye(n)
     if system == "projected":

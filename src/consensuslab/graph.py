@@ -159,6 +159,7 @@ class WeightSchedule:
         self.weight_bound = float(weight_bound)
         self.horizon = segs[-1].t_end
         self.period = self.horizon if self.periodic else None
+        self._tol = 1e-9 * max(1.0, self.horizon)  # past the horizon, and between kinks
         self._starts = [s.t_start for s in segs]
         self._spectra = {}
         self._incidences = {}
@@ -196,58 +197,52 @@ class WeightSchedule:
         idx = bisect.bisect_right(self._starts, tau) - 1
         return min(max(idx, 0), len(self.segments) - 1)
 
-    def segment_index_at(self, t):
-        """Segment holding time t; right-continuous at interior boundaries.
-
-        The final instant of a non-periodic schedule maps to the last segment.
-        """
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError(f"time {t} is not finite")
-        if t < 0.0:
-            raise ConfigurationError(f"time {t} is before the schedule start")
-        if self.periodic:
-            _, tau = divmod(t, self.period)
-            return self._local_index(tau)
-        tol = 1e-9 * max(1.0, self.horizon)
-        if t > self.horizon + tol:
-            raise ConfigurationError(f"time {t} exceeds the horizon {self.horizon}")
-        return self._local_index(min(t, self.horizon))
-
-    def pieces(self, t0, t1):
-        """Split [t0, t1] at segment boundaries.
-
-        Returns a list of (ta, tb, segment_index) with ta < tb covering the
-        window in order.  Periodic schedules unwrap across periods; indices
-        refer to the base segments.
-        """
+    def _span(self, t0, t1):
+        """[t0, t1] as floats on the time axis: the package's one time rule.  Ends
+        finite with t1 >= t0, else ValueError; a start at most 1e-12 * max(1, |t1|)
+        below 0 (taken as 0) and, unless periodic, an end at most ``_tol`` past
+        the horizon (taken as the horizon), else ConfigurationError."""
         t0, t1 = float(t0), float(t1)
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError(f"window [{t0}, {t1}] must have finite ends")
         if t1 < t0:
             raise ValueError(f"window end {t1} precedes start {t0}")
+        if t0 < -1e-12 * max(1.0, abs(t1)):
+            raise ConfigurationError(f"time {t0} is before the schedule start")
+        if not self.periodic and t1 > self.horizon + self._tol:
+            raise ConfigurationError(
+                f"time {t1} exceeds the horizon {self.horizon} of a non-periodic schedule")
+        return max(t0, 0.0), t1 if self.periodic else min(t1, self.horizon)
+
+    def segment_index_at(self, t):
+        """Segment holding time t; right-continuous at interior boundaries.
+
+        The final instant of a non-periodic schedule maps to the last segment.
+        """
+        t = self._span(t, t)[0]
+        return self._local_index(t % self.period if self.periodic else t)
+
+    def pieces(self, t0, t1):
+        """Split [t0, t1] at segment boundaries.
+
+        Returns a list of (ta, tb, segment_index) with ta < tb covering the
+        window in order, none shorter than 1e-12 * max(1, |t1|).  Periodic
+        schedules unwrap across periods; indices refer to the base segments.
+        """
+        t0, t1 = float(t0), float(t1)
         tiny = 1e-12 * max(1.0, abs(t1))
+        # on a non-periodic schedule start <= end <= horizon: the walk stops there, never wrapping
+        start, end = self._span(t0, t1)
         if t1 - t0 <= tiny:
             return []
-        if t0 < -tiny:
-            raise ConfigurationError(f"window start {t0} is before the schedule start")
-        t0 = max(t0, 0.0)
-        if not self.periodic:
-            tol = 1e-9 * max(1.0, self.horizon)
-            if t1 > self.horizon + tol:
-                raise ConfigurationError(
-                    f"window [{t0}, {t1}] leaves the horizon {self.horizon} of a non-periodic schedule"
-                )
-            # t0 <= t1 <= horizon: the walk below stops at the horizon, never wrapping
-            t1 = min(t1, self.horizon)
         p = self.horizon
-        k0, tau = divmod(t0, p)
+        k0, tau = divmod(start, p)
         idx = self._local_index(tau)
         abs_end = k0 * p + self.segments[idx].t_end
         out = []
-        t = t0
-        while t < t1 - tiny:
-            tb = min(abs_end, t1)
+        t = start
+        while t < end - tiny:
+            tb = min(abs_end, end)
             if tb > t + tiny:
                 out.append((t, tb, idx))
             t = tb
@@ -264,8 +259,6 @@ def integrated_weights(sched, s, duration):
 
     Exact: the integrand is piecewise constant, so this is an overlap sum.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
     acc = np.zeros((sched.node_count, sched.node_count))
     for ta, tb, k in sched.pieces(s, s + duration):
         acc += (tb - ta) * sched.segments[k].weights
@@ -297,21 +290,17 @@ def window_starts(sched, window_length):
     is affine in s.  Periodic schedules give one period of kinks, the
     others the kinks in [0, horizon - window_length], both ends included.
     """
-    if not (window_length >= 0.0 and math.isfinite(window_length)):
-        raise ValueError(f"window length must be finite and nonnegative, got {window_length}")
+    window_length = sched._span(0.0, window_length)[1]
     bounds = [seg.t_start for seg in sched.segments] + [sched.horizon]
-    tol = 1e-9 * max(1.0, sched.horizon)
     vals = bounds + [b - window_length for b in bounds]
     if sched.periodic:
-        vals = [v % sched.period if v % sched.period < sched.period - tol else 0.0 for v in vals]
-    elif sched.horizon - window_length < -tol:
-        raise ConfigurationError(
-            f"window length {window_length} exceeds the horizon {sched.horizon}")
+        p = sched.period
+        vals = [v % p if v % p < p - sched._tol else 0.0 for v in vals]
     else:
-        vals = [min(max(v, 0.0), max(sched.horizon - window_length, 0.0)) for v in vals]
-    out = []  # sorted, each at least tol above the previous
+        vals = [min(max(v, 0.0), sched.horizon - window_length) for v in vals]
+    out = []  # sorted, each more than the schedule's _tol above the previous
     for v in sorted(vals):
-        if not out or v - out[-1] > tol:
+        if not out or v - out[-1] > sched._tol:
             out.append(v)
     return out
 
@@ -525,6 +514,10 @@ def schedule_from_dict(data):
     n = data["nodes"]
     if not isinstance(n, int) or n < 2:
         raise ConfigurationError(f"'nodes' must be an integer >= 2, got {n!r}")
+    try:
+        zeros = np.zeros((n, n))
+    except ValueError as exc:  # more entries than numpy can hold
+        raise ConfigurationError(f"'nodes' is too large: {exc}") from None
     raw_segments = data.get("segments")
     if not isinstance(raw_segments, list) or not raw_segments:
         raise ConfigurationError("schedule needs a non-empty 'segments' list")
@@ -535,7 +528,7 @@ def schedule_from_dict(data):
         _refuse_unknown(seg, {"t0", "t1", "edges"}, f"segment {k}")
         if not isinstance(seg.get("edges", []), list):
             raise ConfigurationError(f"segment {k}: 'edges' must be a list")
-        w = np.zeros((n, n))
+        w = zeros.copy()
         seen = set()
         for e in seg.get("edges", []):
             try:

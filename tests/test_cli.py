@@ -296,7 +296,20 @@ MALFORMED = [
      _set(["noise"], _table_noise([0.0, float("inf")], [[0.1, 0.2, 0.0]])),
      "noise breakpoints must be finite"),
     ("object table values", _set(["noise"], _table_noise([0.0, 4.0], {"a": 1})),
-     "invalid table noise"),
+     "table noise needs 'breakpoints' and 'values' lists"),
+    # integers that numpy cannot size or convert, refused before numpy sees them
+    ("ten-billion nodes", _set(["schedule", "nodes"], 10 ** 10),
+     "invalid schedule: 'nodes' is too large: "),
+    ("401-digit integer nodes", _set(["schedule", "nodes"], 10 ** 400),
+     "invalid schedule: 'nodes' is too large: "),
+    ("401-digit integer steps_per_window", _set(["noise", "steps_per_window"], 10 ** 400),
+     "invalid windowed-random noise: 4 windows of 1000"),
+    ("401-digit integer table breakpoints", _set(["noise"], _table_noise(10 ** 400, [[0.1] * 3])),
+     "table noise needs 'breakpoints' and 'values' lists"),
+    ("401-digit integer table values", _set(["noise"], _table_noise([0.0, 4.0], -10 ** 400)),
+     "table noise needs 'breakpoints' and 'values' lists"),
+    ("401-digit integer table row", _set(["noise"], _table_noise([0.0, 4.0], [10 ** 400])),
+     "invalid table noise: noise values must be finite numbers, got 1000"),
     # numpy converts each of these cells to a float
     ("boolean table breakpoint",
      _set(["noise"], _table_noise([0.0, True, 4.0], [[0.1, 0.2, 0.0], [0.1, 0.2, 0.0]])),
@@ -504,9 +517,15 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
     (_horizon_scenario([{"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}]),
      "exceeds the horizon"),
     (_horizon_scenario([{"task": "gramian", "start": 3.0, "delta": 2.0}]),
-     "window [3.0, 5.0] leaves the horizon 4.0 of a non-periodic schedule"),
+     "task 'gramian': time 5.0 exceeds the horizon 4.0 of a non-periodic schedule"),
     (_horizon_scenario([{"task": "gramian", "start": -1.0, "delta": 4.0}]),
-     "task 'gramian': window start -1.0 is before the schedule start"),
+     "task 'gramian': time -1.0 is before the schedule start"),
+    # windows shorter than the pieces tolerance are off the time axis all the same
+    (_horizon_scenario([{"task": "gramian", "start": 10.0, "delta": 1e-12}]),
+     "scenario error: task 'gramian': time 10.000000000001 exceeds the horizon 4.0 of a "
+     "non-periodic schedule\n"),
+    (_horizon_scenario([{"task": "gramian", "start": -5.0, "delta": 1e-13}]),
+     "scenario error: task 'gramian': time -5.0 is before the schedule start\n"),
     # start + delta overflows to inf: a window with no finite end
     (_horizon_scenario([{"task": "gramian", "start": 1e308, "delta": 1e308}]),
      "scenario error: task 'gramian': window [1e+308, inf] must have finite ends\n"),
@@ -517,7 +536,8 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
      "exceeds the horizon"),
     # a message that ends in a newline is the whole of stderr
     (_golden_with("k2_constant", _set(["tasks"], [{"task": "bounds", "delta": 20.0}])),
-     "scenario error: task 'bounds': window length 20.0 exceeds the horizon 10.0\n"),
+     "scenario error: task 'bounds': time 20.0 exceeds the horizon 10.0 of a non-periodic "
+     "schedule\n"),
     (_horizon_scenario([{"task": "simulate", "t_end": 3.0, "sample_dt": 0.1}],
                        noise={"kind": "table", "zeta": 1.0, "B0": 1.0,
                               "breakpoints": [0.0, 2.0], "values": [[0.1, 0.0, 0.0]]}),
@@ -528,7 +548,7 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": 1.5, "delta": 1.0}]),
      "window [1.5, 2.5] is not inside the simulated [0, 2.0]"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": -1.0, "delta": 2.0}]),
-     "window [-1.0, 1.0] is not inside the simulated [0, 2.0]"),
+     "scenario error: task 'reconstruct': time -1.0 is before the schedule start\n"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "rate", "skip_time": 2.0}]),
      "fewer than two samples lie in [skip_time 2.0, t_end 2.0] on the simulated sample grid"),
     # one sample, t_end 10.0, lies from skip_time 9.995 on
@@ -562,6 +582,7 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
     (_reconstruct_scenario(_OFF_GRID_CUTS, 3.0, 0.25, 0.25, 2.000000075),
      "trace does not cover segment piece [0.25, 2.25000007"),
 ], ids=["simulate-past-horizon", "gramian-past-horizon", "gramian-before-start",
+        "gramian-tiny-window-past-horizon", "gramian-tiny-window-before-start",
         "gramian-end-overflows", "reconstruct-end-overflows", "connectivity-past-horizon", "bounds-past-horizon",
         "table-noise-too-short", "reconstruct-after-trace", "reconstruct-straddles-trace-end",
         "reconstruct-before-start",
@@ -584,10 +605,11 @@ def test_time_range_that_cannot_run_exits_2(tmp_path, capsys, data, message):
 
 
 @pytest.mark.parametrize("task,call", [
+    ({"task": "simulate", "t_end": 5.0, "sample_dt": 0.1}, lambda s: s.pieces(0.0, 5.0)),
     ({"task": "connectivity", "delta": 0.5, "T": 5.0}, lambda s: window_starts(s, 5.0)),
     ({"task": "bounds", "delta": 6.0}, lambda s: window_starts(s, 6.0)),
     ({"task": "gramian", "start": 3.0, "delta": 2.0}, lambda s: s.pieces(3.0, 5.0)),
-], ids=["connectivity", "bounds", "gramian"])
+], ids=["simulate", "connectivity", "bounds", "gramian"])
 def test_task_times_are_refused_by_the_schedule_call_of_the_run(tmp_path, capsys, task, call):
     # validate keeps no copy of the rule: its message is the one of the call
     # that the task's run makes first
@@ -607,6 +629,16 @@ def test_gramian_start_within_the_pieces_tolerance_runs(tmp_path):
                                                   "delta": 4.0}])))
     assert main(["run", str(scn)]) == 0
     assert json.loads((tmp_path / "out" / "gramian.json").read_text())["start"] == -1e-13
+
+
+def test_reconstruct_start_within_the_pieces_tolerance_runs(tmp_path):
+    # the coverage rule walks pieces, which takes a start up to 1e-12 below 0 as 0
+    scn = tmp_path / "near_zero.json"
+    scn.write_text(json.dumps(_horizon_scenario([_SIMULATE_TO_4, {
+        "task": "reconstruct", "start": -1e-13, "delta": 4.0}])))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 0
+    assert json.loads((tmp_path / "out" / "reconstruction.json").read_text())["s"] == -1e-13
 
 
 @pytest.mark.parametrize("fit_dt", [1.0, 5e-324])
@@ -1275,8 +1307,13 @@ ALLOCATIONS = {
     "rate-grid-sample-dt-1e-14": (_golden_with("k2_constant",
                                                _set(["tasks", 0, "sample_dt"], 1e-14)), 2,
                                   "scenario error: Unable to allocate "),
-    "windowed-random-zeta-1e-14": (_golden_with("robust_noise", _set(["noise", "zeta"], 1e-14)),
+    "windowed-random-zeta-1e-13": (_golden_with("robust_noise", _set(["noise", "zeta"], 1e-13)),
                                    2, "scenario error: Unable to allocate "),
+    # 5e15 windows of 4 steps to t_end 50: a breakpoint count that a float no longer holds
+    "windowed-random-zeta-1e-14": (_golden_with("robust_noise", _set(["noise", "zeta"], 1e-14)),
+                                   2, "scenario error: invalid windowed-random noise: "
+                                   "5000000000000000 windows of 4 steps are 2**53 breakpoints "
+                                   "or more\n"),
     # 1e291 steps: a finite count, but past 2**53 no float counts steps exactly
     "simulate-sample-dt-1e-290": (_golden_with("k2_constant", _set(["tasks"], [
         {"task": "simulate", "t_end": 10.0, "sample_dt": 1e-290}])), 2,

@@ -2,7 +2,8 @@
 grows faster than its input fails here whatever the host's speed.
 
 Each count wraps a function where its callers look it up, as the
-benchmark's tracer does: the rows that ``WeightSchedule.pieces`` returns,
+benchmark's tracer does: the rows that ``WeightSchedule.pieces`` returns
+(and its calls, none of which ``validate`` makes for a ``gramian`` window),
 the ``np.linalg.eigh`` calls (one per spectrum cache miss), the rows that
 ``_csvtext.write_rows`` writes, the ``integrated_weights`` calls and the
 ``np.searchsorted`` calls that find each segment piece's sample rows, the
@@ -11,6 +12,7 @@ writer ``cli._json_text`` (one per value, not one per list item), and the
 coverage checks and Gramians that a run with a reconstruct task asks for.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,20 @@ def test_window_scans_visit_the_pieces_of_every_kink(counter, m, rows):
         scan()
         assert pieces[0] == (401 - m) * m == rows
         assert integrals[0] == 401 - m
+
+
+def test_validate_checks_a_gramian_window_without_its_pieces(counter, tmp_path):
+    # a window of 1e4 periods of 4 segments has 40 000 pieces, which only the run walks
+    scenario = tmp_path / "long_window.json"
+    scenario.write_text(json.dumps({
+        "schedule": {"nodes": 2, "periodic": True, "segments": [
+            {"t0": k / 4, "t1": (k + 1) / 4, "edges": [{"i": 1, "j": 2, "w": 1.0}]}
+            for k in range(4)]},
+        "initial_state": [1.0, -1.0],
+        "tasks": [{"task": "gramian", "start": 0.0, "delta": 1e4}]}))
+    calls = counter(WeightSchedule, "pieces")
+    cli.load_scenario(scenario)
+    assert calls[0] == 0
 
 
 def _tree(root):

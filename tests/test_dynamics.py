@@ -336,7 +336,7 @@ REFUSALS = {
     "transition-system": (lambda: transition_matrix("signed", k2_schedule(), 0.0, 1.0),
                           ValueError, "must be 'raw' or 'projected', got 'signed'"),
     "transition-backwards": (lambda: transition_matrix("raw", k2_schedule(), 1.0, 0.5),
-                             ValueError, "requires t >= s"),
+                             ValueError, "window end 0.5 precedes start 1.0"),
     # numpy's loadtxt warns on the first two and raises its bare ValueError on the next two
     "csv-empty-file": (lambda: _read_trajectory(""), ConfigurationError,
                        "has no rows under its header"),
@@ -366,6 +366,13 @@ REFUSALS = {
                                   "noise needs a positive, finite window length zeta, got True"),
     "windowed-random-t-end-bool": (lambda: NoiseProcess.windowed_random(2, 1.0, 1.0, 0, True),
                                    ConfigurationError, "t_end must be finite, got True"),
+    # 4 windows of 2**51 steps: a breakpoint count of 2**53, refused before any table
+    "windowed-random-steps-2-53": (
+        lambda: NoiseProcess.windowed_random(2, 1.0, 1.0, 0, 4.0, steps_per_window=2 ** 51),
+        ConfigurationError, "4 windows of 2251799813685248 steps are 2**53 breakpoints or more"),
+    "windowed-random-steps-401-digits": (
+        lambda: NoiseProcess.windowed_random(2, 1.0, 1.0, 0, 1.0, steps_per_window=10 ** 400),
+        ConfigurationError, "steps are 2**53 breakpoints or more"),
     "windowed-random-b0-string": (lambda: NoiseProcess.windowed_random(2, 1.0, "1.0", 0, 1.0),
                                   ConfigurationError,
                                   "noise energy bound B0 must be finite and nonnegative, got '1.0'"),

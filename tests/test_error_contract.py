@@ -4,7 +4,8 @@ One field of a golden scenario (at any depth) is replaced by a value from a
 fixed pool of bad values.  Whatever the mutation, a run exits 0, 2 or 3,
 never lets an exception escape, and leaves nothing behind when it fails.
 Tiny positive steps are not in the pool: they are valid, only unbounded
-work.
+work.  A second, exhaustive test sets every field to an integer past the
+float range and checks that ``validate`` refuses it or accepts it.
 """
 
 import contextlib
@@ -71,3 +72,15 @@ def test_mutated_goldens_keep_the_error_contract(target, value):
         assert "Traceback" not in err.getvalue()
         if code != 0:
             assert sorted(Path(tmp).iterdir()) == [scenario], (target, value, code)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_integers_past_the_floats_are_refused_or_validate(name, tmp_path, capsys):
+    # JSON allows any number of digits: every field set to +-10**400, an int
+    # that no float, count or array size holds, validates or exits 2
+    scenario = tmp_path / "scenario.json"
+    for path in _field_paths(GOLDENS[name]):
+        for value in (10 ** 400, -10 ** 400):
+            scenario.write_text(json.dumps(_mutated(name, path, value)))
+            assert main(["validate", str(scenario)]) in (0, 2), (path, value)
+            assert "Traceback" not in capsys.readouterr().err

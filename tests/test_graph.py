@@ -313,6 +313,16 @@ class TestWeightSchedule:
         assert sched.segment_index_at(2.0) == 0
         assert sched.segment_index_at(0.999999) == 0
 
+    def test_times_within_the_tolerances_map_to_the_end_segments(self):
+        # the one time rule of pieces: a time up to 1e-12 below 0 is 0, and one
+        # up to 1e-9 * horizon past a non-periodic horizon is the horizon
+        sched = WeightSchedule(five_node_schedule().segments)
+        assert sched.segment_index_at(-1e-13) == 0
+        assert sched.pieces(-1e-13, 0.5) == [(0.0, 0.5, 0)]
+        assert sched.segment_index_at(2.0 + 1e-10) == 1
+        with pytest.raises(ConfigurationError, match="is before the schedule start"):
+            sched.segment_index_at(-1e-11)
+
 
 class TestScheduleFiles:
     def test_roundtrip(self, tmp_path):
@@ -444,9 +454,21 @@ REFUSALS = {
     "window-reversed": (lambda: alternating_schedule().pieces(1.0, 0.5), ValueError,
                         "window end 0.5 precedes start 1.0"),
     "window-before-start": (lambda: alternating_schedule().pieces(-1.0, 0.5), ConfigurationError,
-                            "window start -1.0 is before the schedule start"),
+                            "time -1.0 is before the schedule start"),
+    # an empty window past the horizon, and one that the start tolerance does
+    # not reach, are off the time axis like any other window
+    "empty-window-past-horizon": (lambda: k2_schedule().pieces(100.0, 100.0), ConfigurationError,
+                                  "time 100.0 exceeds the horizon 10.0 of a non-periodic schedule"),
+    "empty-window-before-start": (lambda: k2_schedule().pieces(-5.0, -5.0 + 1e-13),
+                                  ConfigurationError, "time -5.0 is before the schedule start"),
+    "transition-empty-past-horizon": (lambda: transition_matrix("raw", k2_schedule(), 100.0, 100.0),
+                                      ConfigurationError, "time 100.0 exceeds the horizon 10.0"),
+    "nodes-past-the-array-size": (lambda: schedule_from_dict({"nodes": 10 ** 10, "segments": [
+        {"t0": 0.0, "t1": 1.0}]}), ConfigurationError, "'nodes' is too large: "),
+    "nodes-past-the-dimensions": (lambda: schedule_from_dict({"nodes": 10 ** 400, "segments": [
+        {"t0": 0.0, "t1": 1.0}]}), ConfigurationError, "'nodes' is too large: "),
     "negative-duration": (lambda: integrated_weights(alternating_schedule(), 0.0, -1.0),
-                          ValueError, "duration must be nonnegative"),
+                          ValueError, "window end -1.0 precedes start 0.0"),
     # the values schedule_from_dict refuses, refused by the constructor itself
     "bound-inf": (lambda: _unit_edge_schedule(weight_bound=np.inf), ConfigurationError,
                   "'bound' must be a positive finite number, got inf"),

@@ -1,13 +1,15 @@
 """Compare the runs of a git revision with those of the working tree.
 
 Checks REF out into a temporary git worktree and runs ``python -m
-consensuslab run`` as a fresh process in both trees on the same scenario
-files: the golden scenarios of scenarios/ and, for every --workload W and
---seed S given, the scenario files that bench/scenarios.generate writes.
-Both trees write into the same output path, so a message that names it
-compares too.  Exit codes, stdout, stderr and output trees are compared
-byte for byte; the files that differ are printed.  Exits 1 on any
-difference, else 0.  The worktree is removed at the end.
+consensuslab run`` and ``python -m consensuslab validate``, each as a
+fresh process, in both trees on the same scenario files: the golden
+scenarios of scenarios/ and, for every --workload W and --seed S given,
+the scenario files that bench/scenarios.generate writes.  Both trees write
+into the same output path, so a message that names it compares too.  Exit
+codes, stdout, stderr and output trees are compared byte for byte (the
+run's as exit, stdout, stderr and out/, validate's as validate-exit,
+validate-stdout and validate-stderr); the files that differ are printed.
+Exits 1 on any difference, else 0.  The worktree is removed at the end.
 
     python tools/golden_diff.py REF [--workload W]... [--seed S]...
 """
@@ -39,18 +41,20 @@ def cases(work, workloads, seeds):
 
 
 def run_all(src, found, out_root):
-    """Run every case with the package in ``src``; case ``name`` keeps its
-    exit code, stdout, stderr and output directory under out_root/name."""
+    """Run and validate every case with the package in ``src``; case ``name``
+    keeps the exit code, stdout and stderr of each, and the run's output
+    directory, under out_root/name."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for name, path in found:
         case = out_root / name
         case.mkdir(parents=True)
-        proc = subprocess.run(
-            [sys.executable, "-m", "consensuslab", "run", str(path), "--output-dir",
-             str(case / "out")], env=env, cwd=case, capture_output=True, timeout=600)
-        (case / "exit").write_text(f"{proc.returncode}\n")
-        (case / "stdout").write_bytes(proc.stdout)
-        (case / "stderr").write_bytes(proc.stderr)
+        for prefix, command in (("", ["run", str(path), "--output-dir", str(case / "out")]),
+                                ("validate-", ["validate", str(path)])):
+            proc = subprocess.run([sys.executable, "-m", "consensuslab", *command], env=env,
+                                  cwd=case, capture_output=True, timeout=600)
+            (case / f"{prefix}exit").write_text(f"{proc.returncode}\n")
+            (case / f"{prefix}stdout").write_bytes(proc.stdout)
+            (case / f"{prefix}stderr").write_bytes(proc.stderr)
 
 
 def differences(a, b):
