@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import simulate
-from .graph import _is_number
+from .graph import _number
 
 __all__ = [
     "RateFit",
@@ -87,13 +87,12 @@ def fit_exponential_rate(traj, skip_time=0.0, fit_dt=None):
     is meaningless), additionally dropping the first ``skip_time`` seconds
     of transients.  For switching schedules pass ``fit_dt`` equal to the
     period: log e(t) of a switched system carries a periodic modulation,
-    and sampling the fit at period multiples removes it from the residual.
-    A trajectory whose consensus error is not finite raises ValueError.
+    and sampling the fit at period multiples removes it from the residual.  A
+    bad skip_time or fit_dt, or a consensus error that is not finite, raises ValueError.
     """
-    if fit_dt is not None and not (_is_number(fit_dt) and fit_dt > 0.0):
-        raise ValueError(f"fit_dt must be positive and finite, got {fit_dt}")
-    if not _is_number(skip_time):
-        raise ValueError(f"skip_time must be a finite number, got {skip_time!r}")
+    if fit_dt is not None:
+        _number(fit_dt, "fit_dt", positive=True)
+    _number(skip_time, "skip_time")
     with np.errstate(invalid="ignore", over="ignore"):
         e = consensus_error(traj)
     t = traj.sample_times

@@ -94,12 +94,10 @@ def _unknown_task(name):
 
 
 def _require_number(params, key, where, default=None):
-    v = params.get(key, default)
-    if not graph._is_number(v):
-        _fail(f"{where}: parameter '{key}' must be a finite number, got {v!r}")
-    if key in POSITIVE_PARAMS and v <= 0:
-        _fail(f"{where}: parameter '{key}' must be positive, got {v!r}")
-    return float(v)
+    try:  # the library's rule for a time or a length, under the scenario's labels
+        return graph._number(params.get(key, default), f"parameter '{key}'", key in POSITIVE_PARAMS)
+    except ValueError as exc:
+        _fail(f"{where}: {exc}")
 
 
 def _optional_seed(params, where):
@@ -167,9 +165,10 @@ class Scenario:
         if spec is None:
             _fail("scenario is missing 'initial_state'")
         if isinstance(spec, list):
-            if len(spec) != n or not all(graph._is_number(v) for v in spec):
-                _fail(f"'initial_state' must list {n} finite numbers")
-            return np.asarray(spec, dtype=float)
+            try:  # simulate's own state rule
+                return dynamics._state(spec, n)
+            except (ConfigurationError, ValueError) as exc:
+                _fail(f"'initial_state': {exc}")
         if not isinstance(spec, dict) or "kind" not in spec:
             _fail("'initial_state' must be a vector or an object with 'kind'")
         kind = spec["kind"]
@@ -268,36 +267,26 @@ class Scenario:
         if kind == "zero":
             return None
         ends = [(name, p["t_end"]) for name, p in self.tasks if name in ("simulate", "robustness")]
-        if kind == "table":
-            if not all(isinstance(spec.get(key), list) for key in ("breakpoints", "values")):
-                _fail("table noise needs 'breakpoints' and 'values' lists")
-            # numpy takes a bool or a numeric string for a number, and overflows on an int
-            # past the floats: test each cell, and each row that is not a list, first
-            rows = [row if isinstance(row, list) else [row] for row in spec["values"]]
-            for key, lists in (("breakpoints", [spec["breakpoints"]]), ("values", rows)):
-                bad = [v for cells in lists for v in cells if not graph._is_number(v)]
-                if bad:
-                    _fail(f"invalid table noise: noise {key} must be finite numbers, got {bad[0]!r}")
         if kind == "windowed-random":
             seed = _optional_seed(spec, "noise")
             seed = self._seed_child(1) if seed is None else seed
-        try:  # NoiseProcess refuses zeta, B0 and margin, also when missing (None)
+        try:  # NoiseProcess refuses every number it takes, also a missing (None) one
             if kind == "table":
-                noise = dynamics.NoiseProcess.table(spec["breakpoints"], spec["values"],
+                noise = dynamics.NoiseProcess.table(spec.get("breakpoints"), spec.get("values"),
                                                     spec.get("zeta"), spec.get("B0"))
             else:
                 noise = dynamics.NoiseProcess.windowed_random(
                     self.schedule.node_count, spec.get("zeta"), spec.get("B0"), seed,
                     max((end for _, end in ends), default=0.0),
                     **{key: spec[key] for key in ("steps_per_window", "margin") if key in spec})
-        except (ConsensusLabError, TypeError, ValueError) as exc:
+        except ConsensusLabError as exc:
             _fail(f"invalid {kind} noise: {exc}")
-        width, n = noise.node_count, self.schedule.node_count
-        if width != n:
-            _fail(f"noise values are {width} wide for a {n}-node schedule")
+        noise._check_run(self.schedule.node_count)  # also when no task reads the noise
         for name, end in ends:
-            if not noise.covers(0.0, end):
-                _fail(f"task '{name}': {kind} noise does not cover [0, {end}]")
+            try:
+                noise._check_run(self.schedule.node_count, end)
+            except ConfigurationError as exc:
+                _fail(f"task '{name}': {kind} {exc}")
         return noise
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .graph import _is_number
+from .graph import _is_number, _number, _numbers
 
 __all__ = [
     "Trajectory",
@@ -33,7 +33,7 @@ class Trajectory:
     """Sampled node states over a strictly increasing time grid (``==`` is identity)."""
 
     def __init__(self, sample_times, states):
-        t = np.asarray(sample_times, dtype=float)
+        t = _numbers(sample_times, "sample_times", error=ValueError)
         x = np.asarray(states, dtype=float)
         if t.ndim != 1 or x.ndim != 2 or x.shape[0] != t.size:
             raise ValueError("sample_times and states must have matching lengths")
@@ -41,7 +41,7 @@ class Trajectory:
             raise ValueError("trajectory must hold at least one sample")
         if x.shape[1] == 0:
             raise ValueError("trajectory must hold at least one node")
-        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
+        if np.any(np.diff(t) <= 0.0):
             raise ValueError("sample_times must be finite and strictly increasing")
         self.sample_times = t
         self.states = x
@@ -121,21 +121,16 @@ class NoiseProcess:
     """
 
     def __init__(self, breakpoints, values, zeta, energy_bound):
-        v = np.asarray(values, dtype=float)
+        v, b = _numbers(values, "noise values"), _numbers(breakpoints, "noise breakpoints")
         if v.ndim != 2:
             raise ConfigurationError(
-                f"noise values must be a table of rows, one value per node; got shape {v.shape}"
-            )
+                f"noise values must be a table of rows, one value per node; got shape {v.shape}")
         self.node_count = v.shape[1]
-        b = np.asarray(breakpoints, dtype=float)
-        if b.ndim != 1 or b.size < 2 or not np.all(np.isfinite(b)) or np.any(np.diff(b) <= 0.0):
+        if b.ndim != 1 or b.size < 2 or np.any(np.diff(b) <= 0.0):
             raise ConfigurationError("noise breakpoints must be finite and increasing, length >= 2")
         if v.shape != (b.size - 1, self.node_count):
             raise ConfigurationError(
-                f"noise values must have shape ({b.size - 1}, {self.node_count}), got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigurationError("noise values must be finite")
+                f"noise values must have shape ({b.size - 1}, {self.node_count}), got {v.shape}")
         self.zeta, self.energy_bound = _window_and_bound(zeta, energy_bound)
         self.breakpoints = b
         self.values = v
@@ -157,14 +152,12 @@ class NoiseProcess:
         """Seeded noise from t = 0 over whole zeta-windows reaching t_end,
         each scaled to carry exactly (1 - margin) * B0 of energy."""
         zeta, energy_bound = _window_and_bound(zeta, energy_bound)
-        if not _is_number(t_end):
-            raise ConfigurationError(f"t_end must be finite, got {t_end!r}")
+        _number(t_end, "t_end", error=ConfigurationError)
         if not (_is_number(margin) and 0.0 <= margin < 1.0):
             raise ConfigurationError(f"'margin' must lie in [0, 1), got {margin!r}")
-        if isinstance(steps_per_window, bool) or not (
-                isinstance(steps_per_window, (int, np.integer)) and steps_per_window >= 1):
-            raise ConfigurationError(
-                f"'steps_per_window' must be a positive integer, got {steps_per_window!r}")
+        for name, v in (("node_count", node_count), ("steps_per_window", steps_per_window)):
+            if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= 1):
+                raise ConfigurationError(f"'{name}' must be a positive integer, got {v!r}")
         rng = np.random.default_rng(seed)
         n_windows = max(1, math.ceil(_step_count(t_end, zeta)))
         if n_windows * steps_per_window >= 2 ** 53:  # in integers: a float no longer counts them
@@ -183,9 +176,16 @@ class NoiseProcess:
 
     # -- evaluation ---------------------------------------------------------
 
-    def covers(self, t0, t1):
-        tol = 1e-9 * max(1.0, abs(t1))
-        return self.breakpoints[0] <= t0 + tol and t1 <= self.breakpoints[-1] + tol
+    def _check_run(self, node_count, t_end=None):
+        """ConfigurationError unless the rows are node_count wide and, given t_end,
+        the breakpoints cover [0, t_end] within 1e-9 * max(1, |t_end|)."""
+        if self.node_count != node_count:
+            raise ConfigurationError(
+                f"noise values are {self.node_count} wide for a {node_count}-node schedule")
+        tol = 1e-9 * max(1.0, abs(t_end or 0.0))
+        if t_end is not None and not (self.breakpoints[0] <= tol
+                                      and t_end <= self.breakpoints[-1] + tol):
+            raise ConfigurationError(f"noise does not cover [0, {t_end}]")
 
     def window_energies(self):
         """Exact energies of the declared zeta-grid windows.
@@ -296,6 +296,17 @@ def _phi1(z):
     return np.where(z == 0.0, 1.0, np.expm1(safe) / safe)
 
 
+def _state(x0, node_count):
+    """x0 as a float vector of node_count numbers, else ValueError (ConfigurationError: count)."""
+    x0 = _numbers(x0, "state entries", error=ValueError)
+    if x0.ndim != 1:
+        raise ValueError(f"state must be a 1-D vector, got shape {x0.shape}")
+    if x0.size != node_count:
+        raise ConfigurationError(
+            f"initial state has {x0.size} entries for a {node_count}-node schedule")
+    return x0
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below, once
 def simulate(sched, x0, t_end, sample_dt, noise=None):
     """Integrate dx/dt = -L(t) x + w(t) over [0, t_end].
@@ -304,14 +315,14 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     ----------
     sched : WeightSchedule
     x0 : array_like
-        Initial state x(0), one finite entry per node.
+        Initial state x(0), one finite entry per node (see :func:`_state`).
     t_end, sample_dt : float
-        Samples are emitted on the sample_dt grid plus every segment
-        boundary (the vector field is discontinuous there).
+        Positive (else ValueError).  Samples are emitted on the sample_dt
+        grid plus every segment boundary (the vector field jumps there).
     noise : NoiseProcess, optional
-        None means no noise.  Each segment piece is split at the noise
-        breakpoints; on a sub-piece [u0, u1] with constant w the
-        eigen-coordinates c = Q'x at every sample time t in (u0, u1] are
+        None means no noise, else one that ``_check_run`` takes.  Each segment
+        piece is split at the noise breakpoints; on a sub-piece [u0, u1] with
+        constant w the eigen-coordinates c = Q'x at every sample t in (u0, u1] are
         c(t) = e^{-lam tau} c(u0) + tau phi_1(-lam tau) Q'w, tau = t - u0.
         This is exact, so the whole run is exact up to rounding, and its
         cost is linear in the number of samples, segments and noise
@@ -328,34 +339,17 @@ def simulate(sched, x0, t_end, sample_dt, noise=None):
     -------
     Trajectory
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError(f"state must be a 1-D vector, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("state entries must be finite")
-    n = sched.node_count
-    if x0.size != n:
-        raise ConfigurationError(
-            f"initial state has {x0.size} entries for a {n}-node schedule"
-        )
-    for name, v in (("t_end", t_end), ("sample_dt", sample_dt)):
-        if not (_is_number(v) and v > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+    x0 = _state(x0, sched.node_count)
+    _number(t_end, "t_end", positive=True), _number(sample_dt, "sample_dt", positive=True)
     if noise is not None:
-        if noise.node_count != n:
-            raise ConfigurationError("noise node count does not match the schedule")
-        if not noise.covers(0.0, t_end):
-            raise ConfigurationError(
-                "noise window grid does not cover the simulation horizon "
-                f"[0.0, {t_end}]"
-            )
+        noise._check_run(x0.size, t_end)
 
     grid, pieces = _sample_grid(sched, t_end, sample_dt)
     if noise is None and np.ptp(x0) == 0.0:
         # consensus states are equilibria of the noiseless dynamics
         return Trajectory(grid, np.tile(x0, (grid.size, 1)))
 
-    states = np.empty((grid.size, n))
+    states = np.empty((grid.size, x0.size))
     states[0] = x0
     spans, coords, drives = _carry(sched, pieces, grid, x0, noise)
     _fill_coordinates(sched, states, grid, spans, coords, drives)

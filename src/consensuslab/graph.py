@@ -122,14 +122,13 @@ class WeightSchedule:
     def __init__(self, segments, periodic=False, weight_bound=None):
         segs = []
         for k, (t0, t1, w) in enumerate(segments):
-            if not (_is_number(t0) and _is_number(t1)):
-                raise ConfigurationError(f"segment {k}: 't0' and 't1' must be finite numbers")
-            segs.append(Segment(float(t0), float(t1), _checked_weights(w)))
+            segs.append(Segment(_number(t0, f"segment {k}: 't0'", error=ConfigurationError),
+                                _number(t1, f"segment {k}: 't1'", error=ConfigurationError),
+                                _checked_weights(w)))
         if not isinstance(periodic, (bool, np.bool_)):
             raise ConfigurationError(f"'periodic' must be true or false, got {periodic!r}")
-        if weight_bound is not None and not (_is_number(weight_bound) and weight_bound > 0):
-            raise ConfigurationError(
-                f"'bound' must be a positive finite number, got {weight_bound!r}")
+        if weight_bound is not None:
+            _number(weight_bound, "'bound'", positive=True, error=ConfigurationError)
         if not segs:
             raise ConfigurationError("schedule needs at least one segment")
         n = segs[0].weights.shape[0]
@@ -172,12 +171,8 @@ class WeightSchedule:
         read-only pair (lam, Q) with lam ascending.  Every exact flow,
         Gramian and noise formula of the package works in this basis.
         """
-        pair = self._spectra.get(k)
-        if pair is None:
-            pair = self._spectra[k] = tuple(np.linalg.eigh(_laplacian(self.segments[k].weights)))
-            for a in pair:
-                a.setflags(write=False)
-        return pair
+        return self._spectra.get(k) or self._cache(self._spectra, k,
+                                                   lambda w: np.linalg.eigh(_laplacian(w)))
 
     def incidence(self, k):
         """Entries of H_k, the incidence of |a_ij| on segment k (H_k S_k H_k' = L_k
@@ -186,11 +181,16 @@ class WeightSchedule:
 
     def _incidence_pair(self, k):
         """(H_k, H_k S_k): one array twice when no weight of segment k is negative."""
-        pair = self._incidences.get(k)
-        if pair is None:
-            pair = self._incidences[k] = _factor_incidence(self.segments[k].weights)
-            for a in pair:
-                a.setflags(write=False)
+        return self._incidences.get(k) or self._cache(self._incidences, k, _factor_incidence)
+
+    def _cache(self, cache, k, build):
+        """On a miss, cache[k] = build(segment k's weights), read-only; an index not an
+        int in 0..S-1 raises IndexError, so that each segment has one key."""
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < len(self.segments)):
+            raise IndexError(f"segment index {k!r} is not in 0..{len(self.segments) - 1}")
+        pair = cache[k] = tuple(build(self.segments[k].weights))
+        for a in pair:
+            a.setflags(write=False)
         return pair
 
     def _local_index(self, tau):
@@ -199,12 +199,10 @@ class WeightSchedule:
 
     def _span(self, t0, t1):
         """[t0, t1] as floats on the time axis: the package's one time rule.  Ends
-        finite with t1 >= t0, else ValueError; a start at most 1e-12 * max(1, |t1|)
-        below 0 (taken as 0) and, unless periodic, an end at most ``_tol`` past
-        the horizon (taken as the horizon), else ConfigurationError."""
-        t0, t1 = float(t0), float(t1)
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ValueError(f"window [{t0}, {t1}] must have finite ends")
+        that :func:`_number` takes with t1 >= t0, else ValueError; a start at most
+        1e-12 * max(1, |t1|) below 0 (taken as 0) and, unless periodic, an end at
+        most ``_tol`` past the horizon (taken as the horizon), else ConfigurationError."""
+        t0, t1 = _number(t0, "window start"), _number(t1, "window end")
         if t1 < t0:
             raise ValueError(f"window end {t1} precedes start {t0}")
         if t0 < -1e-12 * max(1.0, abs(t1)):
@@ -229,11 +227,10 @@ class WeightSchedule:
         window in order, none shorter than 1e-12 * max(1, |t1|).  Periodic
         schedules unwrap across periods; indices refer to the base segments.
         """
-        t0, t1 = float(t0), float(t1)
-        tiny = 1e-12 * max(1.0, abs(t1))
         # on a non-periodic schedule start <= end <= horizon: the walk stops there, never wrapping
         start, end = self._span(t0, t1)
-        if t1 - t0 <= tiny:
+        tiny = 1e-12 * max(1.0, abs(float(t1)))
+        if float(t1) - float(t0) <= tiny:
             return []
         p = self.horizon
         k0, tau = divmod(start, p)
@@ -259,6 +256,7 @@ def integrated_weights(sched, s, duration):
 
     Exact: the integrand is piecewise constant, so this is an overlap sum.
     """
+    _number(s, "s"), _number(duration, "duration")
     acc = np.zeros((sched.node_count, sched.node_count))
     for ta, tb, k in sched.pieces(s, s + duration):
         acc += (tb - ta) * sched.segments[k].weights
@@ -362,15 +360,17 @@ def _deciding_windows(sched, delta, T):
     kink once: a block's last row opens the next block's first interval.
     """
     kinks = window_starts(sched, T)
-    # the last interval of a period ends at the period, whose integrals are
-    # those at 0; a lone kink (T equal to the horizon) is a one-point interval
+    # the last interval of a period, or a lone kink's one-point one, closes on the first kink's
+    # row (the integrals at P are those at 0, and pieces(P, P + T) rounds differently)
     wrap = sched.periodic or len(kinks) == 1
     pts = np.array(kinks + [sched.period if sched.periodic else kinks[0]] * wrap)
-    ends = kinks + kinks[:1] * wrap  # not the period: pieces(P, P + T) rounds differently
     rows, cols = np.triu_indices(sched.node_count, 1)
     block, lo, seq = _block(sched.node_count), 0, np.empty((0, rows.size))
-    for stack in _window_integrals(sched, ends, T):
+    for stack in _window_integrals(sched, kinks, T):
         seq = np.concatenate((seq[-1:], stack[:, rows, cols]))
+        first = seq[:1] if lo == 0 else first
+        if wrap and lo + len(seq) == len(kinks):  # the last block
+            seq = np.concatenate((seq, first))
         ia, slope = seq[:-1], seq[1:] - seq[:-1]
         a, span = pts[lo:lo + len(ia)], np.diff(pts[lo:lo + len(ia) + 1])
         lo += len(ia)
@@ -407,8 +407,7 @@ def check_joint_connectivity(sched, delta, T):
     edge leaving it has an integral < delta.  Both checks only compare
     integrals with delta, so no eigenvalue (lambda2) is needed as evidence.
     """
-    if not delta > 0.0 or not T > 0.0:
-        raise ValueError("delta and T must be positive")
+    delta, T = _number(delta, "delta", positive=True), _number(T, "T", positive=True)
     n = sched.node_count
     rows, cols = np.triu_indices(n, 1)  # the edge_pairs order
     evidence = []
@@ -433,8 +432,8 @@ def check_joint_connectivity(sched, delta, T):
             evidence.append(WindowEvidence(s, counts[k], connected[k], tuple(witness)))
     failing = [w.start for w in evidence if not w.connected]
     return ConnectivityCertificate(
-        delta=float(delta),
-        T=float(T),
+        delta=delta,
+        T=T,
         verdict="not_connected" if failing else "connected",
         windows=tuple(evidence),
         counterexample_window=failing[0] if failing else None,
@@ -491,12 +490,34 @@ def negative_link_assumption_holds(sched):
 def _is_number(v):
     """Whether v is a finite int or float, numpy's included; an int beyond
     the float range (JSON allows any number of digits) counts as non-finite."""
-    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+    if type(v) is not float and (isinstance(v, bool)  # a float, the common case, first
+                                 or not isinstance(v, (int, np.integer, np.floating))):
         return False
     try:
         return math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _number(v, name, positive=False, error=ValueError):
+    """v as a float, by the package's rule for a time or a length: a number as
+    :func:`_is_number` takes it, positive where asked, else ``error``."""
+    if not _is_number(v):
+        raise error(f"{name} must be a finite number, got {v!r}")
+    if positive and v <= 0:
+        raise error(f"{name} must be positive, got {v!r}")
+    return float(v)
+
+
+def _numbers(values, what, error=ConfigurationError):
+    """``values`` as a float array, by the package's rule for a table of numbers: each entry
+    one :func:`_is_number` takes (numeric numpy arrays by dtype and isfinite), else ``error``."""
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    a = values if numeric else np.array(values, dtype=object)
+    bad = [v for v in (a[~np.isfinite(a)] if numeric else a).ravel().tolist() if not _is_number(v)]
+    if bad:
+        raise error(f"{what} must be finite numbers, got {bad[0]!r}")
+    return np.asarray(a, dtype=float)
 
 
 def _refuse_unknown(spec, known, what):
@@ -557,8 +578,8 @@ def schedule_from_dict(data):
         segments.append((seg["t0"], seg["t1"], w))
     sched = WeightSchedule(segments, periodic=data.get("periodic", False),
                            weight_bound=data.get("bound"))
-    if "period" in data and not _is_number(data["period"]):
-        raise ConfigurationError(f"'period' must be a finite number, got {data['period']!r}")
+    if "period" in data:
+        _number(data["period"], "'period'", error=ConfigurationError)
     if not sched.periodic and "period" in data:
         raise ConfigurationError("'period' is only valid with 'periodic': true")
     if sched.periodic and "period" in data and data["period"] != sched.horizon:

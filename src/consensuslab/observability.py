@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, UnobservableWindowError
-from .graph import _window_integrals, edge_pairs, negative_link_assumption_holds, window_starts
+from .graph import (_number, _numbers, _window_integrals, edge_pairs,
+                    negative_link_assumption_holds, window_starts)
 from .dynamics import _disagreement_flow, _run_pieces, _write_csv_rows
 
 __all__ = [
@@ -42,11 +43,11 @@ class EdgeSignalTrace:
     """
 
     def __init__(self, sample_times, signals, edge_order):
-        t = np.asarray(sample_times, dtype=float)
+        t = _numbers(sample_times, "sample_times", error=ValueError)
         z = np.asarray(signals, dtype=float)
         if t.ndim != 1 or z.ndim != 2 or z.shape[0] != t.size:
             raise ValueError("sample_times and signals must have matching lengths")
-        if not np.all(np.isfinite(t)) or np.any(np.diff(t) < 0.0):
+        if np.any(np.diff(t) < 0.0):
             raise ValueError("sample_times must be finite and non-decreasing")
         if z.shape[1] != len(edge_order):
             raise ValueError("signal width must match the edge order")
@@ -161,8 +162,7 @@ def gramian(sched, s, delta):
     come from :func:`_piece_factors`.  Refuses a schedule that violates the
     Negative-Link Assumption, whose L + J has no real output factor D.
     """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    _number(s, "s"), _number(delta, "delta", positive=True)
     negative_link_assumption_holds(sched).require()
     n = sched.node_count
     w = np.zeros((n, n))
@@ -216,8 +216,7 @@ def uniform_bounds_check(sched, delta_obs):
     by at most sqrt(1 - 2f): certified_rate is -log(1 - 2f) / (2 delta).
     alpha1 <= delta Lambda keeps f <= sqrt(2) / 4, so 1 - 2f > 0.
     """
-    if not delta_obs > 0.0:
-        raise ValueError("delta_obs must be positive")
+    delta_obs = _number(delta_obs, "delta_obs", positive=True)
     n = sched.node_count
     shift = delta_obs * (np.ones((n, n)) / n)
     starts = window_starts(sched, delta_obs)
@@ -280,8 +279,9 @@ def _window_nodes(times, sched, s, delta):
 
     The one coverage rule, also run by ``validate`` on the run's sample
     grid, which differs from its trace only by the boundary rows dropped
-    here: a piece with fewer than two rows, an end row beyond the tolerance
-    or nodes not strictly increasing raises ConfigurationError."""
+    here: a piece with fewer than two rows, an end row beyond the tolerance or
+    nodes not strictly increasing raises ConfigurationError (a bad s or delta ValueError)."""
+    _number(s, "s"), _number(delta, "delta", positive=True)
     tol = max(_grid_tolerance(times), 1e-12 * max(1.0, abs(s) + delta))
     pieces = sched.pieces(s, s + delta)
     out = []
@@ -306,10 +306,7 @@ def _window_nodes(times, sched, s, delta):
 def _reconstruct(z, sched, s, delta, cond_tol):
     """:func:`reconstruct`'s estimate, the Gramian it inverts, and the time
     of the trace row where the coverage rule starts the window."""
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if not cond_tol > 0.0:
-        raise ValueError("cond_tol must be positive")
+    cond_tol = _number(cond_tol, "cond_tol", positive=True)
     n = sched.node_count
     if tuple(z.edge_order) != tuple(edge_pairs(n)):
         raise ConfigurationError(

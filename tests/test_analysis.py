@@ -160,7 +160,7 @@ class TestRateFit:
         with pytest.raises(ValueError, match="fit window is empty"):
             fit_exponential_rate(traj, fit_dt=1e300)
         for fit_dt in (float("inf"), float("nan"), 0.0, -2.0, True, "1"):
-            with pytest.raises(ValueError, match="fit_dt must be positive and finite"):
+            with pytest.raises(ValueError, match="fit_dt must be (positive|a finite number)"):
                 fit_exponential_rate(traj, fit_dt=fit_dt)
         for skip_time in (float("inf"), float("nan"), "1"):
             with pytest.raises(ValueError, match=re.escape(

@@ -195,7 +195,7 @@ MALFORMED = [
      "eigvector initial state: 'index' must be 1..3"),
     ("table noise without breakpoints",
      _set(["noise"], {"kind": "table", "zeta": 1.0, "B0": 1.0, "values": [[0.1, 0.2, 0.0]]}),
-     "table noise needs 'breakpoints' and 'values'"),
+     "invalid table noise: noise breakpoints must be finite numbers, got None"),
     ("table noise two wide", _set(["noise"], _table_noise([0.0, 4.0], [[0.1, 0.2]])),
      "noise values are 2 wide for a 3-node schedule"),
     ("unknown noise field", _set(["noise", "margn"], 0.5), "unknown noise fields: ['margn']"),
@@ -266,17 +266,18 @@ MALFORMED = [
     ("string value", _set(["initial_state"], {"kind": "consensus", "value": "abc"}),
      "'value' must be a finite number"),
     ("nan initial state entry", _set(["initial_state", 1], float("nan")),
-     "'initial_state' must list 3 finite numbers"),
+     "'initial_state': state entries must be finite numbers, got nan"),
     ("infinite initial state entry", _set(["initial_state", 2], -float("inf")),
-     "'initial_state' must list 3 finite numbers"),
+     "'initial_state': state entries must be finite numbers, got -inf"),
     ("negative B0", _set(["noise", "B0"], -1.0), "B0 must be finite and nonnegative"),
     ("negative noise seed", _set(["noise", "seed"], -3), "'seed' must be a nonnegative integer"),
     ("boolean scenario seed", _set(["seed"], True), "'seed' must be a nonnegative integer"),
     ("string segment start", _set(["schedule", "segments", 1, "t0"], "1.0"),
-     "'t0' and 't1' must be finite numbers"),
+     "invalid schedule: segment 1: 't0' must be a finite number, got '1.0'"),
     ("edges not a list", _set(["schedule", "segments", 0, "edges"], 5), "'edges' must be a list"),
     ("string periodic", _set(["schedule", "periodic"], "yes"), "'periodic' must be true or false"),
-    ("string bound", _set(["schedule", "bound"], "abc"), "'bound' must be a positive"),
+    ("string bound", _set(["schedule", "bound"], "abc"),
+     "invalid schedule: 'bound' must be a finite number, got 'abc'"),
     ("boolean eigvector segment", _set(["initial_state"], {"kind": "eigvector", "segment": True}),
      "'segment' must be"),
     ("numeric output_dir", _set(["output_dir"], 5), "'output_dir' must be a string"),
@@ -296,7 +297,7 @@ MALFORMED = [
      _set(["noise"], _table_noise([0.0, float("inf")], [[0.1, 0.2, 0.0]])),
      "noise breakpoints must be finite"),
     ("object table values", _set(["noise"], _table_noise([0.0, 4.0], {"a": 1})),
-     "table noise needs 'breakpoints' and 'values' lists"),
+     "invalid table noise: noise values must be finite numbers, got {'a': 1}"),
     # integers that numpy cannot size or convert, refused before numpy sees them
     ("ten-billion nodes", _set(["schedule", "nodes"], 10 ** 10),
      "invalid schedule: 'nodes' is too large: "),
@@ -305,9 +306,9 @@ MALFORMED = [
     ("401-digit integer steps_per_window", _set(["noise", "steps_per_window"], 10 ** 400),
      "invalid windowed-random noise: 4 windows of 1000"),
     ("401-digit integer table breakpoints", _set(["noise"], _table_noise(10 ** 400, [[0.1] * 3])),
-     "table noise needs 'breakpoints' and 'values' lists"),
+     "invalid table noise: noise breakpoints must be finite numbers, got 1000"),
     ("401-digit integer table values", _set(["noise"], _table_noise([0.0, 4.0], -10 ** 400)),
-     "table noise needs 'breakpoints' and 'values' lists"),
+     "invalid table noise: noise values must be finite numbers, got -1000"),
     ("401-digit integer table row", _set(["noise"], _table_noise([0.0, 4.0], [10 ** 400])),
      "invalid table noise: noise values must be finite numbers, got 1000"),
     # numpy converts each of these cells to a float
@@ -528,7 +529,7 @@ _OFF_GRID_CUTS = [0.0, 2.57, 2.570000075, 4.0]  # trace tolerance 7e-8, below 1e
      "scenario error: task 'gramian': time -5.0 is before the schedule start\n"),
     # start + delta overflows to inf: a window with no finite end
     (_horizon_scenario([{"task": "gramian", "start": 1e308, "delta": 1e308}]),
-     "scenario error: task 'gramian': window [1e+308, inf] must have finite ends\n"),
+     "scenario error: task 'gramian': window end must be a finite number, got inf\n"),
     (_horizon_scenario([_SIMULATE_TO_2, {"task": "reconstruct", "start": 1e308, "delta": 1e308}]),
      "scenario error: task 'reconstruct': window [1e+308, inf] is not inside the simulated "
      "[0, 2.0]\n"),

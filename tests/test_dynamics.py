@@ -246,7 +246,7 @@ class TestNoiseProcess:
 
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), float("-inf")])
     def test_windowed_random_refuses_a_non_finite_horizon(self, t_end):
-        with pytest.raises(ConfigurationError, match="t_end must be finite"):
+        with pytest.raises(ConfigurationError, match="t_end must be a finite number"):
             NoiseProcess.windowed_random(3, 1.0, 1.0, seed=0, t_end=t_end)
 
     @pytest.mark.parametrize("option,value,message", [
@@ -322,17 +322,21 @@ REFUSALS = {
     "noise-shape": (lambda: NoiseProcess([0.0, 1.0, 2.0], [[0.1, 0.1]], 1.0, 1.0),
                     ConfigurationError, "noise values must have shape (2, 2), got (1, 2)"),
     "noise-breakpoint-inf": (lambda: NoiseProcess([0.0, np.inf], [[0.1, 0.1]], 1.0, 1.0),
-                             ConfigurationError, "noise breakpoints must be finite and increasing"),
+                             ConfigurationError,
+                             "noise breakpoints must be finite numbers, got inf"),
+    "noise-breakpoints-repeat": (lambda: NoiseProcess([0.0, 0.0], [[0.1, 0.1]], 1.0, 1.0),
+                                 ConfigurationError,
+                                 "noise breakpoints must be finite and increasing, length >= 2"),
     "noise-value-nan": (lambda: NoiseProcess([0.0, 1.0], [[0.1, np.nan]], 1.0, 1.0),
                         ConfigurationError, "noise values must be finite"),
     "simulate-noise-nodes": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], 1.0, 0.5,
                                               noise=NoiseProcess([0.0, 1.0], [[0.1, 0.1]], 1.0, 1.0)),
-                             ConfigurationError, "noise node count does not match"),
+                             ConfigurationError, "noise values are 2 wide for a 3-node schedule"),
     # a bool or a string is not a time, though True > 0 and "0.1" converts to a float
     "simulate-t-end-bool": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], True, 0.1),
-                            ValueError, "t_end must be positive and finite, got True"),
+                            ValueError, "t_end must be a finite number, got True"),
     "simulate-sample-dt-string": (lambda: simulate(k3_schedule(), [1.0, 0.0, -1.0], 1.0, "0.1"),
-                                  ValueError, "sample_dt must be positive and finite, got 0.1"),
+                                  ValueError, "sample_dt must be a finite number, got '0.1'"),
     "transition-system": (lambda: transition_matrix("signed", k2_schedule(), 0.0, 1.0),
                           ValueError, "must be 'raw' or 'projected', got 'signed'"),
     "transition-backwards": (lambda: transition_matrix("raw", k2_schedule(), 1.0, 0.5),
@@ -365,7 +369,14 @@ REFUSALS = {
                                   ConfigurationError,
                                   "noise needs a positive, finite window length zeta, got True"),
     "windowed-random-t-end-bool": (lambda: NoiseProcess.windowed_random(2, 1.0, 1.0, 0, True),
-                                   ConfigurationError, "t_end must be finite, got True"),
+                                   ConfigurationError, "t_end must be a finite number, got True"),
+    # a node count is a positive integer, as steps_per_window is: numpy took neither as a shape
+    "windowed-random-nodes-float": (lambda: NoiseProcess.windowed_random(2.0, 1.0, 1.0, 0, 1.0),
+                                    ConfigurationError,
+                                    "'node_count' must be a positive integer, got 2.0"),
+    "windowed-random-nodes-bool": (lambda: NoiseProcess.windowed_random(True, 1.0, 1.0, 0, 1.0),
+                                   ConfigurationError,
+                                   "'node_count' must be a positive integer, got True"),
     # 4 windows of 2**51 steps: a breakpoint count of 2**53, refused before any table
     "windowed-random-steps-2-53": (
         lambda: NoiseProcess.windowed_random(2, 1.0, 1.0, 0, 4.0, steps_per_window=2 ** 51),

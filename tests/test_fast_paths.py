@@ -878,7 +878,7 @@ def test_window_checks_match_reference_over_several_blocks(kind, n, monkeypatch)
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "nonperiodic"])
 def test_each_kink_is_integrated_once(periodic, monkeypatch):
     # a block's last kink opens the next block's first interval without a
-    # second integral; a period's last interval closes with the integrals at 0
+    # second integral; a period's last interval closes with the first row
     n = 5
     sched = random_schedule(np.random.default_rng(12), n, periodic, segments=6)
     T = 0.4 * sched.horizon
@@ -889,7 +889,7 @@ def test_each_kink_is_integrated_once(periodic, monkeypatch):
     monkeypatch.setattr(WeightSchedule, "pieces",
                         lambda self, t0, t1: starts.append(t0) or pieces(self, t0, t1))
     check_joint_connectivity(sched, 0.1 * T, T)
-    assert sorted(starts) == sorted(kinks + kinks[:1] * periodic)
+    assert starts == kinks
     starts.clear()
     uniform_bounds_check(sched, T)
     assert starts == kinks

@@ -471,19 +471,19 @@ REFUSALS = {
                           ValueError, "window end -1.0 precedes start 0.0"),
     # the values schedule_from_dict refuses, refused by the constructor itself
     "bound-inf": (lambda: _unit_edge_schedule(weight_bound=np.inf), ConfigurationError,
-                  "'bound' must be a positive finite number, got inf"),
+                  "'bound' must be a finite number, got inf"),
     "bound-nan": (lambda: _unit_edge_schedule(weight_bound=np.nan), ConfigurationError,
-                  "'bound' must be a positive finite number, got nan"),
+                  "'bound' must be a finite number, got nan"),
     "bound-zero": (lambda: _unit_edge_schedule(weight_bound=0), ConfigurationError,
-                   "'bound' must be a positive finite number, got 0"),
+                   "'bound' must be positive, got 0"),
     "periodic-string": (lambda: _unit_edge_schedule(periodic="false"), ConfigurationError,
                         "'periodic' must be true or false, got 'false'"),
     "t1-inf": (lambda: _unit_edge_schedule(t1=np.inf), ConfigurationError,
-               "segment 0: 't0' and 't1' must be finite numbers"),
+               "segment 0: 't1' must be a finite number, got inf"),
     "t0-string": (lambda: _unit_edge_schedule(t0="0.0"), ConfigurationError,
-                  "segment 0: 't0' and 't1' must be finite numbers"),
+                  "segment 0: 't0' must be a finite number, got '0.0'"),
     "t1-boolean": (lambda: _unit_edge_schedule(t1=True), ConfigurationError,
-                   "segment 0: 't0' and 't1' must be finite numbers"),
+                   "segment 0: 't1' must be a finite number, got True"),
 }
 
 
@@ -496,6 +496,19 @@ def test_refusals(name):
     call, error, fragment = REFUSALS[name]
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+def test_segment_caches_keep_one_key_per_segment():
+    # a negative index was cached as a second key for the same segment
+    sched = alternating_schedule()
+    lam, q = sched.spectrum(1)
+    h = sched.incidence(1)
+    for bad in (-1, -2, 2, 0.0, "0", None):
+        for lookup in (sched.spectrum, sched.incidence):
+            with pytest.raises(IndexError, match=r"segment index .* is not in 0\.\.1"):
+                lookup(bad)
+    assert sched.spectrum(1)[1] is q and sched.incidence(1) is h
+    assert list(sched._spectra) == [1] and list(sched._incidences) == [1]
 
 
 def test_numpy_times_and_flags_are_accepted():

@@ -499,7 +499,7 @@ class TestReconstruct:
         # a cutoff at or below zero would invert the isolated node's singular Gramian
         sched = isolated_schedule(horizon=10.0)
         trace = edge_signals(simulate(sched, [0.3, -0.7, 0.4], 5.0, 0.01), sched)
-        with pytest.raises(ValueError, match="cond_tol must be positive"):
+        with pytest.raises(ValueError, match="cond_tol must be (positive|a finite number)"):
             reconstruct(trace, sched, 0.0, 5.0, cond_tol=cond_tol)
 
     def test_edge_order_mismatch(self):
@@ -645,6 +645,8 @@ REFUSALS = {
                       "sample_times and signals must have matching lengths"),
     "trace-width": (lambda: EdgeSignalTrace([0.0, 1.0], np.zeros((2, 2)), [(0, 1)]), ValueError,
                     "signal width must match the edge order"),
+    "trace-times-decrease": (lambda: EdgeSignalTrace([1.0, 0.0], np.zeros((2, 1)), [(0, 1)]),
+                             ValueError, "sample_times must be finite and non-decreasing"),
     "signals-node-count": (lambda: edge_signals(simulate(k2_schedule(), [1.0, -1.0], 1.0, 0.5),
                                                 k3_schedule()),
                            ConfigurationError, "trajectory and schedule node counts differ"),
